@@ -13,13 +13,13 @@ Two measurements land in ``BENCH_crawling.json`` at the repo root:
 
 ``topology_ingestion``
     A power-law base graph grows node-by-node (each new node attaching
-    with a handful of edges) while a stable-counter-layout
+    with a handful of edges) while a
     :class:`~repro.streaming.monitor.TopKMonitor` ingests the
     ``NodeAdd``/``EdgeAdd`` events incrementally.  Every step is timed
     against a from-scratch monitor on the same grown graph — same
-    seed, same layout, so the fresh answer is also the bit-identity
-    oracle: a step's timing only counts after its incremental answer
-    matches exactly.  The CI gate holds the aggregate speedup at >= 3x.
+    seed, so the fresh answer is also the bit-identity oracle: a step's
+    timing only counts after its incremental answer matches exactly.
+    The CI gate holds the aggregate speedup at >= 3x.
 
 Usage
 -----
@@ -74,14 +74,6 @@ def build_powerlaw_graph(n: int, seed: int) -> UncertainGraph:
     )
 
 
-def make_monitor(
-    graph: UncertainGraph, k: int, seed: int, layout: str = "stable"
-) -> TopKMonitor:
-    return TopKMonitor(
-        graph, k, seed=seed, engine="indexed", counter_layout=layout
-    )
-
-
 # ----------------------------------------------------------------------
 # (a) recall vs budget, per strategy
 # ----------------------------------------------------------------------
@@ -90,7 +82,7 @@ def bench_recall(
 ) -> dict:
     """Crawl one hidden graph with every strategy; recall at checkpoints."""
     hidden = build_powerlaw_graph(n, seed)
-    truth = set(make_monitor(hidden, k, seed).top_k().nodes)
+    truth = set(TopKMonitor(hidden, k, seed=seed).top_k().nodes)
     rng = np.random.default_rng(seed)
     picks = sorted(rng.choice(n, size=seeds, replace=False).tolist())
     seed_labels = [hidden.label(int(i)) for i in picks]
@@ -107,7 +99,7 @@ def bench_recall(
             if session.steps_taken != target:
                 continue
             observed = session.observed_graph
-            answer = set(make_monitor(observed, k, seed).top_k().nodes)
+            answer = set(TopKMonitor(observed, k, seed=seed).top_k().nodes)
             checkpoints.append(
                 {
                     "budget": target,
@@ -160,7 +152,7 @@ def bench_topology(n: int, k: int, events: int, seed: int) -> dict:
     """Grow a graph event-by-event; time incremental vs from-scratch."""
     graph = build_powerlaw_graph(n, seed)
     labels = graph.labels()
-    monitor = make_monitor(graph, k, seed)
+    monitor = TopKMonitor(graph, k, seed=seed)
     started = time.perf_counter()
     monitor.top_k()  # initial build — a fresh detection, timed separately
     initial_seconds = time.perf_counter() - started
@@ -178,11 +170,10 @@ def bench_topology(n: int, k: int, events: int, seed: int) -> dict:
         sampling_modes[report.sampling] = (
             sampling_modes.get(report.sampling, 0) + 1
         )
-        # Same seed + same stable layout: the fresh monitor draws the
-        # identical worlds, so it is both the full-recompute baseline
-        # and the exactness oracle.
+        # Same seed: the fresh monitor draws the identical worlds, so it
+        # is both the full-recompute baseline and the exactness oracle.
         started = time.perf_counter()
-        fresh = make_monitor(graph, k, seed).top_k()
+        fresh = TopKMonitor(graph, k, seed=seed).top_k()
         fresh_seconds += time.perf_counter() - started
         if not result.same_answer(fresh):
             mismatches += 1
@@ -229,8 +220,6 @@ def run(args: argparse.Namespace, mode: str) -> dict:
         "mode": mode,
         "seed": args.seed,
         "edge_factor": EDGE_FACTOR,
-        "engine": "indexed",
-        "counter_layout": "stable",
         "recall_vs_budget": recall,
         "topology_ingestion": topology,
     }

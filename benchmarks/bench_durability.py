@@ -124,7 +124,7 @@ def replay(
     service = RiskService(
         graph,
         mode="serial",
-        monitor_defaults={"seed": seed, "engine": "indexed"},
+        monitor_defaults={"seed": seed},
         wal_dir=wal_dir,
         fsync=fsync,
     )
@@ -159,7 +159,7 @@ def time_recovery(graph: UncertainGraph, tenants: int, k: int, seed: int, wal_di
     service = RiskService(
         graph,
         mode="serial",
-        monitor_defaults={"seed": seed, "engine": "indexed"},
+        monitor_defaults={"seed": seed},
         wal_dir=wal_dir,
     )
     answers = {
@@ -180,7 +180,7 @@ def time_fresh_rebuild(graph: UncertainGraph, workload, k: int, seed: int):
     service = RiskService(
         graph,
         mode="serial",
-        monitor_defaults={"seed": seed, "engine": "indexed"},
+        monitor_defaults={"seed": seed},
     )
     for tenant in range(tenants):
         service.register_tenant(tenant, k)
@@ -304,7 +304,6 @@ def run(
         "mode": bench_mode,
         "seed": seed,
         "edge_factor": EDGE_FACTOR,
-        "engine": "indexed",
         "results": [row],
     }
     output.write_text(json.dumps(report, indent=2) + "\n")

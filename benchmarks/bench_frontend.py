@@ -379,7 +379,7 @@ def run(
     service = RiskService(
         graph,
         mode="thread",
-        monitor_defaults={"seed": seed, "engine": "indexed"},
+        monitor_defaults={"seed": seed},
     )
     for tenant in tenant_ids:
         service.register_tenant(tenant, k)
@@ -493,7 +493,6 @@ def run(
         "mode": bench_mode,
         "seed": seed,
         "edge_factor": EDGE_FACTOR,
-        "engine": "indexed",
         "results": [row],
     }
     output.write_text(json.dumps(report, indent=2) + "\n")

@@ -120,7 +120,7 @@ def run(
     )
     total_events = tenants * rounds * events_per_round
     scratch = Path(tempfile.mkdtemp(prefix="bench-replication-"))
-    monitor_defaults = {"seed": seed, "engine": "indexed"}
+    monitor_defaults = {"seed": seed}
     promoted = None
     recovered = None
     try:
@@ -267,7 +267,6 @@ def run(
         "generated": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "mode": bench_mode,
         "seed": seed,
-        "engine": "indexed",
         "results": [row],
     }
     output.write_text(json.dumps(report, indent=2) + "\n")

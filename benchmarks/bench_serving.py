@@ -116,7 +116,7 @@ def bench_serving(
         graph,
         mode=mode,
         shards=shards,
-        monitor_defaults={"seed": seed, "engine": "indexed"},
+        monitor_defaults={"seed": seed},
     )
     for tenant in range(tenants):
         service.register_tenant(tenant, k)
@@ -176,9 +176,7 @@ def bench_naive(graph: UncertainGraph, workload, k: int, seed: int):
             live = graphs[tenant]
             for event in workload[tenant][round_index]:
                 apply_event(live, event)
-                detector = BoundedSampleReverseDetector(
-                    seed=seed, engine="indexed"
-                )
+                detector = BoundedSampleReverseDetector(seed=seed)
                 call_started = time.perf_counter()
                 fresh = detector.detect(live, k)
                 detect_latencies.append(time.perf_counter() - call_started)
@@ -272,7 +270,6 @@ def run(
         "mode": bench_mode,
         "seed": seed,
         "edge_factor": EDGE_FACTOR,
-        "engine": "indexed",
         "results": [row],
     }
     output.write_text(json.dumps(report, indent=2) + "\n")

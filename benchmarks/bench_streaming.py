@@ -70,7 +70,7 @@ def bench_one_size(
 ) -> dict:
     """Replay one patch stream; returns the timing/telemetry row."""
     graph = build_powerlaw_graph(n, seed)
-    monitor = TopKMonitor(graph, k, seed=seed, engine="indexed")
+    monitor = TopKMonitor(graph, k, seed=seed)
     started = time.perf_counter()
     monitor.top_k()  # initial build — a fresh detection, timed separately
     initial_seconds = time.perf_counter() - started
@@ -88,7 +88,7 @@ def bench_one_size(
         sampling_modes[report.sampling] = (
             sampling_modes.get(report.sampling, 0) + 1
         )
-        detector = BoundedSampleReverseDetector(seed=seed, engine="indexed")
+        detector = BoundedSampleReverseDetector(seed=seed)
         started = time.perf_counter()
         fresh = detector.detect(graph, k)
         fresh_seconds += time.perf_counter() - started
@@ -145,7 +145,6 @@ def run(
         "mode": mode,
         "seed": seed,
         "edge_factor": EDGE_FACTOR,
-        "engine": "indexed",
         "results": results,
     }
     output.write_text(json.dumps(report, indent=2) + "\n")

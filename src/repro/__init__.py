@@ -48,7 +48,6 @@ from repro.core import (
 )
 from repro.metrics import precision_at_k, roc_auc
 from repro.sampling import (
-    BatchedReverseSampler,
     ForwardSampler,
     IndexedReverseSampler,
     ReverseSampler,
@@ -84,7 +83,6 @@ __all__ = [
     "reduce_candidates",
     "ForwardSampler",
     "ReverseSampler",
-    "BatchedReverseSampler",
     "IndexedReverseSampler",
     "TopKMonitor",
     "basic_sample_size",

@@ -75,8 +75,8 @@ class BoundedSampleReverseDetector(VulnerableNodeDetector):
     engine:
         Reverse-sampling engine: ``"indexed"`` (counter-PRF worlds,
         individually re-evaluable — the default, shared with the
-        streaming monitor), ``"batched"`` (vectorised sequential
-        stream) or ``"reference"`` (the per-candidate Algorithm-5 BFS).
+        streaming monitor) or ``"reference"`` (the per-candidate
+        Algorithm-5 BFS).
     """
 
     name = "BSR"

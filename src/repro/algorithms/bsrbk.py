@@ -11,9 +11,9 @@ used.
 
 Two equivalent executions, selected by the engine:
 
-* stream engines (``"batched"`` / ``"reference"``): sample hashes come
-  from the detector's generator, worlds are consumed one at a time in
-  hash order through :class:`~repro.sketch.bottom_k.BottomKStopper`;
+* ``"reference"``: sample hashes come from the detector's generator,
+  worlds are consumed one at a time in hash order through
+  :class:`~repro.sketch.bottom_k.BottomKStopper`;
 * ``"indexed"`` (default): every world carries a fixed PRF *sample
   hash* (:meth:`~repro.sampling.indexed.IndexedReverseSampler.
   world_hashes`), worlds are materialised in ascending hash order in
@@ -62,10 +62,8 @@ class BottomKDetector(VulnerableNodeDetector):
     engine:
         Reverse-sampling engine: ``"indexed"`` (counter-PRF worlds with
         fixed sample hashes, early stop chunk-schedule independent —
-        the default), ``"batched"`` (vectorised sequential stream) or
-        ``"reference"`` (the per-candidate Algorithm-5 BFS).  The
-        stream engines materialise worlds a small block at a time, so an
-        early stop wastes at most one partial block.
+        the default) or ``"reference"`` (the per-candidate Algorithm-5
+        BFS, consumed one world at a time).
     """
 
     name = "BSRBK"
@@ -132,7 +130,7 @@ class BottomKDetector(VulnerableNodeDetector):
         )
 
     def _run_stream(self, graph, reduction, budget, rng):
-        """Sequential-stream early stop through the scalar stopper."""
+        """Reference-engine early stop through the scalar stopper."""
         # Hash every sample id; since sample contents are i.i.d. and
         # independent of the hashes, materialising them in ascending
         # hash order is distributionally identical to materialising

@@ -36,7 +36,7 @@ class SampleReverseDetector(VulnerableNodeDetector):
         Randomness control.
     engine:
         Reverse-sampling engine: ``"indexed"`` (counter-PRF worlds —
-        the default), ``"batched"`` or ``"reference"``.
+        the default) or ``"reference"``.
     """
 
     name = "SR"

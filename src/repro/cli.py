@@ -61,7 +61,7 @@ answers, and 429 + ``Retry-After`` load shedding.
 The ``crawl`` subcommand treats the loaded graph as *hidden* ground
 truth and discovers it by budgeted crawling (:mod:`repro.crawling`):
 a strategy (``--strategy``) spends ``--budget`` crawl steps from
-``--seeds`` seed nodes while a stable-counter-layout
+``--seeds`` seed nodes while a
 :class:`~repro.streaming.monitor.TopKMonitor` ingests each step's
 topology events incrementally — crawl-while-monitoring.  ``--verify``
 checks every post-step answer bit-for-bit against fresh detection on an
@@ -201,35 +201,13 @@ def build_stream_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--engine",
-        choices=("indexed", "batched", "reference"),
-        default="indexed",
-        help="reverse-sampling engine backing the monitor",
-    )
-    parser.add_argument(
-        "--counter-layout",
-        choices=("packed", "stable"),
-        default="packed",
-        help=(
-            "counter-PRF layout; 'stable' (indexed engine only) ingests "
-            "--grow topology batches incrementally instead of falling "
-            "back to full recomputation"
-        ),
-    )
-    parser.add_argument(
         "--algorithm",
         choices=("bsr", "bsrbk"),
         default="bsr",
-        help="maintained detection algorithm (bsrbk needs --engine indexed)",
+        help="maintained detection algorithm",
     )
     parser.add_argument("--bk", type=int, default=16,
                         help="bottom-k counter threshold (bsrbk only)")
-    parser.add_argument(
-        "--world-state",
-        choices=("packed", "dense"),
-        default="packed",
-        help="touched-entity representation backing per-world repair",
-    )
     parser.add_argument("--epsilon", type=float, default=0.3)
     parser.add_argument("--delta", type=float, default=0.1)
     parser.add_argument("--seed", type=int, default=0)
@@ -326,12 +304,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
             "full-backlog policy: wake the pump (unbounded, default), "
             "raise BackpressureError, or shed with a counter"
         ),
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("indexed", "batched", "reference"),
-        default="indexed",
-        help="reverse-sampling engine backing the tenant monitors",
     )
     parser.add_argument("--epsilon", type=float, default=0.3)
     parser.add_argument("--delta", type=float, default=0.1)
@@ -626,10 +598,22 @@ def _stream_batches(args: argparse.Namespace):
     return graph, batches
 
 
-def stream_main(argv: list[str] | None = None) -> int:
-    """Entry point of the ``stream`` subcommand."""
+def _fresh_detector(args: argparse.Namespace):
+    """The one-shot detector a monitor built from *args* must match."""
     from repro.algorithms.bsr import BoundedSampleReverseDetector
     from repro.algorithms.bsrbk import BottomKDetector
+
+    if args.algorithm == "bsrbk":
+        return BottomKDetector(
+            bk=args.bk, epsilon=args.epsilon, delta=args.delta, seed=args.seed
+        )
+    return BoundedSampleReverseDetector(
+        epsilon=args.epsilon, delta=args.delta, seed=args.seed
+    )
+
+
+def stream_main(argv: list[str] | None = None) -> int:
+    """Entry point of the ``stream`` subcommand."""
     from repro.streaming.events import EdgeAdd, NodeAdd
     from repro.streaming.monitor import TopKMonitor
 
@@ -645,9 +629,6 @@ def stream_main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             algorithm=args.algorithm,
             bk=args.bk,
-            engine=args.engine,
-            world_state=args.world_state,
-            counter_layout=args.counter_layout,
         )
         rows: list[dict] = []
         incremental_total = fresh_total = 0.0
@@ -677,46 +658,7 @@ def stream_main(argv: list[str] | None = None) -> int:
             }
             if args.verify:
                 started = time.perf_counter()
-                if args.counter_layout != "packed":
-                    # The stand-alone detectors draw packed-layout
-                    # worlds; a stable-layout monitor draws a different
-                    # (equally exact) realisation, so the bit-identity
-                    # oracle must be a fresh monitor in the same layout.
-                    fresh = TopKMonitor(
-                        graph,
-                        k,
-                        epsilon=args.epsilon,
-                        delta=args.delta,
-                        seed=args.seed,
-                        algorithm=args.algorithm,
-                        bk=args.bk,
-                        engine=args.engine,
-                        world_state=args.world_state,
-                        counter_layout=args.counter_layout,
-                    ).top_k()
-                    fresh_seconds = time.perf_counter() - started
-                    fresh_total += fresh_seconds
-                    row["fresh_ms"] = round(fresh_seconds * 1e3, 2)
-                    row["match"] = result.same_answer(fresh)
-                    rows.append(row)
-                    continue
-                if args.algorithm == "bsrbk":
-                    detector = BottomKDetector(
-                        bk=args.bk,
-                        epsilon=args.epsilon,
-                        delta=args.delta,
-                        seed=args.seed,
-                        engine=args.engine,
-                    )
-                else:
-                    detector = BoundedSampleReverseDetector(
-                        epsilon=args.epsilon,
-                        delta=args.delta,
-                        seed=args.seed,
-                        engine=args.engine,
-                    )
-                started = time.perf_counter()
-                fresh = detector.detect(graph, k)
+                fresh = _fresh_detector(args).detect(graph, k)
                 fresh_seconds = time.perf_counter() - started
                 fresh_total += fresh_seconds
                 row["fresh_ms"] = round(fresh_seconds * 1e3, 2)
@@ -735,7 +677,7 @@ def stream_main(argv: list[str] | None = None) -> int:
     else:
         title = (
             f"streaming top-{k} over {graph.num_nodes} nodes "
-            f"({len(rows)} update batches, engine={args.engine})"
+            f"({len(rows)} update batches)"
         )
         print(render_table(rows, title=title))
         if args.verify and rows:
@@ -870,7 +812,6 @@ def serve_main(argv: list[str] | None = None) -> int:
             shards=args.shards,
             monitor_defaults={
                 "seed": args.seed,
-                "engine": args.engine,
                 "epsilon": args.epsilon,
                 "delta": args.delta,
             },
@@ -962,10 +903,7 @@ def serve_main(argv: list[str] | None = None) -> int:
             }
             if args.verify:
                 detector = BoundedSampleReverseDetector(
-                    epsilon=args.epsilon,
-                    delta=args.delta,
-                    seed=args.seed,
-                    engine=args.engine,
+                    epsilon=args.epsilon, delta=args.delta, seed=args.seed
                 )
                 fresh = detector.detect(shadows[tenant_id], k)
                 row["match"] = result.same_answer(fresh)
@@ -1079,22 +1017,6 @@ def build_crawl_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--bk", type=int, default=16,
                         help="bottom-k counter threshold (bsrbk only)")
-    parser.add_argument(
-        "--world-state",
-        choices=("packed", "dense"),
-        default="packed",
-        help="touched-entity representation backing per-world repair",
-    )
-    parser.add_argument(
-        "--counter-layout",
-        choices=("stable", "packed"),
-        default="stable",
-        help=(
-            "counter-PRF layout; 'stable' ingests crawl steps "
-            "incrementally, 'packed' falls back to full recomputation "
-            "per step (the comparison baseline)"
-        ),
-    )
     parser.add_argument("--epsilon", type=float, default=0.3)
     parser.add_argument("--delta", type=float, default=0.1)
     parser.add_argument("--seed", type=int, default=0)
@@ -1215,9 +1137,6 @@ def crawl_main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             algorithm=args.algorithm,
             bk=args.bk,
-            engine="indexed",
-            world_state=args.world_state,
-            counter_layout=args.counter_layout,
         )
 
     try:
@@ -1269,7 +1188,7 @@ def crawl_main(argv: list[str] | None = None) -> int:
             }
             if args.verify:
                 started = time.perf_counter()
-                fresh = make_monitor(replay, k).top_k()
+                fresh = _fresh_detector(args).detect(replay, k)
                 fresh_seconds = time.perf_counter() - started
                 fresh_total += fresh_seconds
                 row["fresh_ms"] = round(fresh_seconds * 1e3, 2)
@@ -1372,7 +1291,6 @@ def replicate_main(argv: list[str] | None = None) -> int:
             state_dir = scratch
         monitor_defaults = {
             "seed": args.seed,
-            "engine": "indexed",
             "epsilon": args.epsilon,
             "delta": args.delta,
         }

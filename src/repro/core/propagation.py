@@ -4,8 +4,8 @@ Three different subsystems need the same primitive — "given which nodes
 self-default and which edges survive, which nodes end up defaulting?" —
 evaluated over *many* possible worlds at once:
 
-* the batched reverse sampler's forward-labelling pass
-  (:class:`repro.sampling.reverse.BatchedReverseSampler`),
+* the indexed reverse sampler's forward-labelling pass
+  (:class:`repro.sampling.indexed.IndexedReverseSampler`),
 * the bit-parallel exact oracle
   (:func:`repro.core.exact.exact_default_probabilities`), and
 * the Monte-Carlo ground truth of the effectiveness experiments
@@ -23,13 +23,12 @@ Contract of the kernel (:func:`propagate_edge_list`)
 The kernel receives a flat *defaulted* array plus the endpoints of every
 *surviving* edge (flat keys) and marks, in place, every key reachable
 from an already-marked key.  It is deliberately agnostic about what the
-marks are: a boolean array with ``epoch=True`` (exact oracle, ground
-truth) and an ``int64`` stamp array with an integer ``epoch`` (the
-arena-style reusable buffers of the batched reverse sampler) run the
-exact same code.  Each fixpoint iteration drops edges whose destination
-is already marked and crosses edges whose source is marked, so the work
-per iteration shrinks monotonically and the loop terminates after at
-most ``longest contagion chain`` iterations.
+marks are: a boolean array with ``epoch=True`` (every production caller)
+and an ``int64`` stamp array with an integer ``epoch`` (arena-style
+reusable buffers) run the exact same code.  Each fixpoint iteration
+drops edges whose destination is already marked and crosses edges whose
+source is marked, so the work per iteration shrinks monotonically and the
+loop terminates after at most ``longest contagion chain`` iterations.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ def ragged_positions(
     node ``u`` in *nodes* (repeats allowed), and ``counts`` holds each
     segment's length.  This is the vectorised replacement for the
     classic ``for u in frontier: for pos in range(indptr[u], ...)``
-    double loop; both the batched reverse sampler and the connectivity
+    double loop; both the indexed reverse sampler and the connectivity
     helpers gather neighbours through it.
     """
     counts = indptr[nodes + 1] - indptr[nodes]
@@ -91,8 +90,8 @@ def propagate_edge_list(
     ----------
     defaulted:
         Flat mark array.  Either boolean (pass ``epoch=True``) or an
-        ``int64`` epoch-stamp buffer (pass the current epoch), as used
-        by the arena-style reusable buffers of the batched samplers.
+        ``int64`` epoch-stamp buffer (pass the current epoch) for
+        arena-style reusable buffers.
     edge_src, edge_dst:
         Flat keys of the surviving edges.  Within one call the arrays
         are filtered down monotonically; the caller's arrays are never

@@ -44,7 +44,7 @@ def run(
                     bk=config.bk,
                     seed=config.seed,
                     # Work counts must reproduce Algorithm 5's exact
-                    # early-exit draw semantics; the batched engine's
+                    # early-exit draw semantics; the indexed engine's
                     # union closure draws more, so pin the reference.
                     engine="reference",
                 )

@@ -13,7 +13,6 @@ from repro.sampling.indexed import (
     hashed_uniforms,
 )
 from repro.sampling.reverse import (
-    BatchedReverseSampler,
     ReverseSampler,
     ReverseWorld,
     WorldArena,
@@ -35,7 +34,6 @@ __all__ = [
     "ForwardEstimate",
     "ForwardSampler",
     "forward_sample_reference",
-    "BatchedReverseSampler",
     "IndexedReverseSampler",
     "WorldBlock",
     "derive_stream_key",

@@ -1,18 +1,18 @@
-"""Counter-based reverse sampling — the streaming-friendly third engine.
+"""Counter-based reverse sampling — the production engine.
 
-The batched engine (:class:`~repro.sampling.reverse.BatchedReverseSampler`)
-draws its uniforms from one *sequential* stream, so the random choice made
-for an entity depends on every draw that preceded it.  That is fine for a
-one-shot detection, but it couples all worlds together: change one edge
-probability and the whole stream downstream of its first draw shifts, so
-nothing short of a full re-run reproduces what a fresh detection would
-return.
+A sampler that draws its uniforms from one *sequential* stream couples
+all worlds together: the random choice made for an entity depends on
+every draw that preceded it, so changing one edge probability shifts the
+whole stream downstream of its first draw, and nothing short of a full
+re-run reproduces what a fresh detection would return.
 
-This module replaces the stream with a **counter-based PRF**: the uniform
-for node ``v`` (edge ``e``) in world ``w`` is a pure hash of
+This module draws from a **counter-based PRF** instead: the uniform for
+node ``v`` (edge ``e``) in world ``w`` is a pure hash of
 ``(stream key, w, entity)`` — the SplitMix64 output function evaluated at
 a per-entity counter (:func:`repro.sampling.rng.hashed_uniforms`, which
 mixes whole counter blocks in place, one numpy dispatch per hash stage).
+Every world owns a fixed lane of counters (:func:`counter_lanes`), so
+growing the graph never moves an existing ``(world, entity)`` counter.
 Consequences:
 
 * every world's outcome is a pure function of ``(seed, w, graph)`` —
@@ -23,6 +23,9 @@ Consequences:
   so the *expected fraction of invalidated worlds equals |p' - p|* — the
   property the streaming :class:`~repro.streaming.monitor.TopKMonitor`
   builds its incremental re-estimation on;
+* appending nodes or edges leaves every cached world's draws valid
+  verbatim, which is what lets the monitor ingest topology growth
+  incrementally, bit-identical to fresh detection on the grown graph;
 * the engine needs no memo tables at all: re-hashing an entity is as
   cheap as memoising it, and two directions/passes agree by construction;
 * every world also carries a fixed *sample hash*
@@ -30,11 +33,11 @@ Consequences:
   BSRBK's ascending-hash processing order is a pure function of the
   world index — the bottom-k early stop decouples from the stream.
 
-The exploration itself is the same two-pass structure as the batched
-engine — a flat multi-world backward closure followed by forward
-labelling through :func:`repro.core.propagation.propagate_edge_list` —
-and it reports ``nodes_touched`` / ``edges_touched`` in the same unit
-(distinct per-world entity draws).  Under entity-indexed uniforms the
+The exploration has two passes — a flat multi-world backward closure
+followed by forward labelling through
+:func:`repro.core.propagation.propagate_edge_list` — and it reports
+``nodes_touched`` / ``edges_touched`` as distinct per-world entity draws,
+the reference sampler's unit too.  Under entity-indexed uniforms the
 per-world outcomes equal the reference :class:`ReverseWorld` fed the same
 uniform arrays (see ``tests/test_streaming.py``).
 
@@ -72,11 +75,9 @@ from repro.sampling.rng import (
 __all__ = [
     "hashed_uniforms",
     "derive_stream_key",
+    "counter_lanes",
     "WorldBlock",
     "IndexedReverseSampler",
-    "STABLE_EDGE_BASE",
-    "STABLE_STRIDE",
-    "COUNTER_LAYOUTS",
 ]
 
 _U64 = np.uint64
@@ -85,28 +86,44 @@ _TWO_53 = 2.0**53
 #: BSRBK's processing order never correlates with world contents.
 _HASH_SALT = _U64(0xD1B54A32D192ED03)
 
-#: Counter layouts.  ``"packed"`` (the default) packs each world's
-#: counters contiguously — node ``v`` of world ``w`` at ``w*(n+m) + v``,
-#: edge ``e`` at ``w*(n+m) + n + e`` — which is the historical layout
-#: every pinned result was produced under.  Its stride depends on the
-#: graph's size, so *growing* the graph re-keys every counter.
-#: ``"stable"`` reserves fixed-width lanes instead: node ``v`` at
-#: ``w * 2^33 + v``, edge ``e`` at ``w * 2^33 + 2^32 + e``.  Topology
-#: growth then never moves an existing ``(world, entity)`` counter —
-#: cached realisations stay valid verbatim, which is what makes
-#: incremental topology ingestion bit-identical to fresh detection on
-#: the grown graph.  Capacity bounds: ``n <= 2^32``, ``m <= 2^32``,
-#: world index ``< 2^31`` (so ``w * stride`` fits in 64 bits).
-COUNTER_LAYOUTS = ("packed", "stable")
+#: Counters reserved per world, and the first edge counter within a
+#: world's lane: node ``v`` of world ``w`` draws at ``w * 2^33 + v``,
+#: edge ``e`` at ``w * 2^33 + 2^32 + e``.  Lanes bound ``n`` and ``m`` by
+#: ``2^32`` and world indices by ``2^31`` (so ``w * 2^33`` fits 64 bits).
+_LANE = _U64(2**33)
+_EDGE_OFFSET = _U64(2**32)
+_MAX_WORLD = 2**31
 
-#: First edge counter within a world's lane under the stable layout.
-STABLE_EDGE_BASE = _U64(2**32)
 
-#: Counters reserved per world under the stable layout.
-STABLE_STRIDE = _U64(2**33)
+def counter_lanes(
+    world_indices: Sequence[int] | np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Counter of node 0 and of edge 0 in each world's lane (``uint64``).
 
-#: Largest world index addressable under the stable layout.
-_STABLE_MAX_WORLD = 2**31
+    The one place the counter layout lives: the sampler's exploration,
+    :class:`~repro.sampling.worldstate.WorldView` realisation and the
+    monitor's invalidation scan all address draws through it.  Raises
+    :class:`SamplingError` for world indices outside ``[0, 2^31)``,
+    whose lanes would wrap around 64 bits onto other worlds.
+    """
+    worlds = np.asarray(world_indices, dtype=np.int64)
+    if worlds.size and (worlds.min() < 0 or worlds.max() >= _MAX_WORLD):
+        raise SamplingError("world indices must lie in [0, 2^31)")
+    node_bases = worlds.astype(_U64) * _LANE
+    return node_bases, node_bases + _EDGE_OFFSET
+
+
+def _restore_slots(obj, state) -> None:
+    """Unpickle a slotted sampler or view.
+
+    Objects pickled before the counter layouts were merged carry a
+    ``_layout`` slot; it is dropped, and the monitor restoring them
+    recomputes its worlds (see ``TopKMonitor.__setstate__``).
+    """
+    _, slots = state
+    slots.pop("_layout", None)
+    for name, value in slots.items():
+        setattr(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -120,7 +137,7 @@ class WorldBlock:
         candidate default in world ``world_indices[i]``".
     node_draws, edge_draws:
         Per-world counts of distinct node / edge draws (the work unit
-        shared with the other reverse engines).
+        shared with the reference sampler).
     touched_nodes, touched_edges, expanded_nodes:
         Present when requested: boolean ``(W, n)`` / ``(W, m)`` masks of
         the entities each world actually drew.  An entity outside a
@@ -157,8 +174,8 @@ def _coerce_collect(collect_touched: bool | str | None) -> str | None:
 class IndexedReverseSampler:
     """Reverse sampling with counter-based per-(world, entity) randomness.
 
-    Drop-in engine for the SR/BSR/BSRBK detectors (``engine="indexed"``)
-    with one extra power: :meth:`outcomes_for_worlds` evaluates an
+    The engine of the SR/BSR/BSRBK detectors (``engine="indexed"``) and
+    of the streaming monitor.  :meth:`outcomes_for_worlds` evaluates an
     arbitrary set of world indices — including re-evaluating old ones —
     bit-identically to a sequential :meth:`run`.  Sequential consumption
     through :meth:`run` / :meth:`iter_samples` uses worlds ``0, 1, 2, …``
@@ -171,13 +188,7 @@ class IndexedReverseSampler:
         is folded into a 64-bit stream key (:func:`derive_stream_key`).
     world_batch:
         Worlds explored per flat batch (memory/speed trade-off only —
-        outcomes are independent of it, unlike the batched engine whose
-        stream consumption depends on batching).
-    counter_layout:
-        ``"packed"`` (default) or ``"stable"`` — see
-        :data:`COUNTER_LAYOUTS`.  Layouts draw *different* uniforms for
-        the same entity, so results are reproducible within a layout
-        but not across layouts.
+        outcomes are independent of it).
     """
 
     __slots__ = (
@@ -188,7 +199,6 @@ class IndexedReverseSampler:
         "_hash_key",
         "_in_csr",
         "_n",
-        "_layout",
         "_world_batch",
         "_cursor",
         "nodes_touched",
@@ -202,7 +212,6 @@ class IndexedReverseSampler:
         seed: SeedLike = None,
         *,
         world_batch: int | None = None,
-        counter_layout: str = "packed",
     ) -> None:
         self._graph = graph
         self._candidates = _validate_candidates(graph, candidates)
@@ -214,18 +223,10 @@ class IndexedReverseSampler:
         self._in_csr = graph.in_csr()
         n = graph.num_nodes
         self._n = n
-        if counter_layout not in COUNTER_LAYOUTS:
+        if n > int(_EDGE_OFFSET) or graph.num_edges > int(_EDGE_OFFSET):
             raise SamplingError(
-                f"counter_layout must be one of {COUNTER_LAYOUTS}, "
-                f"got {counter_layout!r}"
+                "counter lanes hold at most 2^32 nodes and 2^32 edges"
             )
-        if counter_layout == "stable" and (
-            n > int(STABLE_EDGE_BASE) or graph.num_edges > int(STABLE_EDGE_BASE)
-        ):
-            raise SamplingError(
-                "stable counter layout supports at most 2^32 nodes and edges"
-            )
-        self._layout = counter_layout
         if world_batch is None:
             world_batch = max(1, min(32, 2_000_000 // max(n, 1)))
         if world_batch <= 0:
@@ -236,6 +237,9 @@ class IndexedReverseSampler:
         self._cursor = 0
         self.nodes_touched = 0
         self.edges_touched = 0
+
+    def __setstate__(self, state) -> None:
+        _restore_slots(self, state)
 
     @property
     def candidates(self) -> np.ndarray:
@@ -252,39 +256,18 @@ class IndexedReverseSampler:
         """The 64-bit PRF key all of this sampler's uniforms hash from."""
         return self._key
 
-    @property
-    def counter_layout(self) -> str:
-        """The counter layout this sampler hashes under."""
-        return self._layout
-
-    @property
-    def counter_stride(self) -> np.uint64:
-        """Counters per world: node ``v`` of world ``w`` sits at
-        ``w * stride + v``, edge ``e`` at
-        ``w * stride + edge_counter_offset + e``."""
-        if self._layout == "stable":
-            return STABLE_STRIDE
-        return _U64(self._n + self._graph.num_edges)
-
-    @property
-    def edge_counter_offset(self) -> np.uint64:
-        """Offset of edge 0's counter within one world's counter lane."""
-        if self._layout == "stable":
-            return STABLE_EDGE_BASE
-        return _U64(self._n)
-
     def node_uniforms(self, world: int, nodes: np.ndarray) -> np.ndarray:
         """The fixed self-default uniforms of *nodes* in one world."""
-        base = _U64(int(world)) * self.counter_stride
+        node_base, _ = counter_lanes([world])
         return hashed_uniforms(
-            self._key, base + np.asarray(nodes).astype(_U64)
+            self._key, node_base[0] + np.asarray(nodes).astype(_U64)
         )
 
     def edge_uniforms(self, world: int, edges: np.ndarray) -> np.ndarray:
         """The fixed survival uniforms of edge ids *edges* in one world."""
-        base = _U64(int(world)) * self.counter_stride + self.edge_counter_offset
+        _, edge_base = counter_lanes([world])
         return hashed_uniforms(
-            self._key, base + np.asarray(edges).astype(_U64)
+            self._key, edge_base[0] + np.asarray(edges).astype(_U64)
         )
 
     def world_hashes(
@@ -323,6 +306,7 @@ class IndexedReverseSampler:
         # in uint64 without ever materialising the float uniforms.
         node_thresholds = np.floor(ps * _TWO_53).astype(_U64)
         edge_thresholds = np.floor(probs * _TWO_53).astype(_U64)
+        world_base, edge_base = counter_lanes(world_indices)
         worlds = world_indices.size
         closure = np.zeros(worlds * n, dtype=bool)
         defaulted = np.zeros(worlds * n, dtype=bool)
@@ -338,19 +322,12 @@ class IndexedReverseSampler:
         offsets = np.arange(worlds, dtype=np.int64) * n
         frontier = (offsets[:, None] + self._unique_candidates[None, :]).ravel()
         closure[frontier] = True
-        # Counter of flat key ``w_local*n + v`` in world ``world_indices
-        # [w_local]`` is ``world_indices[w_local]*stride + v`` =
-        # ``flat + (world_base[w_local] - w_local*n)``; precomputing the
-        # per-world surplus folds the whole counter computation into one
-        # gather + one add per frontier.  ``edge_base`` plays the same
-        # role for edge counters (``world_base + n``, indexed by edge id).
-        if self._layout == "stable" and int(world_indices.max()) >= _STABLE_MAX_WORLD:
-            raise SamplingError(
-                "stable counter layout addresses world indices below 2^31"
-            )
-        world_base = world_indices.astype(_U64) * self.counter_stride
+        # Counter of flat key ``w_local*n + v`` is ``world_base[w_local]
+        # + v`` = ``flat + (world_base[w_local] - w_local*n)``;
+        # precomputing the per-world surplus folds the whole counter
+        # computation into one gather + one add per frontier.
+        # ``edge_base`` plays the same role for edge counters.
         node_extra = world_base - offsets.astype(_U64)
-        edge_base = world_base + self.edge_counter_offset
         seed_parts: list[np.ndarray] = []
         src_parts: list[np.ndarray] = []
         dst_parts: list[np.ndarray] = []
@@ -447,8 +424,6 @@ class IndexedReverseSampler:
         world_indices = np.asarray(world_indices, dtype=np.int64)
         if world_indices.ndim != 1 or world_indices.size == 0:
             raise SamplingError("world_indices must be a non-empty 1-d array")
-        if world_indices.min() < 0:
-            raise SamplingError("world indices must be non-negative")
         for start in range(0, world_indices.size, self._world_batch):
             stop = min(start + self._world_batch, world_indices.size)
             yield (
@@ -495,8 +470,8 @@ class IndexedReverseSampler:
         """Yield per-world candidate default vectors for the next worlds.
 
         Consumes world indices sequentially from the cursor; work
-        counters are attributed per consumed world, as in the other
-        engines.
+        counters are attributed per consumed world, so consumers that
+        stop early are never charged for the rest of a batch.
         """
         if samples <= 0:
             raise SamplingError(f"samples must be positive, got {samples}")

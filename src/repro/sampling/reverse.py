@@ -1,4 +1,4 @@
-"""Reverse sampling — Algorithm 5 of the paper, in two engines.
+"""Reverse sampling — Algorithm 5 of the paper, the reference engine.
 
 Instead of materialising a whole possible world and propagating forward,
 reverse sampling answers, for each *candidate* node ``v``, the question
@@ -22,37 +22,20 @@ The module is organised around three pieces:
   pre-drawn chunk instead of one ``rng.random()`` round-trip per draw.
 * :class:`ReverseWorld` — the executable reference: a line-by-line
   transcription of Algorithm 5's per-candidate BFS, running on arena
-  state.  Tests check the batched engine against it.  A world can also be
-  driven by *entity-indexed* uniforms (``node_uniforms`` /
-  ``edge_uniforms``), which makes its outcomes a pure function of those
-  arrays — the draw policy the equivalence tests share between engines.
-* :class:`BatchedReverseSampler` — the production engine.  It flattens a
-  batch of worlds into one index space (world ``w``, node ``v`` ↦ key
-  ``w·n + v``) and runs a single multi-source backward closure per batch
-  with flat numpy frontiers: no ``deque``, no per-element ``int()``
-  casts, one vectorised uniform draw per frontier.  A second vectorised
-  pass propagates self-defaults forward through the surviving explored
-  edges to label every candidate at once — that pass is the shared
-  multi-world propagation kernel
-  (:func:`repro.core.propagation.propagate_edge_list`), the same code
-  that powers the bit-parallel exact oracle and the Monte-Carlo ground
-  truth.  Given the same entity-indexed
-  uniforms it returns exactly the reference's answers (see
-  ``tests/test_batched_reverse.py``); under block randomness it is
-  statistically identical and an order of magnitude faster.
+  state.  A world can also be driven by *entity-indexed* uniforms
+  (``node_uniforms`` / ``edge_uniforms``), which makes its outcomes a
+  pure function of those arrays — the draw policy the tests share with
+  the production engine.
+* :class:`ReverseSampler` — one :class:`ReverseWorld` per sample.
 
-Both engines report ``nodes_touched`` / ``edges_touched`` in the same
-unit — the number of *distinct* per-world node and edge draws — and the
-batched engine attributes them per consumed world, so counts never
-depend on the ``world_batch`` tuning knob.  The unions-of-closures the
-batched engine explores do not replicate Algorithm 5's per-candidate
-early-exit truncation exactly (it may draw somewhat more than the
-reference on the same world), which is why the Figure-6 work-count
-experiment pins ``engine="reference"`` — the executable specification.
-Production detection defaults to the *indexed* engine
-(:class:`~repro.sampling.indexed.IndexedReverseSampler`): same flat
-closure, counter-PRF randomness, measured at wall-clock parity with the
-batched stream and individually re-evaluable worlds on top.
+Production detection runs the *indexed* engine
+(:class:`~repro.sampling.indexed.IndexedReverseSampler`): one flat
+multi-world closure per batch with counter-PRF randomness, bit-identical
+to :class:`ReverseWorld` fed the same entity-indexed uniforms.  Its union
+closure does not replicate Algorithm 5's per-candidate early-exit
+truncation (it may draw somewhat more than the reference on the same
+world), which is why the Figure-6 work-count experiment pins
+``engine="reference"`` — the executable specification.
 
 The searches run directly on the in-CSR of the original graph, which is
 the out-adjacency of the reversed graph ``Gt`` the paper feeds to
@@ -68,7 +51,6 @@ import numpy as np
 
 from repro.core.errors import SamplingError
 from repro.core.graph import UncertainGraph
-from repro.core.propagation import propagate_edge_list, ragged_positions
 from repro.sampling.forward import ForwardEstimate
 from repro.sampling.rng import RandomBlock, SeedLike, make_rng
 
@@ -76,7 +58,6 @@ __all__ = [
     "WorldArena",
     "ReverseWorld",
     "ReverseSampler",
-    "BatchedReverseSampler",
     "reverse_engine",
 ]
 
@@ -84,7 +65,7 @@ __all__ = [
 def _validate_candidates(
     graph: UncertainGraph, candidates: Sequence[int] | np.ndarray
 ) -> np.ndarray:
-    """Shared candidate validation of both reverse engines."""
+    """Shared candidate validation of the reverse engines."""
     array = np.asarray(candidates, dtype=np.int64)
     if array.size == 0:
         raise SamplingError("candidate set must not be empty")
@@ -294,9 +275,9 @@ class ReverseSampler:
 
     Runs one :class:`ReverseWorld` per sample on a shared
     :class:`WorldArena` (no per-world allocations).  The per-candidate BFS
-    is still pure Python — :class:`BatchedReverseSampler` is the fast
-    production engine; this class remains as the executable specification
-    and for per-world introspection.
+    is pure Python — the indexed engine is the fast production path; this
+    class remains as the executable specification and for per-world
+    introspection.
 
     Parameters
     ----------
@@ -359,281 +340,23 @@ class ReverseSampler:
         return self.run(samples).probabilities
 
 
-class BatchedReverseSampler:
-    """Vectorised reverse sampling over flat multi-world index space.
-
-    A batch of ``W`` worlds is evaluated at once by mapping world ``w``,
-    node ``v`` to the flat key ``w * n + v``.  Per batch the engine runs:
-
-    1. **Backward closure** — a multi-source BFS from every candidate of
-       every world simultaneously.  Each frontier is one flat int64 array;
-       self-default and edge-survival uniforms are drawn per frontier with
-       a single :class:`~repro.sampling.rng.RandomBlock` call.  Nodes that
-       default by themselves are *not* expanded (Algorithm 5 stops there),
-       every other reached node has all in-edges drawn exactly once per
-       world.
-    2. **Forward labelling** — self-defaulting nodes seed a vectorised
-       propagation along the surviving edges collected in step 1; a
-       candidate defaults iff the propagation reaches it.
-
-    Both steps touch only the backward-reachable region of each world —
-    the asymptotic win of reverse over forward sampling is preserved.
-    ``nodes_touched`` / ``edges_touched`` count distinct per-(world,
-    node) / per-(world, edge) draws (the reference engine's unit of
-    work), attributed to exactly the worlds a caller consumes; because
-    the union closure skips Algorithm 5's per-candidate early exits, the
-    totals can exceed the reference engine's on identical worlds.
-
-    Parameters
-    ----------
-    graph, candidates, seed:
-        As for :class:`ReverseSampler`.
-    world_batch:
-        Worlds evaluated per flat batch.  ``None`` picks a size that keeps
-        the two ``world_batch * n`` stamp buffers around a few megabytes.
-    chunk:
-        Uniforms pre-drawn per random-block refill.
-    """
-
-    __slots__ = (
-        "_graph",
-        "_candidates",
-        "_unique_candidates",
-        "_rng",
-        "_block",
-        "_in_csr",
-        "_ps",
-        "_n",
-        "_world_batch",
-        "_closure_stamp",
-        "_default_stamp",
-        "_epoch",
-        "nodes_touched",
-        "edges_touched",
-    )
-
-    def __init__(
-        self,
-        graph: UncertainGraph,
-        candidates: Sequence[int] | np.ndarray,
-        seed: SeedLike = None,
-        *,
-        world_batch: int | None = None,
-        chunk: int = 1 << 15,
-    ) -> None:
-        self._graph = graph
-        self._candidates = _validate_candidates(graph, candidates)
-        self._unique_candidates = np.unique(self._candidates)
-        self._rng = make_rng(seed)
-        self._block = RandomBlock(self._rng, chunk)
-        self._in_csr = graph.in_csr()
-        self._ps = graph.self_risk_array
-        n = graph.num_nodes
-        self._n = n
-        if world_batch is None:
-            world_batch = max(1, min(32, 2_000_000 // max(n, 1)))
-        if world_batch <= 0:
-            raise SamplingError(
-                f"world_batch must be positive, got {world_batch}"
-            )
-        self._world_batch = int(world_batch)
-        self._closure_stamp = np.zeros(self._world_batch * n, dtype=np.int64)
-        self._default_stamp = np.zeros(self._world_batch * n, dtype=np.int64)
-        self._epoch = 0
-        self.nodes_touched = 0
-        self.edges_touched = 0
-
-    @property
-    def candidates(self) -> np.ndarray:
-        """Candidate internal indices (copy not taken; treat as read-only)."""
-        return self._candidates
-
-    @property
-    def world_batch(self) -> int:
-        """Worlds evaluated per flat batch."""
-        return self._world_batch
-
-    def _sample_block(
-        self,
-        worlds: int,
-        node_uniforms: np.ndarray | None = None,
-        edge_uniforms: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Evaluate *worlds* possible worlds.
-
-        Returns ``(outcomes, node_draws, edge_draws)``: the boolean
-        candidate-default matrix (rows align with worlds, columns with
-        candidates) plus the per-world draw counts, so callers can
-        attribute work to exactly the worlds they consume.
-        """
-        n = self._n
-        csr = self._in_csr
-        indptr, indices, probs = csr.indptr, csr.indices, csr.probs
-        # Self-risks are re-read per block so probability mutations between
-        # runs are observed, matching the live CSR reads of edge probs.
-        self._ps = self._graph.self_risk_array
-        self._epoch += 1
-        epoch = self._epoch
-        closure = self._closure_stamp
-        defaulted = self._default_stamp
-        node_draw_counts = np.zeros(worlds, dtype=np.int64)
-        edge_draw_counts = np.zeros(worlds, dtype=np.float64)
-        offsets = np.arange(worlds, dtype=np.int64) * n
-        frontier = (offsets[:, None] + self._unique_candidates[None, :]).ravel()
-        closure[frontier] = epoch
-        seed_parts: list[np.ndarray] = []
-        src_parts: list[np.ndarray] = []
-        dst_parts: list[np.ndarray] = []
-        while frontier.size:
-            nodes = frontier % n
-            if node_uniforms is None:
-                draws = self._block.take(frontier.size)
-            else:
-                draws = node_uniforms[nodes]
-            self_default = draws <= self._ps[nodes]
-            node_draw_counts += np.bincount(frontier // n, minlength=worlds)
-            if self_default.any():
-                seed_parts.append(frontier[self_default])
-            expand = frontier[~self_default]
-            if not expand.size:
-                break
-            expand_nodes = expand % n
-            world_base = expand - expand_nodes
-            # Ragged gather: flat positions of every in-edge slot of the
-            # frontier, segment by segment.
-            pos, counts = ragged_positions(indptr, expand_nodes)
-            if pos.size == 0:
-                break
-            if edge_uniforms is None:
-                edge_draws = self._block.take(pos.size)
-            else:
-                edge_draws = edge_uniforms[csr.edge_ids[pos]]
-            survived = edge_draws <= probs[pos]
-            edge_draw_counts += np.bincount(
-                expand // n, weights=counts, minlength=worlds
-            )
-            if not survived.any():
-                break
-            src_keys = (np.repeat(world_base, counts) + indices[pos])[survived]
-            dst_keys = np.repeat(expand, counts)[survived]
-            src_parts.append(src_keys)
-            dst_parts.append(dst_keys)
-            fresh = src_keys[closure[src_keys] != epoch]
-            if fresh.size:
-                fresh = np.unique(fresh)
-                closure[fresh] = epoch
-            frontier = fresh
-        if seed_parts:
-            defaulted[np.concatenate(seed_parts)] = epoch
-            if src_parts:
-                # Forward labelling over the surviving explored edges is
-                # the shared multi-world propagation kernel, running on
-                # this sampler's epoch-stamped arena buffer.
-                propagate_edge_list(
-                    defaulted,
-                    np.concatenate(src_parts),
-                    np.concatenate(dst_parts),
-                    epoch,
-                )
-        keys = offsets[:, None] + self._candidates[None, :]
-        return (
-            defaulted[keys] == epoch,
-            node_draw_counts,
-            edge_draw_counts.astype(np.int64),
-        )
-
-    def outcomes_for_uniforms(
-        self, node_uniforms: np.ndarray, edge_uniforms: np.ndarray
-    ) -> np.ndarray:
-        """One world driven by entity-indexed uniforms (the test draw policy).
-
-        Node ``u`` self-defaults iff ``node_uniforms[u] <= ps(u)``; edge
-        ``e`` survives iff ``edge_uniforms[e] <= p(e)``.  Outcomes are a
-        pure function of the two arrays, so they can be compared exactly
-        against a :class:`ReverseWorld` fed the same arrays.
-        """
-        node_uniforms = np.asarray(node_uniforms, dtype=np.float64)
-        edge_uniforms = np.asarray(edge_uniforms, dtype=np.float64)
-        if node_uniforms.shape != (self._graph.num_nodes,):
-            raise SamplingError(
-                f"need one uniform per node, got shape {node_uniforms.shape}"
-            )
-        if edge_uniforms.shape != (self._graph.num_edges,):
-            raise SamplingError(
-                f"need one uniform per edge, got shape {edge_uniforms.shape}"
-            )
-        outcomes, node_draws, edge_draws = self._sample_block(
-            1, node_uniforms, edge_uniforms
-        )
-        self.nodes_touched += int(node_draws[0])
-        self.edges_touched += int(edge_draws[0])
-        return outcomes[0]
-
-    def iter_samples(self, samples: int) -> Iterator[np.ndarray]:
-        """Yield per-world candidate default vectors (batched internally).
-
-        Worlds are materialised ``world_batch`` at a time; consumers that
-        stop early (BSRBK) waste at most one partial batch of wall-clock
-        work, but ``nodes_touched`` / ``edges_touched`` are attributed
-        per *consumed* world, so reported work counts never depend on the
-        batch size.
-        """
-        if samples <= 0:
-            raise SamplingError(f"samples must be positive, got {samples}")
-        remaining = int(samples)
-        while remaining > 0:
-            worlds = min(self._world_batch, remaining)
-            outcomes, node_draws, edge_draws = self._sample_block(worlds)
-            for index in range(worlds):
-                self.nodes_touched += int(node_draws[index])
-                self.edges_touched += int(edge_draws[index])
-                yield outcomes[index]
-            remaining -= worlds
-
-    def run(self, samples: int) -> ForwardEstimate:
-        """Run *samples* worlds; counts are aligned with ``candidates``."""
-        if samples <= 0:
-            raise SamplingError(f"samples must be positive, got {samples}")
-        counts = np.zeros(self._candidates.size, dtype=np.int64)
-        remaining = int(samples)
-        while remaining > 0:
-            worlds = min(self._world_batch, remaining)
-            outcomes, node_draws, edge_draws = self._sample_block(worlds)
-            counts += outcomes.sum(axis=0)
-            self.nodes_touched += int(node_draws.sum())
-            self.edges_touched += int(edge_draws.sum())
-            remaining -= worlds
-        return ForwardEstimate(counts=counts, samples=int(samples))
-
-    def estimate_probabilities(self, samples: int) -> np.ndarray:
-        """Estimated ``p(v)`` for each candidate, aligned with input order."""
-        return self.run(samples).probabilities
-
-#: Engines selectable by name in the SR/BSR/BSRBK detectors.  All three
-#: report ``nodes_touched`` / ``edges_touched`` in the same unit
-#: (distinct per-world draws), but the batched/indexed union closures
-#: explore past Algorithm 5's per-candidate early exits, so their counts
-#: can run higher; experiments that *compare* work counts (Figure 6)
-#: should pin ``engine="reference"``, the executable specification.
-#: ``"indexed"`` (counter-based per-entity randomness, re-evaluable per
-#: world — the streaming monitor's engine) is resolved lazily to avoid
-#: an import cycle.
-_ENGINES = {
-    "batched": BatchedReverseSampler,
-    "reference": ReverseSampler,
-}
-
-
 def reverse_engine(name: str):
-    """Resolve ``"batched"`` / ``"reference"`` / ``"indexed"`` to a class."""
+    """Resolve ``"indexed"`` / ``"reference"`` to a sampler class.
+
+    Both report ``nodes_touched`` / ``edges_touched`` in the same unit
+    (distinct per-world draws), but the indexed union closure explores
+    past Algorithm 5's per-candidate early exits, so its counts can run
+    higher; experiments that *compare* work counts (Figure 6) pin
+    ``"reference"``, the executable specification.  ``"indexed"`` is
+    resolved lazily to avoid an import cycle.
+    """
     if name == "indexed":
         from repro.sampling.indexed import IndexedReverseSampler
 
         return IndexedReverseSampler
-    try:
-        return _ENGINES[name]
-    except KeyError:
-        known = sorted([*_ENGINES, "indexed"])
-        raise SamplingError(
-            f"unknown reverse engine {name!r}; choose from {known}"
-        ) from None
+    if name == "reference":
+        return ReverseSampler
+    raise SamplingError(
+        f"unknown reverse engine {name!r}; "
+        "choose from ['indexed', 'reference']"
+    )

@@ -9,8 +9,8 @@ consistent across the package.
 Two families of randomness live here:
 
 * **stream randomness** — :func:`make_rng` / :class:`RandomBlock`: one
-  sequential double stream, consumed in pre-drawn chunks (the batched
-  reverse engine);
+  sequential double stream, consumed in pre-drawn chunks (the forward
+  and reference reverse samplers);
 * **counter randomness** — :func:`hashed_uniforms` /
   :func:`hashed_uniform_tile`: the SplitMix64 output function evaluated
   at explicit 64-bit counters, so the uniform at counter ``c`` under

@@ -1,33 +1,26 @@
-"""Per-world touched-entity state, dense and bit-packed.
+"""Per-world touched-entity state, bit-packed, and realised world views.
 
 The streaming :class:`~repro.streaming.monitor.TopKMonitor` keeps, for
 every cached possible world, the set of entities that world actually
 drew: a patched entity can only invalidate worlds that drew it, so these
 masks are what turns the counter-PRF's crossing test from "expected
 ``|Δp|`` of all worlds" into "expected ``|Δp|`` of the worlds that even
-looked at the entity".  PR 3 stored them as dense ``(samples, n)`` /
-``(samples, m)`` booleans, which caps exact repair at graphs where
-``samples * (n + m)`` bytes fit the world-state budget.
+looked at the entity".
 
-This module provides two interchangeable representations behind one
-interface (the bit-identity tests drive both and assert equal answers,
-repair sets and draw counters):
+:class:`PackedWorldState` stores them as two bit-packed ``uint64``
+matrices of ``n`` bits per world (touched nodes, *expanded* nodes) plus
+an entity→worlds inverted CSR index.  Edge masks are never materialised:
+edge ``e`` was drawn in a world iff its head node was expanded there (see
+:mod:`repro.sampling.indexed`), so the ``m``-bit mask collapses onto the
+``n``-bit expanded mask.  With ``m ≈ 3n`` this stores world state in
+``2n/8`` bytes instead of the ``4n`` of dense boolean masks — a ~16×
+reduction — and per-world draw counters fall out of popcounts
+(``node_draws == popcount(touched)``,
+``edge_draws == Σ in_degree over expanded``).  The dense layout survives
+as the test oracle the packed state is pinned against.
 
-* :class:`DenseWorldState` — the PR-3 layout, kept as the executable
-  baseline and benchmark foil;
-* :class:`PackedWorldState` — two bit-packed ``uint64`` matrices of
-  ``n`` bits per world (touched nodes, *expanded* nodes) plus an
-  entity→worlds inverted CSR index.  Edge masks are never materialised:
-  edge ``e`` was drawn in a world iff its head node was expanded there
-  (see :mod:`repro.sampling.indexed`), so the ``m``-bit mask collapses
-  onto the ``n``-bit expanded mask.  With ``m ≈ 3n`` this stores world
-  state in ``2n/8`` bytes instead of ``4n`` — a ~16× reduction — and
-  per-world draw counters fall out of popcounts
-  (``node_draws == popcount(touched)``,
-  ``edge_draws == Σ in_degree over expanded``).
-
-Both classes answer the two queries the monitor's repair pipeline is
-built from:
+The state answers the two queries the monitor's repair pipeline is built
+from:
 
 * ``node_pairs(entities)`` / ``edge_pairs(edge_ids, heads)`` — the
   ``(world row, entity position)`` pairs where the entity was drawn, the
@@ -36,6 +29,9 @@ built from:
   added candidate's worlds) into existing rows, returning the exact
   per-row draw-count deltas, which is what makes incremental
   candidate-set repair's work telemetry equal a from-scratch union run.
+
+:class:`WorldView` realises a fixed set of worlds in full for the query
+families.
 """
 
 from __future__ import annotations
@@ -47,6 +43,7 @@ import numpy as np
 from repro.core.errors import SamplingError
 from repro.core.graph import UncertainGraph
 from repro.core.propagation import propagate_defaults_block
+from repro.sampling.indexed import _restore_slots, counter_lanes
 from repro.sampling.rng import (
     SeedLike,
     derive_stream_key,
@@ -57,7 +54,6 @@ __all__ = [
     "pack_bool_rows",
     "unpack_bool_rows",
     "popcount",
-    "DenseWorldState",
     "PackedWorldState",
     "WorldView",
 ]
@@ -127,124 +123,6 @@ def _column_bits(words: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return ((gathered >> (cols & _MASK_63)[None, :]) & _ONE).astype(bool)
 
 
-class DenseWorldState:
-    """The PR-3 representation: dense boolean touched masks.
-
-    ``(worlds, n)`` touched-node and ``(worlds, m)`` touched-edge
-    booleans.  Kept as the baseline the packed representation is
-    bit-identity-tested and benchmarked against.
-    """
-
-    collect_mode = "dense"
-    kind = "dense"
-
-    __slots__ = ("touched_nodes", "touched_edges", "_n", "_m")
-
-    def __init__(self, worlds: int, num_nodes: int, num_edges: int) -> None:
-        self._n = int(num_nodes)
-        self._m = int(num_edges)
-        self.touched_nodes = np.zeros((worlds, self._n), dtype=bool)
-        self.touched_edges = np.zeros((worlds, self._m), dtype=bool)
-
-    @staticmethod
-    def bytes_needed(worlds: int, num_nodes: int, num_edges: int) -> int:
-        """Storage this representation needs for *worlds* worlds."""
-        return int(worlds) * (int(num_nodes) + int(num_edges))
-
-    @property
-    def worlds(self) -> int:
-        """Number of world rows currently held."""
-        return self.touched_nodes.shape[0]
-
-    @property
-    def nbytes(self) -> int:
-        """Actual bytes held by the state."""
-        return self.touched_nodes.nbytes + self.touched_edges.nbytes
-
-    def store_block(self, rows: np.ndarray, block) -> None:
-        """Overwrite *rows* with a freshly explored ``WorldBlock``."""
-        self.touched_nodes[rows] = block.touched_nodes
-        self.touched_edges[rows] = block.touched_edges
-
-    def merge_block(
-        self, rows: np.ndarray, block
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """OR a block into *rows*; returns exact per-row draw deltas.
-
-        The closure explored from a union of candidate sets is the union
-        of the per-set closures (realisations are entity-indexed), so
-        OR-ing an added candidate's closure into the stored masks yields
-        exactly the masks a from-scratch union exploration would, and
-        the draw-count deltas are the newly-set bits.
-        """
-        node_delta = (block.touched_nodes & ~self.touched_nodes[rows]).sum(
-            axis=1
-        )
-        edge_delta = (block.touched_edges & ~self.touched_edges[rows]).sum(
-            axis=1
-        )
-        self.touched_nodes[rows] |= block.touched_nodes
-        self.touched_edges[rows] |= block.touched_edges
-        return node_delta.astype(np.int64), edge_delta.astype(np.int64)
-
-    def node_pairs(
-        self, entities: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(world row, position)`` pairs where each node was drawn."""
-        return np.nonzero(self.touched_nodes[:, entities])
-
-    def edge_pairs(
-        self, edge_ids: np.ndarray, heads: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(world row, position)`` pairs where each edge was drawn."""
-        return np.nonzero(self.touched_edges[:, edge_ids])
-
-    def node_draws(self) -> np.ndarray:
-        """Per-row distinct node-draw counts (mask row sums)."""
-        return self.touched_nodes.sum(axis=1, dtype=np.int64)
-
-    def edge_draws(self) -> np.ndarray:
-        """Per-row distinct edge-draw counts (mask row sums)."""
-        return self.touched_edges.sum(axis=1, dtype=np.int64)
-
-    def resize(self, worlds: int) -> None:
-        """Grow (zero-filled) or truncate to *worlds* rows."""
-        current = self.worlds
-        if worlds == current:
-            return
-        if worlds < current:
-            self.touched_nodes = self.touched_nodes[:worlds].copy()
-            self.touched_edges = self.touched_edges[:worlds].copy()
-            return
-        nodes = np.zeros((worlds, self._n), dtype=bool)
-        edges = np.zeros((worlds, self._m), dtype=bool)
-        nodes[:current] = self.touched_nodes
-        edges[:current] = self.touched_edges
-        self.touched_nodes, self.touched_edges = nodes, edges
-
-    def extend(self, num_nodes: int, num_edges: int) -> None:
-        """Append entity columns for appended nodes/edges (zero-filled).
-
-        Topology growth is append-only, so existing columns keep their
-        positions; the new entities start untouched in every cached
-        world — exactly what a fresh exploration of an unaffected world
-        would record, since a closure can only reach a new entity
-        through a new edge.
-        """
-        if num_nodes < self._n or num_edges < self._m:
-            raise SamplingError("world state only extends, never shrinks")
-        if num_nodes > self._n:
-            nodes = np.zeros((self.worlds, num_nodes), dtype=bool)
-            nodes[:, : self._n] = self.touched_nodes
-            self.touched_nodes = nodes
-            self._n = int(num_nodes)
-        if num_edges > self._m:
-            edges = np.zeros((self.worlds, num_edges), dtype=bool)
-            edges[:, : self._m] = self.touched_edges
-            self.touched_edges = edges
-            self._m = int(num_edges)
-
-
 class PackedWorldState:
     """Bit-packed world state with an entity→worlds inverted index.
 
@@ -272,7 +150,6 @@ class PackedWorldState:
     """
 
     collect_mode = "compact"
-    kind = "packed"
 
     #: Rebuild the inverted index once this fraction of rows went stale.
     STALE_REBUILD_FRACTION = 0.25
@@ -624,12 +501,10 @@ class WorldView:
 
     The query-engine surface over shared world state: given the graph, a
     vector of world indices and the 64-bit stream key, every per-world
-    realisation is a pure hash — node ``v`` of world ``w`` draws at
-    counter ``w * (n + m) + v``, edge ``e`` at ``w * (n + m) + n + e``
-    under the default packed layout (the stable layout uses fixed lanes
-    ``w * 2^33 + v`` / ``w * 2^33 + 2^32 + e``) — so this view
-    reproduces, **bit-identically**, the outcomes the reverse-sampling
-    engines computed for the same worlds.  In
+    realisation is a pure hash at the world's counter lane
+    (:func:`~repro.sampling.indexed.counter_lanes`) — so this view
+    reproduces, **bit-identically**, the outcomes the indexed sampler
+    computed for the same worlds.  In
     particular, for a :class:`~repro.streaming.monitor.TopKMonitor`'s
     cached world set, ``view.defaulted()[:, candidates]`` equals the
     monitor's repaired outcome matrix exactly — which is what lets many
@@ -651,7 +526,8 @@ class WorldView:
     graph:
         The uncertain graph the worlds realise.
     world_ids:
-        The world indices to materialise (any order, repeats allowed).
+        The world indices to materialise (any order, repeats allowed),
+        each in ``[0, 2^31)``.
     stream_key:
         The sampler's 64-bit PRF key (``IndexedReverseSampler
         .stream_key``).  Exactly one of *stream_key* / *seed* semantics:
@@ -659,10 +535,6 @@ class WorldView:
         is derived from *seed* exactly as the samplers derive theirs.
     seed:
         Seed to derive a stream key from when *stream_key* is ``None``.
-    counter_layout:
-        ``"packed"`` (default) or ``"stable"`` — must match the layout
-        of the sampler whose worlds this view reproduces (see
-        :data:`repro.sampling.indexed.COUNTER_LAYOUTS`).
     """
 
     __slots__ = (
@@ -671,7 +543,6 @@ class WorldView:
         "_key",
         "_n",
         "_m",
-        "_layout",
         "_self_default",
         "_edge_survives",
         "_cache",
@@ -684,22 +555,12 @@ class WorldView:
         *,
         stream_key: np.uint64 | int | None = None,
         seed: SeedLike = None,
-        counter_layout: str = "packed",
     ) -> None:
-        from repro.sampling.indexed import COUNTER_LAYOUTS
-
-        if counter_layout not in COUNTER_LAYOUTS:
-            raise SamplingError(
-                f"counter_layout must be one of {COUNTER_LAYOUTS}, "
-                f"got {counter_layout!r}"
-            )
-        self._layout = counter_layout
         self._graph = graph
         world_ids = np.asarray(world_ids, dtype=np.int64)
         if world_ids.ndim != 1 or world_ids.size == 0:
             raise SamplingError("world_ids must be a non-empty 1-d array")
-        if world_ids.min() < 0:
-            raise SamplingError("world indices must be non-negative")
+        counter_lanes(world_ids)  # rejects indices outside the lanes
         self._world_ids = world_ids.copy()
         self._world_ids.setflags(write=False)
         if stream_key is not None:
@@ -711,6 +572,9 @@ class WorldView:
         self._self_default: np.ndarray | None = None
         self._edge_survives: np.ndarray | None = None
         self._cache: dict[Hashable, object] = {}
+
+    def __setstate__(self, state) -> None:
+        _restore_slots(self, state)
 
     # ------------------------------------------------------------------
     @property
@@ -758,33 +622,25 @@ class WorldView:
         _, _, pe = graph.edge_array
         node_thresholds = np.floor(ps * _TWO_53).astype(np.uint64)
         edge_thresholds = np.floor(pe * _TWO_53).astype(np.uint64)
-        if self._layout == "stable":
-            from repro.sampling.indexed import STABLE_EDGE_BASE, STABLE_STRIDE
-
-            stride = STABLE_STRIDE
-            edge_offset = STABLE_EDGE_BASE
-        else:
-            stride = np.uint64(n + m)
-            edge_offset = np.uint64(n)
         worlds = self.num_worlds
         self_default = np.empty((worlds, n), dtype=bool)
         edge_survives = np.empty((worlds, m), dtype=bool)
         node_ids = np.arange(n, dtype=np.uint64)
-        edge_ids = np.arange(m, dtype=np.uint64) + edge_offset
+        edge_ids = np.arange(m, dtype=np.uint64)
         chunk = max(1, _REALISE_BUDGET // max(n + m, 1))
         key = self._key
         for start in range(0, worlds, chunk):
             stop = min(start + chunk, worlds)
-            base = self._world_ids[start:stop].astype(np.uint64) * stride
+            node_bases, edge_bases = counter_lanes(self._world_ids[start:stop])
             if n:
-                counters = (base[:, None] + node_ids[None, :]).ravel()
+                counters = (node_bases[:, None] + node_ids[None, :]).ravel()
                 draws = hashed_mantissas_inplace(key, counters)
                 self_default[start:stop] = (
                     draws.reshape(stop - start, n)
                     <= node_thresholds[None, :]
                 )
             if m:
-                counters = (base[:, None] + edge_ids[None, :]).ravel()
+                counters = (edge_bases[:, None] + edge_ids[None, :]).ravel()
                 draws = hashed_mantissas_inplace(key, counters)
                 edge_survives[start:stop] = (
                     draws.reshape(stop - start, m)

@@ -264,8 +264,8 @@ class ServingPool:
         docstring.  Default: :func:`default_mode`.
     monitor_defaults:
         Keyword defaults applied to every tenant's
-        :class:`~repro.streaming.monitor.TopKMonitor` (seed, engine,
-        epsilon, …); per-tenant kwargs override.
+        :class:`~repro.streaming.monitor.TopKMonitor` (seed, epsilon,
+        algorithm, …); per-tenant kwargs override.
     """
 
     def __init__(

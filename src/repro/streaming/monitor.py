@@ -22,28 +22,20 @@ The pipeline has three stages, each invalidated independently:
    lower bound), so the cached reduction is reused verbatim unless some
    refreshed bound value crosses ``Tl``; crossing triggers one cheap
    O(n) re-run.
-3. **Sampling** — depends on the engine:
-
-   * ``engine="indexed"`` (default): per-world outcomes are pure
-     functions of ``(seed, world, graph)``
-     (:class:`~repro.sampling.indexed.IndexedReverseSampler`), so the
-     monitor stores the per-world outcome matrix plus per-world
-     touched-entity state (:mod:`repro.sampling.worldstate` —
-     bit-packed by default, the dense PR-3 layout via
-     ``world_state="dense"``).  A patched entity invalidates exactly
-     the worlds where its fixed uniform crosses the old→new
-     probability (expected fraction ``|Δp|``) *and* the entity was
-     actually drawn; only those worlds are re-explored and spliced
-     back in.  When Algorithm 4's candidate set or Theorem 5's budget
-     move, added candidates are *columned in* (their closures explored
-     against the cached worlds and OR-ed into the touched state, with
-     draw counters advanced by the exact popcount deltas) and the world
-     prefix grown or truncated, instead of resampling everything.
-   * ``engine="batched"`` / ``"reference"``: the sequential random
-     stream couples all worlds, so sampling is reused only when no
-     changed entity lies in the candidates' ancestor closure (outside
-     it, a fresh run provably replays bit-identically) and is otherwise
-     re-run whole.
+3. **Sampling** — per-world outcomes are pure functions of
+   ``(seed, world, graph)``
+   (:class:`~repro.sampling.indexed.IndexedReverseSampler`), so the
+   monitor stores the per-world outcome matrix plus per-world
+   touched-entity state (:class:`~repro.sampling.worldstate.
+   PackedWorldState`).  A patched entity invalidates exactly the worlds
+   where its fixed uniform crosses the old→new probability (expected
+   fraction ``|Δp|``) *and* the entity was actually drawn; only those
+   worlds are re-explored and spliced back in.  When Algorithm 4's
+   candidate set or Theorem 5's budget move, added candidates are
+   *columned in* (their closures explored against the cached worlds and
+   OR-ed into the touched state, with draw counters advanced by the
+   exact popcount deltas) and the world prefix grown or truncated,
+   instead of resampling everything.
 
    With ``algorithm="bsrbk"`` the sampling stage runs BSRBK's bottom-k
    early stop instead of the full-budget estimate: worlds carry fixed
@@ -51,25 +43,20 @@ The pipeline has three stages, each invalidated independently:
    stopping rule is re-run as a pure scan over the cached prefix
    (:func:`~repro.sketch.bottom_k.bottom_k_scan`) after every repair —
    extending the evaluated prefix on demand when a repair pushes the
-   stopping point later.  Requires the indexed engine (the stream-based
-   engines cannot re-materialise an early-stopped run incrementally).
+   stopping point later.
 
-When the dirty region exceeds ``full_rebuild_fraction`` of the graph —
-e.g. a bulk monthly re-scoring that moves everything — the monitor falls
-back to a full recomputation, which is the same code path as fresh
-detection and therefore trivially exact (the oracle tests cover both
-routes).
+When the dirty region exceeds :data:`FULL_REBUILD_FRACTION` of the
+graph — e.g. a bulk monthly re-scoring that moves everything — the
+monitor falls back to a full recomputation, which is the same code path
+as fresh detection and therefore trivially exact (the oracle tests cover
+both routes).
 
 **Topology growth.**  ``NodeAdd`` / ``EdgeAdd`` events (or the
 :meth:`TopKMonitor.add_node` / :meth:`TopKMonitor.add_edge` intake)
-grow the graph append-only.  Under the default ``counter_layout=
-"packed"`` the counter PRF's stride is ``n + m``, so growth re-keys
-every ``(world, entity)`` uniform and the monitor falls back to a full
-recomputation — exact, but O(everything).  With ``counter_layout=
-"stable"`` (requires ``engine="indexed"``) each world owns a fixed
-2^33-counter lane (nodes at ``w·2^33 + v``, edges at ``w·2^33 + 2^32 +
-e``), so growth never moves an existing counter and the monitor ingests
-topology *incrementally*:
+grow the graph append-only.  Each world owns a fixed counter lane
+(:func:`~repro.sampling.indexed.counter_lanes`), so growth never moves
+an existing ``(world, entity)`` counter and the monitor ingests topology
+*incrementally*:
 
 * cached world masks are extended by zero bits for the new entities
   (a cached closure can only reach a new entity through a new edge);
@@ -82,11 +69,10 @@ topology *incrementally*:
 * everything else (candidate columning, world-prefix resizing, BSRBK's
   hash-order rescan) reuses the probability-path machinery.
 
-The result is bit-identical to fresh detection on the grown graph with
-the same stable layout — the crawl-while-monitoring oracle tests pin
-this after every crawl step.  Direct mutations of the live graph that
-bypass the monitor's intake are still caught by shape and handled by
-the full fallback.
+The result is bit-identical to fresh detection on the grown graph — the
+crawl-while-monitoring oracle tests pin this after every crawl step.
+Direct mutations of the live graph that bypass the monitor's intake are
+still caught by shape and handled by the full fallback.
 """
 
 from __future__ import annotations
@@ -108,17 +94,11 @@ from repro.bounds.iterative import (
 )
 from repro.core.errors import GraphError, SamplingError
 from repro.core.graph import NodeLabel, UncertainGraph
-from repro.core.propagation import ragged_positions
 from repro.core.topk import validate_k
-from repro.sampling.indexed import COUNTER_LAYOUTS, IndexedReverseSampler
-from repro.sampling.reverse import reverse_engine
+from repro.sampling.indexed import IndexedReverseSampler, counter_lanes
 from repro.sampling.rng import SeedLike, hashed_uniform_tile, hashed_uniforms
 from repro.sampling.sample_size import reduced_sample_size, validate_epsilon_delta
-from repro.sampling.worldstate import (
-    DenseWorldState,
-    PackedWorldState,
-    WorldView,
-)
+from repro.sampling.worldstate import PackedWorldState, WorldView
 from repro.sketch.bottom_k import bottom_k_scan
 from repro.streaming.events import (
     BulkEdgeProbabilityUpdate,
@@ -136,31 +116,21 @@ __all__ = ["RefreshReport", "TopKMonitor"]
 _U64 = np.uint64
 #: Cells hashed per chunk when crossing-testing without touched state.
 _TILE_CHUNK = 1 << 22
+#: Dirty-region threshold (fraction of ``n``) above which a refresh falls
+#: back to full recomputation.
+FULL_REBUILD_FRACTION = 0.25
+#: Cap (in bytes) on the touched-entity state.  Above it the monitor
+#: keeps only outcome rows and invalidates on uniform crossings alone —
+#: still exact, marginally more re-exploration.  The packed state fits
+#: exact repair of ~100k-node graphs under this cap.
+WORLD_STATE_BUDGET = 32_000_000
 
 
-def ancestor_closure(graph: UncertainGraph, sources: np.ndarray) -> np.ndarray:
-    """Boolean mask of all nodes backward-reachable from *sources*.
-
-    Probability-agnostic (every in-edge counts): this is the superset of
-    nodes any reverse-sampling run over these candidates can ever draw,
-    and an edge can be drawn only if its head is in the mask.  Entities
-    outside are provably irrelevant to the sampling stage.
-    """
-    in_csr = graph.in_csr()
-    mask = np.zeros(graph.num_nodes, dtype=bool)
-    mask[sources] = True
-    frontier = np.unique(np.asarray(sources, dtype=np.int64))
-    while frontier.size:
-        positions, _ = ragged_positions(in_csr.indptr, frontier)
-        if not positions.size:
-            break
-        neighbors = in_csr.indices[positions]
-        fresh = np.unique(neighbors[~mask[neighbors]])
-        if not fresh.size:
-            break
-        mask[fresh] = True
-        frontier = fresh
-    return mask
+def _grow_rows(array: np.ndarray, rows: int) -> np.ndarray:
+    """*array* zero-padded along its first axis to *rows* rows."""
+    grown = np.zeros((rows, *array.shape[1:]), dtype=array.dtype)
+    grown[: array.shape[0]] = array
+    return grown
 
 
 @dataclass(frozen=True)
@@ -182,7 +152,7 @@ class RefreshReport:
         Whether the cached Algorithm-4 reduction survived untouched.
     sampling:
         ``"reused"`` (cached estimates provably fresh), ``"repaired"``
-        (indexed engine re-ran only invalidated worlds), ``"columned"``
+        (only the invalidated worlds re-explored), ``"columned"``
         (candidate/budget change absorbed by columning added candidates
         into the cached worlds and/or resizing the world prefix),
         ``"resampled"`` (whole candidate set re-estimated) or
@@ -227,42 +197,11 @@ class TopKMonitor:
         for the bit-identity guarantee to be observable.
     algorithm:
         ``"bsr"`` (default) maintains the full-budget BSR estimate;
-        ``"bsrbk"`` maintains BSRBK's bottom-k early-stopped estimate
-        (requires ``engine="indexed"``), with *bk* as the counter
-        threshold.  The equivalence oracle is then a fresh
-        :class:`~repro.algorithms.bsrbk.BottomKDetector`.
+        ``"bsrbk"`` maintains BSRBK's bottom-k early-stopped estimate,
+        with *bk* as the counter threshold.  The equivalence oracle is
+        then a fresh :class:`~repro.algorithms.bsrbk.BottomKDetector`.
     bk:
         Bottom-k counter threshold when ``algorithm="bsrbk"``.
-    engine:
-        Reverse-sampling engine: ``"indexed"`` (default — enables
-        per-world repair), ``"batched"`` or ``"reference"`` (coarse
-        ancestor-closure invalidation, whole-set resampling).
-    full_rebuild_fraction:
-        Dirty-region threshold (fraction of ``n``) above which refresh
-        falls back to full recomputation.
-    world_state:
-        Touched-entity representation: ``"packed"`` (default — two
-        bit-packed ``n``-bit masks per world plus an entity→worlds
-        inverted index, ~8–16× smaller) or ``"dense"`` (the PR-3
-        boolean ``(samples, n)`` / ``(samples, m)`` layout).  Both are
-        exact; the bit-identity tests drive them in lockstep.
-    world_state_budget:
-        Cap (in bytes) on the touched-entity state.  Above it the
-        monitor keeps only outcome rows and invalidates on uniform
-        crossings alone — still exact, marginally more re-exploration.
-        The packed representation fits ~8× more worlds per byte, which
-        is what extends exact repair to ~100k-node graphs.
-    counter_layout:
-        Counter-PRF layout for per-world uniforms (requires
-        ``engine="indexed"`` when not ``"packed"``).  ``"packed"``
-        (default) strides by ``n + m`` — minimal counter space, but any
-        topology growth re-keys every uniform and forces the full
-        fallback.  ``"stable"`` gives each world a fixed 2^33-counter
-        lane so append-only growth (``NodeAdd`` / ``EdgeAdd``) never
-        moves an existing counter, unlocking incremental topology
-        ingestion (see the module docstring).  The two layouts draw
-        *different* (equally exact) world realisations; bit-identity
-        oracles must build the fresh detector with the same layout.
     """
 
     def __init__(
@@ -277,11 +216,6 @@ class TopKMonitor:
         seed: SeedLike = 0,
         algorithm: str = "bsr",
         bk: int = 16,
-        engine: str = "indexed",
-        full_rebuild_fraction: float = 0.25,
-        world_state: str = "packed",
-        world_state_budget: int = 32_000_000,
-        counter_layout: str = "packed",
     ) -> None:
         self._graph = graph
         self._k = validate_k(k, graph.num_nodes)
@@ -289,49 +223,14 @@ class TopKMonitor:
         self._lower_order = int(lower_order)
         self._upper_order = int(upper_order)
         self._seed = seed
-        self._engine_name = str(engine)
-        self._engine = reverse_engine(self._engine_name)
         if algorithm not in ("bsr", "bsrbk"):
             raise GraphError(
                 f"algorithm must be 'bsr' or 'bsrbk', got {algorithm!r}"
-            )
-        if algorithm == "bsrbk" and self._engine_name != "indexed":
-            raise GraphError(
-                "algorithm='bsrbk' requires engine='indexed': the "
-                "stream-based engines cannot re-materialise an "
-                "early-stopped run incrementally"
             )
         if bk < 2:
             raise SamplingError(f"bk must be >= 2, got {bk}")
         self._algorithm = algorithm
         self._bk = int(bk)
-        if not 0.0 < full_rebuild_fraction <= 1.0:
-            raise GraphError(
-                "full_rebuild_fraction must be in (0, 1], got "
-                f"{full_rebuild_fraction}"
-            )
-        self._full_fraction = float(full_rebuild_fraction)
-        if world_state == "packed":
-            self._state_cls = PackedWorldState
-        elif world_state == "dense":
-            self._state_cls = DenseWorldState
-        else:
-            raise GraphError(
-                f"world_state must be 'packed' or 'dense', got {world_state!r}"
-            )
-        self._world_state_name = world_state
-        self._world_state_budget = int(world_state_budget)
-        if counter_layout not in COUNTER_LAYOUTS:
-            raise GraphError(
-                f"counter_layout must be one of {COUNTER_LAYOUTS}, got "
-                f"{counter_layout!r}"
-            )
-        if counter_layout != "packed" and self._engine_name != "indexed":
-            raise GraphError(
-                "counter_layout='stable' requires engine='indexed': the "
-                "stream-based engines derive their own draw schedules"
-            )
-        self._counter_layout = counter_layout
         # Pending dirt: entity -> probability at the last refresh.
         self._dirty_node_old: dict[int, float] = {}
         self._dirty_edge_old: dict[int, float] = {}
@@ -361,13 +260,13 @@ class TopKMonitor:
         self._sampling_candidates: np.ndarray | None = None
         self._nodes_touched = 0
         self._edges_touched = 0
-        # Indexed-engine world state.
+        # Per-world state of the cached worlds.
         self._sampler: IndexedReverseSampler | None = None
         self._counts: np.ndarray | None = None
         self._world_outcomes: np.ndarray | None = None
         self._world_node_draws: np.ndarray | None = None
         self._world_edge_draws: np.ndarray | None = None
-        self._world_state: DenseWorldState | PackedWorldState | None = None
+        self._world_state: PackedWorldState | None = None
         self._world_ids: np.ndarray | None = None
         # BSRBK bookkeeping (hash order over the budgeted worlds).
         self._bk_order: np.ndarray | None = None
@@ -375,8 +274,6 @@ class TopKMonitor:
         self._stop_after = 0
         self._processed = 0
         self._stopped_early = False
-        # Coarse-engine closure state.
-        self._closure: np.ndarray | None = None
         self._result: DetectionResult | None = None
         self._last_report: RefreshReport | None = None
         #: Row positions repaired by the most recent refresh (testing /
@@ -394,14 +291,25 @@ class TopKMonitor:
         }
 
     def __setstate__(self, state: dict) -> None:
-        # Monitors ride inside worker dumps and on-disk snapshots; blobs
-        # written before topology ingestion existed lack the growth
-        # bookkeeping, so default it rather than poison restored shards.
+        # Monitors ride inside worker dumps and on-disk snapshots.  A blob
+        # written before the engine options were retired may hold worlds
+        # drawn under a retired counter layout, so it is rebuilt from its
+        # restored graph and configuration: the first refresh recomputes.
+        if "_engine_name" in state:
+            self.__init__(
+                state["_graph"],
+                state["_k"],
+                epsilon=state["_epsilon"],
+                delta=state["_delta"],
+                lower_order=state["_lower_order"],
+                upper_order=state["_upper_order"],
+                seed=state["_seed"],
+                algorithm=state["_algorithm"],
+                bk=state["_bk"],
+            )
+            self.stats.update(state["stats"])
+            return
         self.__dict__.update(state)
-        self.__dict__.setdefault("_added_nodes", [])
-        self.__dict__.setdefault("_added_edges", [])
-        self.__dict__.setdefault("_counter_layout", "packed")
-        self.stats.setdefault("topology", 0)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -417,24 +325,9 @@ class TopKMonitor:
         return self._k
 
     @property
-    def engine_name(self) -> str:
-        """Configured reverse-sampling engine."""
-        return self._engine_name
-
-    @property
     def algorithm(self) -> str:
         """The maintained detection algorithm (``"bsr"`` / ``"bsrbk"``)."""
         return self._algorithm
-
-    @property
-    def world_state_kind(self) -> str:
-        """Configured touched-entity representation."""
-        return self._world_state_name
-
-    @property
-    def counter_layout(self) -> str:
-        """Configured counter-PRF layout (``"packed"`` / ``"stable"``)."""
-        return self._counter_layout
 
     @property
     def world_state_nbytes(self) -> int:
@@ -497,9 +390,8 @@ class TopKMonitor:
     def add_node(self, label: NodeLabel, self_risk: float = 0.0) -> int:
         """Append a node to the live graph and track it for ingestion.
 
-        Returns the new node's index.  Under ``counter_layout="stable"``
-        the next refresh folds the growth in incrementally; otherwise it
-        takes the exact full fallback.
+        Returns the new node's index; the next refresh folds the growth
+        in incrementally (see the module docstring).
         """
         index = self._graph.add_node(label, self_risk)
         self._added_nodes.append(int(index))
@@ -657,8 +549,7 @@ class TopKMonitor:
         cached outcome matrix, and every registered query family
         integrates over the *same* worlds the top-k answer does.
 
-        When the indexed sampling stage holds no worlds (``k' = 0``, a
-        non-indexed engine, or an over-budget configuration) the view
+        When the sampling stage holds no worlds (``k' = 0``) the view
         falls back to worlds ``0 .. min_worlds-1`` under a key derived
         from the monitor's seed — still deterministic, still repairable
         on the next call.
@@ -711,17 +602,13 @@ class TopKMonitor:
             and self._world_ids.size
         ):
             view = WorldView(
-                graph,
-                self._world_ids,
-                stream_key=self._sampler.stream_key,
-                counter_layout=self._counter_layout,
+                graph, self._world_ids, stream_key=self._sampler.stream_key
             )
         else:
             view = WorldView(
                 graph,
                 np.arange(max(1, int(min_worlds)), dtype=np.int64),
                 seed=self._seed,
-                counter_layout=self._counter_layout,
             )
         self._query_engine = QueryEngine(view)
         self._query_engine_key = key
@@ -732,7 +619,7 @@ class TopKMonitor:
         graph = self._graph
         shape = (graph.num_nodes, graph.num_edges)
         dirt = self._effective_dirt()
-        nodes_idx, nodes_old, edges_idx, edges_old, heads = dirt
+        nodes_idx, _, edges_idx, _, heads = dirt
         self.last_repaired_rows = np.empty(0, dtype=np.int64)
         if self._result is None:
             report = self._full_refresh(
@@ -740,7 +627,7 @@ class TopKMonitor:
             )
         elif shape != self._shape:
             report = None
-            if self._can_ingest_topology():
+            if self._topology_consistent():
                 report = self._topology_refresh(started, dirt)
             if report is None:
                 report = self._full_refresh(
@@ -760,7 +647,7 @@ class TopKMonitor:
                 elapsed_seconds=time.perf_counter() - started,
             )
         else:
-            limit = max(1, int(self._full_fraction * graph.num_nodes))
+            limit = max(1, int(FULL_REBUILD_FRACTION * graph.num_nodes))
             if nodes_idx.size + heads.size > limit:
                 report = self._full_refresh(
                     started, "full", "dirty region above threshold", dirt
@@ -853,18 +740,6 @@ class TopKMonitor:
             and self._graph.num_edges == m + len(self._added_edges)
         )
 
-    def _can_ingest_topology(self) -> bool:
-        """Whether the pending shape change qualifies for the
-        incremental topology path (stable counters, warm pipeline, and
-        growth fully explained by the monitor's own intake)."""
-        return (
-            self._engine_name == "indexed"
-            and self._counter_layout == "stable"
-            and self._bounds is not None
-            and self._reduction is not None
-            and self._topology_consistent()
-        )
-
     def _topology_refresh(self, started: float, dirt) -> RefreshReport | None:
         """Fold tracked append-only growth in without a full rebuild.
 
@@ -879,29 +754,19 @@ class TopKMonitor:
           telemetry is NaN for new nodes, so the Tl-crossing shortcut
           has nothing sound to compare against; Algorithm 4 itself is
           O(n) and cheap next to sampling.
-        * **Sampling** extends the cached world masks with zero bits
-          for the new entities (a cached closure cannot contain them),
-          rebuilds the sampler over the grown CSR — same stream key,
-          same stable counters — and re-explores exactly the worlds
-          whose expanded set contains a new edge's head (reverse
-          exploration draws a node's in-edges only once the node is
-          expanded, so every other world replays verbatim) plus the
-          usual probability-crossing rows.  Candidate/budget drift
-          reuses the columning machinery; BSRBK re-runs its stopping
-          scan over the repaired prefix.
+        * **Sampling** re-explores exactly the worlds whose expanded set
+          contains a new edge's head, plus the usual probability-crossing
+          rows (see :meth:`_sampling_stage`).
         """
         graph = self._graph
-        nodes_idx, nodes_old, edges_idx, edges_old, heads = dirt
-        assert self._bounds is not None and self._reduction is not None
+        nodes_idx, _, _, _, heads = dirt
+        assert self._bounds is not None
         new_nodes = np.asarray(sorted(self._added_nodes), dtype=np.int64)
         new_edges = np.asarray(sorted(self._added_edges), dtype=np.int64)
         _, dst, _ = graph.edge_array
-        new_heads = (
-            np.unique(dst[new_edges]) if new_edges.size else new_edges
-        )
-        limit = max(1, int(self._full_fraction * graph.num_nodes))
+        limit = max(1, int(FULL_REBUILD_FRACTION * graph.num_nodes))
         bound_nodes = np.union1d(nodes_idx, new_nodes)
-        bound_heads = np.union1d(heads, new_heads)
+        bound_heads = np.union1d(heads, dst[new_edges])
         if bound_nodes.size + bound_heads.size > limit:
             return None
         delta = self._bounds.extend_topology(
@@ -911,143 +776,18 @@ class TopKMonitor:
             return None
         lower, upper = self._bounds.pair()
         reduction = reduce_candidates(graph, lower, upper, self._k)
-        worlds_repaired = 0
-        if reduction.k_remaining == 0:
-            sampling = "skipped"
-            self._clear_sampling_state()
-        else:
-            samples = reduced_sample_size(
-                reduction.candidate_size,
-                self._k,
-                reduction.k_verified,
-                self._epsilon,
-                self._delta,
-            )
-            state = self._world_state
-            over_budget = (
-                state is not None
-                and self._state_cls.bytes_needed(
-                    self._samples, graph.num_nodes, graph.num_edges
-                )
-                > self._world_state_budget
-            )
-            if (
-                self._sampler is None
-                or self._world_outcomes is None
-                or state is None
-                or over_budget
-            ):
-                # Nothing extendable is cached (previous refresh skipped
-                # sampling, or touched state is absent / would blow the
-                # budget after growth).  Re-estimating afresh is still
-                # exact — and bit-identical to the fresh oracle, which
-                # takes this same path.
-                self._resample(reduction, samples)
-                sampling = "resampled"
-                worlds_repaired = (
-                    self._processed
-                    if self._algorithm == "bsrbk"
-                    else samples
-                )
-                self.stats["worlds_resampled"] += worlds_repaired
-            else:
-                # Extend first: old bits are preserved, new entities'
-                # columns start zero, so the pre-growth invalidation
-                # queries below read exactly the pre-growth masks.
-                if self._state_cls is DenseWorldState:
-                    state.extend(graph.num_nodes, graph.num_edges)
-                else:
-                    state.extend(
-                        graph.num_nodes,
-                        graph.num_edges,
-                        heads=dst,
-                        in_degrees=np.diff(graph.in_csr().indptr),
-                    )
-                # The cached sampler's CSR and candidate frontier
-                # predate the growth; stable counters make the rebuild
-                # draw-compatible with every cached world.
-                self._sampler = self._make_indexed_sampler(
-                    self._sampling_candidates
-                )
-                prob_affected = self._affected_rows(
-                    nodes_idx, nodes_old, edges_idx, edges_old
-                )
-                if new_edges.size:
-                    if self._state_cls is DenseWorldState:
-                        # The dense state has no expanded mask and its
-                        # drawn-edge columns are zero for new edges, so
-                        # query the touched bits of the new heads —
-                        # touched ⊇ expanded, and re-exploring a world
-                        # that merely touched (never expanded) a new
-                        # head replays verbatim, so the superset repair
-                        # is exact, just marginally wider.
-                        hit_rows, _ = state.node_pairs(new_heads)
-                    else:
-                        hit_rows, _ = state.edge_pairs(
-                            new_edges, dst[new_edges]
-                        )
-                    topo_affected = np.unique(hit_rows)
-                else:
-                    topo_affected = new_edges
-                affected = np.union1d(prob_affected, topo_affected).astype(
-                    np.int64
-                )
-                inputs_unchanged = (
-                    samples == self._samples
-                    and np.array_equal(
-                        reduction.candidates, self._sampling_candidates
-                    )
-                )
-                if inputs_unchanged or self._can_column(reduction, samples):
-                    if not inputs_unchanged:
-                        appended = self._column_repair(reduction, samples)
-                        affected = affected[affected < self._samples]
-                        sampling = "columned"
-                        worlds_repaired = int(affected.size) + appended
-                        self.stats["worlds_columned"] += appended
-                    elif affected.size:
-                        sampling = "repaired"
-                        worlds_repaired = int(affected.size)
-                    else:
-                        sampling = "reused"
-                    if affected.size:
-                        self._repair_rows(affected)
-                        self.stats["worlds_repaired"] += int(affected.size)
-                    if self._algorithm == "bsrbk":
-                        stop_changed = (
-                            int(reduction.k_remaining) != self._stop_after
-                        )
-                        self._stop_after = int(reduction.k_remaining)
-                        if affected.size or stop_changed:
-                            extended = self._bk_rescan()
-                            worlds_repaired += extended
-                            self.stats["worlds_repaired"] += extended
-                            if extended and sampling == "reused":
-                                sampling = "repaired"
-                    self.last_repaired_rows = affected
-                else:
-                    self._resample(reduction, samples)
-                    sampling = "resampled"
-                    worlds_repaired = (
-                        self._processed
-                        if self._algorithm == "bsrbk"
-                        else samples
-                    )
-                    self.stats["worlds_resampled"] += worlds_repaired
-        self._reduction = reduction
-        self._assemble(started)
+        sampling, worlds = self._sampling_stage(reduction, dirt, new_edges)
         self.stats["topology"] += 1
-        return RefreshReport(
+        return self._finish(
+            started,
+            reduction,
+            dirt,
             mode="incremental",
             reason="incremental topology ingestion",
-            dirty_nodes=int(nodes_idx.size),
-            dirty_edges=int(edges_idx.size),
             bounds_recomputed=delta.nodes_recomputed,
             reduction_reused=False,
             sampling=sampling,
-            worlds_repaired=worlds_repaired,
-            samples=self._samples,
-            elapsed_seconds=time.perf_counter() - started,
+            worlds_repaired=worlds,
         )
 
     def _full_refresh(
@@ -1061,43 +801,30 @@ class TopKMonitor:
         lower, upper = self._bounds.pair()
         reduction = reduce_candidates(graph, lower, upper, self._k)
         if reduction.k_remaining > 0:
-            samples = reduced_sample_size(
-                reduction.candidate_size,
-                self._k,
-                reduction.k_verified,
-                self._epsilon,
-                self._delta,
-            )
-            self._resample(reduction, samples)
+            self._resample(reduction, self._budget(reduction))
         else:
             self._clear_sampling_state()
-        self._reduction = reduction
-        self._assemble(started)
-        nodes_idx, _, edges_idx, _, _ = dirt
         worlds = (
             self._processed if self._algorithm == "bsrbk" else self._samples
         )
         self.stats["worlds_resampled"] += worlds
-        return RefreshReport(
+        return self._finish(
+            started,
+            reduction,
+            dirt,
             mode=mode,
             reason=reason,
-            dirty_nodes=int(nodes_idx.size),
-            dirty_edges=int(edges_idx.size),
             bounds_recomputed=graph.num_nodes
             * (self._lower_order + self._upper_order),
             reduction_reused=False,
             sampling="resampled" if worlds else "skipped",
             worlds_repaired=worlds,
-            samples=self._samples,
-            elapsed_seconds=time.perf_counter() - started,
         )
 
     def _incremental_refresh(
         self, started: float, delta: BoundDelta, dirt
     ) -> RefreshReport:
         """The dirty-frontier path: provable reuse stage by stage."""
-        graph = self._graph
-        nodes_idx, nodes_old, edges_idx, edges_old, heads = dirt
         assert self._bounds is not None and self._reduction is not None
         # Stage 2: Algorithm 4 is untouched unless a changed bound value
         # reaches Tl — below Tl both thresholds and both membership rules
@@ -1108,106 +835,148 @@ class TopKMonitor:
         reduction = self._reduction
         if crossed:
             lower, upper = self._bounds.pair()
-            reduction = reduce_candidates(graph, lower, upper, self._k)
-        # Stage 3: sampling.
-        worlds_repaired = 0
-        if reduction.k_remaining == 0:
-            sampling = "skipped"
-            self._clear_sampling_state()
-        else:
-            samples = reduced_sample_size(
-                reduction.candidate_size,
-                self._k,
-                reduction.k_verified,
-                self._epsilon,
-                self._delta,
-            )
-            inputs_unchanged = (
-                self._sampling_candidates is not None
-                and samples == self._samples
-                and np.array_equal(reduction.candidates, self._sampling_candidates)
-            )
-            if self._engine_name == "indexed" and (
-                inputs_unchanged or self._can_column(reduction, samples)
-            ):
-                # Invalidation runs against the pre-change world rows;
-                # rows the columning step appends are explored against
-                # the already-patched graph and need no repair.
-                affected = self._affected_rows(
-                    nodes_idx, nodes_old, edges_idx, edges_old
-                )
-                if not inputs_unchanged:
-                    appended = self._column_repair(reduction, samples)
-                    affected = affected[affected < self._samples]
-                    sampling = "columned"
-                    worlds_repaired = int(affected.size) + appended
-                    self.stats["worlds_columned"] += appended
-                elif affected.size:
-                    sampling = "repaired"
-                    worlds_repaired = int(affected.size)
-                else:
-                    sampling = "reused"
-                if affected.size:
-                    self._repair_rows(affected)
-                    self.stats["worlds_repaired"] += int(affected.size)
-                if self._algorithm == "bsrbk":
-                    # The stopping rule also depends on k_remaining,
-                    # which can move (k_verified drift) while the
-                    # candidate set and Theorem-5 budget stay equal —
-                    # the scan must always run against the fresh value.
-                    stop_changed = (
-                        int(reduction.k_remaining) != self._stop_after
-                    )
-                    self._stop_after = int(reduction.k_remaining)
-                    if affected.size or stop_changed:
-                        # A later stopping point can pull new worlds
-                        # into the evaluated prefix; they are work done
-                        # this refresh, so they count as repaired.
-                        extended = self._bk_rescan()
-                        worlds_repaired += extended
-                        self.stats["worlds_repaired"] += extended
-                        if extended and sampling == "reused":
-                            sampling = "repaired"
-                self.last_repaired_rows = affected
-            elif not inputs_unchanged:
-                self._resample(reduction, samples)
-                sampling = "resampled"
-                worlds_repaired = (
-                    self._processed
-                    if self._algorithm == "bsrbk"
-                    else samples
-                )
-                self.stats["worlds_resampled"] += worlds_repaired
-            else:
-                assert self._closure is not None
-                relevant = bool(self._closure[nodes_idx].any()) or bool(
-                    self._closure[heads].any()
-                )
-                if relevant:
-                    self._resample(reduction, samples)
-                    sampling = "resampled"
-                    worlds_repaired = samples
-                    self.stats["worlds_resampled"] += samples
-                else:
-                    sampling = "reused"
-        self._reduction = reduction
-        self._assemble(started)
-        return RefreshReport(
+            reduction = reduce_candidates(self._graph, lower, upper, self._k)
+        sampling, worlds = self._sampling_stage(reduction, dirt)
+        return self._finish(
+            started,
+            reduction,
+            dirt,
             mode="incremental",
             reason="dirty-frontier refresh",
-            dirty_nodes=int(nodes_idx.size),
-            dirty_edges=int(edges_idx.size),
             bounds_recomputed=delta.nodes_recomputed,
             reduction_reused=not crossed,
             sampling=sampling,
-            worlds_repaired=worlds_repaired,
+            worlds_repaired=worlds,
+        )
+
+    def _finish(
+        self, started: float, reduction: CandidateReduction, dirt, **fields
+    ) -> RefreshReport:
+        """Install *reduction*, assemble the answer, and report."""
+        self._reduction = reduction
+        self._assemble(started)
+        nodes_idx, _, edges_idx, _, _ = dirt
+        return RefreshReport(
+            dirty_nodes=int(nodes_idx.size),
+            dirty_edges=int(edges_idx.size),
             samples=self._samples,
             elapsed_seconds=time.perf_counter() - started,
+            **fields,
+        )
+
+    def _budget(self, reduction: CandidateReduction) -> int:
+        """Theorem 5's sample budget for *reduction*."""
+        return reduced_sample_size(
+            reduction.candidate_size,
+            self._k,
+            reduction.k_verified,
+            self._epsilon,
+            self._delta,
         )
 
     # ------------------------------------------------------------------
-    # Indexed-engine repair machinery
+    # Sampling stage: repair → column → resample → BSRBK rescan
     # ------------------------------------------------------------------
+    def _sampling_stage(
+        self,
+        reduction: CandidateReduction,
+        dirt,
+        new_edges: np.ndarray | None = None,
+    ) -> tuple[str, int]:
+        """Bring the cached worlds up to date with *reduction*.
+
+        Shared by the probability and topology paths (*new_edges* holds
+        the appended edge ids on the latter).  Cached worlds are reused
+        when the candidate set and budget are unchanged or only grew
+        (:meth:`_can_column`): rows a dirty entity can flip are repaired,
+        added candidates columned in, and BSRBK's stopping scan re-run.
+        Anything else resamples.  Growth additionally needs touched
+        state, which is what tells which cached worlds expanded a new
+        edge's head.  Returns ``(sampling mode, worlds repaired)``.
+        """
+        nodes_idx, nodes_old, edges_idx, edges_old, _ = dirt
+        if reduction.k_remaining == 0:
+            self._clear_sampling_state()
+            return "skipped", 0
+        samples = self._budget(reduction)
+        inputs_unchanged = (
+            self._sampling_candidates is not None
+            and samples == self._samples
+            and np.array_equal(reduction.candidates, self._sampling_candidates)
+        )
+        reusable = inputs_unchanged or self._can_column(reduction, samples)
+        if new_edges is not None:
+            reusable = (
+                reusable
+                and self._world_state is not None
+                and self._within_budget(self._samples)
+            )
+        if not reusable:
+            self._resample(reduction, samples)
+            worlds = self._processed if self._algorithm == "bsrbk" else samples
+            self.stats["worlds_resampled"] += worlds
+            return "resampled", worlds
+        if new_edges is not None:
+            self._ingest_growth()
+        # Invalidation runs against the pre-change world rows; rows the
+        # columning step appends are explored against the already-patched
+        # graph and need no repair.
+        affected = self._affected_rows(
+            nodes_idx, nodes_old, edges_idx, edges_old
+        )
+        if new_edges is not None and new_edges.size:
+            _, dst, _ = self._graph.edge_array
+            hit_rows, _ = self._world_state.edge_pairs(
+                new_edges, dst[new_edges]
+            )
+            affected = np.union1d(affected, hit_rows).astype(np.int64)
+        sampling, worlds = "reused", 0
+        if not inputs_unchanged:
+            appended = self._column_repair(reduction, samples)
+            affected = affected[affected < self._samples]
+            sampling, worlds = "columned", int(affected.size) + appended
+            self.stats["worlds_columned"] += appended
+        elif affected.size:
+            sampling, worlds = "repaired", int(affected.size)
+        if affected.size:
+            self._repair_rows(affected)
+            self.stats["worlds_repaired"] += int(affected.size)
+        if self._algorithm == "bsrbk":
+            # The stopping rule also depends on k_remaining, which can
+            # move (k_verified drift) while the candidate set and
+            # Theorem-5 budget stay equal — the scan must always run
+            # against the fresh value.
+            stop_changed = int(reduction.k_remaining) != self._stop_after
+            self._stop_after = int(reduction.k_remaining)
+            if affected.size or stop_changed:
+                # A later stopping point can pull new worlds into the
+                # evaluated prefix; they are work done this refresh, so
+                # they count as repaired.
+                extended = self._bk_extend_and_scan()
+                worlds += extended
+                self.stats["worlds_repaired"] += extended
+                if extended and sampling == "reused":
+                    sampling = "repaired"
+        self.last_repaired_rows = affected
+        return sampling, worlds
+
+    def _ingest_growth(self) -> None:
+        """Extend the touched state and the sampler over appended entities.
+
+        Old bits are preserved and new entities' columns start clear, so
+        the invalidation queries that follow read exactly the pre-growth
+        masks.  The rebuilt sampler keeps the stream key, and counter
+        lanes make it draw-compatible with every cached world.
+        """
+        graph = self._graph
+        self._world_state.extend(
+            graph.num_nodes,
+            graph.num_edges,
+            heads=graph.edge_array[1],
+            in_degrees=np.diff(graph.in_csr().indptr),
+        )
+        self._sampler = self._make_sampler(self._sampling_candidates)
+
     def _affected_rows(
         self,
         nodes_idx: np.ndarray,
@@ -1228,9 +997,8 @@ class TopKMonitor:
         assert self._sampler is not None and self._world_ids is not None
         graph = self._graph
         rows = self._world_ids.size
-        stride = self._sampler.counter_stride
         key = self._sampler.stream_key
-        bases = self._world_ids.astype(_U64) * stride
+        node_bases, edge_bases = counter_lanes(self._world_ids)
         state = self._world_state
         affected = np.zeros(rows, dtype=bool)
         # edge_array copies all three m-length columns per access; pull
@@ -1240,8 +1008,8 @@ class TopKMonitor:
         else:
             edge_heads = edge_probs = None
 
-        def crossing_pairs(entities, lows, highs, offset, is_edge):
-            counters = entities.astype(_U64) + offset
+        def crossing_pairs(entities, lows, highs, bases, is_edge):
+            counters = entities.astype(_U64)
             if state is None:
                 # No touched state: test every (world, entity) pair,
                 # tiled so one numpy call hashes a whole chunk.
@@ -1269,103 +1037,93 @@ class TopKMonitor:
             affected[pair_rows[crossed]] = True
 
         if nodes_idx.size:
-            new_risks = self._graph.self_risk_array[nodes_idx]
+            new_risks = graph.self_risk_array[nodes_idx]
             lows = np.minimum(nodes_old, new_risks)
             highs = np.maximum(nodes_old, new_risks)
-            crossing_pairs(nodes_idx, lows, highs, _U64(0), is_edge=False)
+            crossing_pairs(nodes_idx, lows, highs, node_bases, is_edge=False)
         if edges_idx.size:
             new_probs = edge_probs[edges_idx]
             lows = np.minimum(edges_old, new_probs)
             highs = np.maximum(edges_old, new_probs)
-            crossing_pairs(
-                edges_idx,
-                lows,
-                highs,
-                self._sampler.edge_counter_offset,
-                is_edge=True,
-            )
+            crossing_pairs(edges_idx, lows, highs, edge_bases, is_edge=True)
         return np.flatnonzero(affected)
 
-    def _make_indexed_sampler(
-        self, candidates: np.ndarray
-    ) -> IndexedReverseSampler:
-        """The monitor's canonical indexed-sampler construction.
+    def _make_sampler(self, candidates: np.ndarray) -> IndexedReverseSampler:
+        """The monitor's canonical sampler: every rebuild threads the same
+        seed, so its worlds stay draw-compatible with the cached ones."""
+        return IndexedReverseSampler(self._graph, candidates, seed=self._seed)
 
-        Every rebuild must thread the same seed *and* counter layout —
-        a layout mismatch would re-key the per-world uniforms and
-        silently break the repair-set bit-identity guarantee.
-        """
-        return IndexedReverseSampler(
-            self._graph,
-            candidates,
-            seed=self._seed,
-            counter_layout=self._counter_layout,
-        )
-
-    def _repair_rows(self, rows: np.ndarray) -> None:
-        """Re-explore only the invalidated world rows and splice them in.
-
-        Running totals (candidate counts, work counters) are updated by
-        the repaired rows' delta — all integer arithmetic, so the state
-        is exactly what a full re-summation would produce, at
-        O(repaired) instead of O(samples) cost.
-        """
-        assert self._sampler is not None and self._world_outcomes is not None
+    def _store_worlds(self, rows: np.ndarray) -> None:
+        """Explore the cached worlds at *rows* and store their outcomes,
+        draw counts and touched state in place."""
         state = self._world_state
         collect = False if state is None else state.collect_mode
-        world_ids = self._world_ids[rows]
         for positions, block in self._sampler.iter_world_blocks(
-            world_ids, collect_touched=collect
+            self._world_ids[rows], collect_touched=collect
         ):
             target = rows[positions]
-            if self._counts is not None:  # BSRBK rescans instead
-                old_rows = self._world_outcomes[target]
-                self._counts += block.outcomes.sum(axis=0) - old_rows.sum(axis=0)
-            self._nodes_touched += int(
-                block.node_draws.sum() - self._world_node_draws[target].sum()
-            )
-            self._edges_touched += int(
-                block.edge_draws.sum() - self._world_edge_draws[target].sum()
-            )
             self._world_outcomes[target] = block.outcomes
             self._world_node_draws[target] = block.node_draws
             self._world_edge_draws[target] = block.edge_draws
             if state is not None:
                 state.store_block(target, block)
-        if self._algorithm == "bsr":
+
+    def _repair_rows(self, rows: np.ndarray) -> None:
+        """Re-explore only the invalidated world rows and splice them in.
+
+        Running totals (candidate counts, work counters) move by the
+        repaired rows' delta — all integer arithmetic, so the state is
+        exactly what a full re-summation would produce, at O(repaired)
+        instead of O(samples) cost.
+        """
+
+        def totals():
+            return (
+                self._world_outcomes[rows].sum(axis=0),
+                int(self._world_node_draws[rows].sum()),
+                int(self._world_edge_draws[rows].sum()),
+            )
+
+        old_counts, old_nodes, old_edges = totals()
+        self._store_worlds(rows)
+        new_counts, new_nodes, new_edges = totals()
+        self._nodes_touched += new_nodes - old_nodes
+        self._edges_touched += new_edges - old_edges
+        if self._counts is not None:  # BSRBK rescans instead
+            self._counts += new_counts - old_counts
             self._probs = self._counts / float(self._samples)
+
+    def _within_budget(self, samples: int) -> bool:
+        """Whether touched state for *samples* worlds fits the budget."""
+        graph = self._graph
+        needed = PackedWorldState.bytes_needed(
+            samples, graph.num_nodes, graph.num_edges
+        )
+        return needed <= WORLD_STATE_BUDGET
 
     def _can_column(
         self, reduction: CandidateReduction, samples: int
     ) -> bool:
         """Whether a candidate/budget change is absorbable incrementally.
 
-        Requires the indexed BSR pipeline with touched state (the
-        popcount bookkeeping is what keeps the union draw counters
-        exact), candidates that only *grew* (a removed candidate shrinks
-        every world's closure in ways only a re-exploration can
-        reproduce), and the resized state still within budget.  BSRBK's
-        budget defines the hash order itself, so any change there
-        resamples.
+        Requires the BSR pipeline with touched state (the popcount
+        bookkeeping is what keeps the union draw counters exact),
+        candidates that only *grew* (a removed candidate shrinks every
+        world's closure in ways only a re-exploration can reproduce),
+        and the resized state still within budget.  BSRBK's budget
+        defines the hash order itself, so any change there resamples.
         """
         if (
             self._algorithm != "bsr"
             or self._world_state is None
             or self._sampling_candidates is None
-            or self._sampler is None
         ):
             return False
         if not np.isin(
             self._sampling_candidates, reduction.candidates
         ).all():
             return False
-        graph = self._graph
-        return (
-            self._state_cls.bytes_needed(
-                samples, graph.num_nodes, graph.num_edges
-            )
-            <= self._world_state_budget
-        )
+        return self._within_budget(samples)
 
     def _column_repair(
         self, reduction: CandidateReduction, samples: int
@@ -1384,7 +1142,6 @@ class TopKMonitor:
         """
         assert self._world_state is not None
         state = self._world_state
-        graph = self._graph
         old_candidates = self._sampling_candidates
         new_candidates = reduction.candidates
         old_samples = self._samples
@@ -1403,17 +1160,17 @@ class TopKMonitor:
         old_positions = np.searchsorted(new_candidates, old_candidates)
         outcomes[:keep, old_positions] = self._world_outcomes[:keep]
         if samples > old_samples:
-            grow_nodes = np.zeros(samples, dtype=np.int64)
-            grow_edges = np.zeros(samples, dtype=np.int64)
-            grow_nodes[:keep] = self._world_node_draws
-            grow_edges[:keep] = self._world_edge_draws
-            self._world_node_draws = grow_nodes
-            self._world_edge_draws = grow_edges
+            self._world_node_draws = _grow_rows(
+                self._world_node_draws, samples
+            )
+            self._world_edge_draws = _grow_rows(
+                self._world_edge_draws, samples
+            )
             state.resize(samples)
         self._world_outcomes = outcomes
         if added.size:
             added_positions = np.searchsorted(new_candidates, added)
-            added_sampler = self._make_indexed_sampler(added)
+            added_sampler = self._make_sampler(added)
             for positions, block in added_sampler.iter_world_blocks(
                 np.arange(keep, dtype=np.int64),
                 collect_touched=state.collect_mode,
@@ -1423,25 +1180,16 @@ class TopKMonitor:
                 self._world_node_draws[positions] += node_delta
                 self._world_edge_draws[positions] += edge_delta
         # 3. The monitor's sampler now serves the new candidate set.
-        sampler = self._make_indexed_sampler(new_candidates)
-        self._sampler = sampler
+        self._sampler = self._make_sampler(new_candidates)
+        self._world_ids = np.arange(samples, dtype=np.int64)
         appended = samples - keep
         if appended > 0:
-            for positions, block in sampler.iter_world_blocks(
-                np.arange(keep, samples, dtype=np.int64),
-                collect_touched=state.collect_mode,
-            ):
-                target = positions + keep
-                outcomes[target] = block.outcomes
-                self._world_node_draws[target] = block.node_draws
-                self._world_edge_draws[target] = block.edge_draws
-                state.store_block(target, block)
+            self._store_worlds(np.arange(keep, samples, dtype=np.int64))
         self._counts = outcomes.sum(axis=0)
         self._probs = self._counts / float(samples)
         self._nodes_touched = int(self._world_node_draws.sum())
         self._edges_touched = int(self._world_edge_draws.sum())
         self._samples = int(samples)
-        self._world_ids = np.arange(samples, dtype=np.int64)
         self._sampling_candidates = new_candidates.copy()
         return appended
 
@@ -1450,104 +1198,60 @@ class TopKMonitor:
     # ------------------------------------------------------------------
     def _tracked_state(
         self, samples: int, rows: int | None = None
-    ) -> DenseWorldState | PackedWorldState | None:
+    ) -> PackedWorldState | None:
         """Fresh touched-entity state, or ``None`` when over budget.
 
         The budget is judged against *samples* worlds (the most the run
         can ever hold); *rows* lets BSRBK start with an empty state that
         grows with the evaluated prefix.
         """
-        graph = self._graph
-        n, m = graph.num_nodes, graph.num_edges
-        if self._state_cls.bytes_needed(samples, n, m) > self._world_state_budget:
+        if not self._within_budget(samples):
             return None
-        rows = samples if rows is None else rows
-        if self._state_cls is DenseWorldState:
-            return DenseWorldState(rows, n, m)
-        in_csr = graph.in_csr()
+        graph = self._graph
         return PackedWorldState(
-            rows,
-            n,
-            m,
+            samples if rows is None else rows,
+            graph.num_nodes,
+            graph.num_edges,
             heads=graph.edge_array[1],
-            in_degrees=np.diff(in_csr.indptr),
+            in_degrees=np.diff(graph.in_csr().indptr),
         )
 
     def _resample(self, reduction: CandidateReduction, samples: int) -> None:
         """Estimate the whole candidate set afresh (as fresh detection)."""
-        graph = self._graph
-        if self._engine_name == "indexed":
-            sampler = self._make_indexed_sampler(reduction.candidates)
-            self._sampler = sampler
-            if self._algorithm == "bsrbk":
-                self._bk_resample(reduction, samples)
-            else:
-                state = self._tracked_state(samples)
-                collect = False if state is None else state.collect_mode
-                outcomes = np.zeros(
-                    (samples, reduction.candidates.size), dtype=bool
-                )
-                node_draws = np.zeros(samples, dtype=np.int64)
-                edge_draws = np.zeros(samples, dtype=np.int64)
-                for rows, block in sampler.iter_world_blocks(
-                    np.arange(samples, dtype=np.int64),
-                    collect_touched=collect,
-                ):
-                    outcomes[rows] = block.outcomes
-                    node_draws[rows] = block.node_draws
-                    edge_draws[rows] = block.edge_draws
-                    if state is not None:
-                        state.store_block(rows, block)
-                self._world_outcomes = outcomes
-                self._world_node_draws = node_draws
-                self._world_edge_draws = edge_draws
-                self._world_state = state
-                self._world_ids = np.arange(samples, dtype=np.int64)
-                self._counts = outcomes.sum(axis=0)
-                self._probs = self._counts / float(samples)
-                self._nodes_touched = int(node_draws.sum())
-                self._edges_touched = int(edge_draws.sum())
-                self._bk_order = self._bk_hashes = None
-                self._processed = 0
-            self._closure = None
-        else:
-            sampler = self._engine(graph, reduction.candidates, seed=self._seed)
-            estimate = sampler.run(samples)
-            self._probs = estimate.probabilities
-            self._nodes_touched = sampler.nodes_touched
-            self._edges_touched = sampler.edges_touched
-            self._sampler = None
-            self._counts = None
-            self._world_outcomes = None
-            self._world_node_draws = self._world_edge_draws = None
-            self._world_state = None
-            self._world_ids = None
-            self._closure = ancestor_closure(graph, reduction.candidates)
+        self._sampler = self._make_sampler(reduction.candidates)
         self._samples = int(samples)
         self._sampling_candidates = reduction.candidates.copy()
         self._stop_after = int(reduction.k_remaining)
-
-    # ------------------------------------------------------------------
-    # BSRBK (bottom-k early stop over hash-ordered indexed worlds)
-    # ------------------------------------------------------------------
-    def _bk_resample(self, reduction: CandidateReduction, samples: int) -> None:
-        """Fresh BSRBK evaluation: hash-order worlds, evaluate until the
-        stopping rule fires, keep everything evaluated for later repair."""
-        sampler = self._sampler
-        hashes = sampler.world_hashes(np.arange(samples, dtype=np.int64))
-        order = np.argsort(hashes, kind="stable")
-        self._bk_order = order
-        self._bk_hashes = hashes[order]
-        self._world_outcomes = np.zeros(
-            (0, reduction.candidates.size), dtype=bool
-        )
-        self._world_node_draws = np.zeros(0, dtype=np.int64)
-        self._world_edge_draws = np.zeros(0, dtype=np.int64)
-        self._world_state = self._tracked_state(samples, rows=0)
-        self._world_ids = order[:0]
-        self._samples = int(samples)
-        self._stop_after = int(reduction.k_remaining)
-        self._bk_extend_and_scan()
+        width = reduction.candidates.size
+        if self._algorithm == "bsrbk":
+            # Hash-order the budgeted worlds and evaluate until the
+            # stopping rule fires; everything evaluated stays cached for
+            # later repair.
+            hashes = self._sampler.world_hashes(
+                np.arange(samples, dtype=np.int64)
+            )
+            order = np.argsort(hashes, kind="stable")
+            self._bk_order = order
+            self._bk_hashes = hashes[order]
+            self._world_ids = order[:0]
+            self._world_outcomes = np.zeros((0, width), dtype=bool)
+            self._world_node_draws = np.zeros(0, dtype=np.int64)
+            self._world_edge_draws = np.zeros(0, dtype=np.int64)
+            self._world_state = self._tracked_state(samples, rows=0)
+            self._bk_extend_and_scan()
+            return
+        self._world_ids = np.arange(samples, dtype=np.int64)
+        self._world_outcomes = np.zeros((samples, width), dtype=bool)
+        self._world_node_draws = np.zeros(samples, dtype=np.int64)
+        self._world_edge_draws = np.zeros(samples, dtype=np.int64)
+        self._world_state = self._tracked_state(samples)
+        self._store_worlds(self._world_ids)
+        self._counts = self._world_outcomes.sum(axis=0)
+        self._probs = self._counts / float(samples)
+        self._nodes_touched = int(self._world_node_draws.sum())
+        self._edges_touched = int(self._world_edge_draws.sum())
+        self._bk_order = self._bk_hashes = None
+        self._processed = 0
 
     def _bk_extend_and_scan(self) -> int:
         """Evaluate hash-ordered worlds until the bottom-k rule stops.
@@ -1564,8 +1268,6 @@ class TopKMonitor:
         initial = evaluated = self._world_ids.size
         chunk = max(64, self._sampler.world_batch, evaluated)
         scan = None
-        state = self._world_state
-        collect = False if state is None else state.collect_mode
         while True:
             if evaluated:
                 scan = bottom_k_scan(
@@ -1577,34 +1279,16 @@ class TopKMonitor:
                 )
                 if scan.stopped_early or evaluated >= budget:
                     break
-            take = min(chunk, budget - evaluated)
+            grown = evaluated + min(chunk, budget - evaluated)
             chunk *= 2
-            world_ids = self._bk_order[evaluated : evaluated + take]
-            grown = evaluated + take
-            outcomes = np.zeros(
-                (grown, self._world_outcomes.shape[1]), dtype=bool
-            )
-            outcomes[:evaluated] = self._world_outcomes
-            node_draws = np.zeros(grown, dtype=np.int64)
-            edge_draws = np.zeros(grown, dtype=np.int64)
-            node_draws[:evaluated] = self._world_node_draws
-            edge_draws[:evaluated] = self._world_edge_draws
-            if state is not None:
-                state.resize(grown)
-            for positions, block in self._sampler.iter_world_blocks(
-                world_ids, collect_touched=collect
-            ):
-                target = positions + evaluated
-                outcomes[target] = block.outcomes
-                node_draws[target] = block.node_draws
-                edge_draws[target] = block.edge_draws
-                if state is not None:
-                    state.store_block(target, block)
-            self._world_outcomes = outcomes
-            self._world_node_draws = node_draws
-            self._world_edge_draws = edge_draws
+            self._world_outcomes = _grow_rows(self._world_outcomes, grown)
+            self._world_node_draws = _grow_rows(self._world_node_draws, grown)
+            self._world_edge_draws = _grow_rows(self._world_edge_draws, grown)
+            if self._world_state is not None:
+                self._world_state.resize(grown)
+            self._world_ids = self._bk_order[:grown]
+            self._store_worlds(np.arange(evaluated, grown, dtype=np.int64))
             evaluated = grown
-            self._world_ids = self._bk_order[:evaluated]
         self._processed = scan.processed
         self._stopped_early = scan.stopped_early
         self._probs = np.clip(scan.estimates, 0.0, 1.0)
@@ -1616,11 +1300,6 @@ class TopKMonitor:
             self._world_edge_draws[: scan.processed].sum()
         )
         return evaluated - initial
-
-    def _bk_rescan(self) -> int:
-        """Re-run the stopping scan after repairs (extending on demand);
-        returns the number of newly evaluated worlds."""
-        return self._bk_extend_and_scan()
 
     def _clear_sampling_state(self) -> None:
         self._samples = 0
@@ -1637,7 +1316,6 @@ class TopKMonitor:
         self._bk_order = self._bk_hashes = None
         self._processed = 0
         self._stopped_early = False
-        self._closure = None
 
     def _assemble(self, started: float) -> None:
         """Build the DetectionResult exactly as the fresh detector does."""
@@ -1660,7 +1338,6 @@ class TopKMonitor:
                 **reduction.summary(),
                 "nodes_touched": self._nodes_touched,
                 "edges_touched": self._edges_touched,
-                "streaming_engine": self._engine_name,
             }
             method = "BSRBK"
         else:
@@ -1673,7 +1350,6 @@ class TopKMonitor:
                 **reduction.summary(),
                 "nodes_touched": self._nodes_touched,
                 "edges_touched": self._edges_touched,
-                "streaming_engine": self._engine_name,
             }
             method = "BSR"
         self._result = DetectionResult(

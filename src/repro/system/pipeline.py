@@ -121,8 +121,7 @@ class RiskControlCenter:
         monitor = self.vulnds.enable_streaming(self.watch_k, **monitor_kwargs)
         self._audit(
             "streaming-enabled",
-            f"incremental top-{monitor.k} monitor attached "
-            f"(engine={monitor.engine_name})",
+            f"incremental top-{monitor.k} monitor attached",
         )
         return monitor
 
@@ -138,7 +137,7 @@ class RiskControlCenter:
         :class:`~repro.serving.service.RiskService`, sharing its base
         graph buffers and worker pool.  The tenant's monitor is sized to
         this centre's watch list; keyword arguments configure it (seed,
-        engine, epsilon, …).  After attaching,
+        epsilon, algorithm, …).  After attaching,
         :meth:`apply_market_update` routes events through the service's
         ingestion queue instead of an in-process monitor — the tenant's
         copy-on-write view becomes the authoritative live state, while

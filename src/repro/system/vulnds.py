@@ -129,11 +129,11 @@ class VulnDS:
         monitor, and :meth:`assess_portfolio` calls with this exact *k*
         are answered incrementally (other sizes still run the configured
         detector).  Keyword arguments are forwarded to the monitor
-        (seed, engine, epsilon, …).
+        (seed, epsilon, algorithm, …).
 
         Note the algorithm switch this implies: the monitor maintains
         the *BSR* pipeline with its own parameters/seed (defaults:
-        epsilon 0.3, delta 0.1, seed 0, indexed engine), not whatever
+        epsilon 0.3, delta 0.1, seed 0), not whatever
         detector this service was constructed with — its bit-identity
         guarantee is against a fresh BSR detector built from the same
         monitor parameters.  Pass explicit keyword arguments here if

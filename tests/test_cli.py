@@ -136,13 +136,22 @@ class TestStreamSubcommand:
         assert code == 0
         assert "streaming top-" in capsys.readouterr().out
 
-    def test_engine_choice(self, graph_json, capsys):
+    def test_growth_replay_verifies(self, graph_json, capsys):
         code = main(
-            ["stream", "--graph", graph_json, "--k", "1",
-             "--events", "2", "--engine", "batched", "--verify"]
+            ["stream", "--graph", graph_json, "--k", "2",
+             "--events", "3", "--grow", "5", "--seed", "2", "--verify"]
         )
         assert code == 0
-        assert "bit-identical" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "8/8 steps bit-identical to fresh BSR" in out
+
+    @pytest.mark.parametrize("command", ["stream", "serve", "crawl"])
+    def test_engine_options_are_retired(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage = capsys.readouterr().out
+        for flag in ("--engine", "--world-state", "--counter-layout"):
+            assert flag not in usage
 
     def test_requires_source_and_size(self):
         with pytest.raises(SystemExit):
@@ -208,3 +217,14 @@ class TestServeSubcommand:
                      "--mode", "serial"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestCrawlSubcommand:
+    def test_crawl_verifies_every_step(self, capsys):
+        code = main(
+            ["crawl", "--dataset", "citation", "--scale", "0.05",
+             "--budget", "10", "--seeds", "3", "--k", "3", "--verify"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "verify: 11/11 steps bit-identical" in out

@@ -6,6 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algorithms.bsr import BoundedSampleReverseDetector
+from repro.algorithms.bsrbk import BottomKDetector
 from repro.core.errors import GraphError
 from repro.core.graph import UncertainGraph
 from repro.crawling import (
@@ -271,15 +273,7 @@ class TestCrawlWhileMonitoring:
             hidden, seeds, strategy=name, budget=15, seed=37
         )
 
-        def fresh_monitor(graph):
-            return TopKMonitor(
-                graph,
-                k,
-                seed=5,
-                engine="indexed",
-                counter_layout="stable",
-            )
-
+        detector = BoundedSampleReverseDetector(seed=5)
         live = UncertainGraph()
         replay = UncertainGraph()
         monitor = None
@@ -290,11 +284,11 @@ class TestCrawlWhileMonitoring:
                 apply_events(live, batch.events)
                 if live.num_nodes < k:
                     continue
-                monitor = fresh_monitor(live)
+                monitor = TopKMonitor(live, k, seed=5)
             else:
                 monitor.apply(batch.events)
             result = monitor.top_k()
-            fresh = fresh_monitor(replay).top_k()
+            fresh = detector.detect(replay, k)
             assert result.same_answer(fresh), (
                 f"{name}: diverged after step {batch.step}"
             )
@@ -312,17 +306,7 @@ class TestCrawlWhileMonitoring:
             hidden, seeds, strategy="degree", budget=10, seed=3
         )
 
-        def fresh_monitor(graph):
-            return TopKMonitor(
-                graph,
-                k,
-                seed=9,
-                algorithm="bsrbk",
-                bk=8,
-                engine="indexed",
-                counter_layout="stable",
-            )
-
+        detector = BottomKDetector(bk=8, seed=9)
         live = UncertainGraph()
         replay = UncertainGraph()
         monitor = None
@@ -332,7 +316,7 @@ class TestCrawlWhileMonitoring:
                 apply_events(live, batch.events)
                 if live.num_nodes < k:
                     continue
-                monitor = fresh_monitor(live)
+                monitor = TopKMonitor(live, k, seed=9, algorithm="bsrbk", bk=8)
             else:
                 monitor.apply(batch.events)
-            assert monitor.top_k().same_answer(fresh_monitor(replay).top_k())
+            assert monitor.top_k().same_answer(detector.detect(replay, k))

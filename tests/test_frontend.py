@@ -556,7 +556,7 @@ class TestEndToEnd:
     def service(self, frontend_graph):
         service = RiskService(frontend_graph, mode="serial")
         for tenant in TOKENS:
-            service.register_tenant(tenant, 4, seed=0, engine="indexed")
+            service.register_tenant(tenant, 4, seed=0)
         yield service
         service.close()
 

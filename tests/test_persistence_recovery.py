@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.algorithms.bsr import BoundedSampleReverseDetector
 from repro.core.errors import ProbabilityError
 from repro.core.graph import UncertainGraph
 from repro.persistence.codec import PersistenceError
@@ -386,3 +389,32 @@ class TestSnapshotRotationRace:
             for thread in threads:
                 thread.join()
         assert not failures, failures
+
+
+class TestLegacyMonitorBlob:
+    """Snapshot blobs from before the engine options were retired.
+
+    ``data/monitor_packed_layout.pkl`` is a ``TopKMonitor`` pickled the
+    way snapshots pickle monitors, by the code that still offered
+    engine, world-state and counter-layout options: k=4, seed=3, on a
+    30-node power-law graph after four drift updates and one ``topk``
+    query, so it holds packed-layout worlds, a sampler with the retired
+    ``_layout`` slot and a realised query view.
+    """
+
+    BLOB = Path(__file__).parent / "data" / "monitor_packed_layout.pkl"
+
+    def test_loads_and_recomputes_from_its_graph(self):
+        monitor = pickle.loads(self.BLOB.read_bytes())
+        fresh = BoundedSampleReverseDetector(seed=3).detect(
+            monitor.graph.copy(), monitor.k
+        )
+        result = monitor.top_k()
+        assert monitor.last_report.mode in ("initial", "full")
+        assert result.same_answer(fresh)
+        # The query layer realises the recomputed worlds, not the blob's.
+        view = monitor.world_view()
+        assert np.array_equal(
+            view.defaulted()[:, monitor._sampling_candidates],
+            monitor._world_outcomes,
+        )

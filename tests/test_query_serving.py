@@ -42,7 +42,7 @@ def serving_graph():
 
 def make_service(graph, **kwargs):
     kwargs.setdefault("mode", "serial")
-    kwargs.setdefault("monitor_defaults", {"seed": 0, "engine": "indexed"})
+    kwargs.setdefault("monitor_defaults", {"seed": 0})
     return RiskService(graph, **kwargs)
 
 
@@ -69,9 +69,9 @@ class TestServiceQueryFamily:
         with make_service(serving_graph) as service:
             service.register_tenant("a", 4)
             served = service.query_family("a", "kcore", params={"k": 2})
-            direct = TopKMonitor(
-                serving_graph.copy(), 4, seed=0, engine="indexed"
-            ).query("kcore", k=2)
+            direct = TopKMonitor(serving_graph.copy(), 4, seed=0).query(
+                "kcore", k=2
+            )
             assert served.same_answer(direct)
 
     def test_cache_shared_across_token_equal_tenants(self, serving_graph):
@@ -110,7 +110,7 @@ class TestServiceQueryFamily:
             # the patched graph (same seed => bit-identical).
             shadow = serving_graph.copy()
             shadow.set_self_risk(label, 0.97)
-            fresh = TopKMonitor(shadow, 4, seed=0, engine="indexed")
+            fresh = TopKMonitor(shadow, 4, seed=0)
             assert after.same_answer(fresh.query("kcore", k=2))
 
     def test_unknown_family_raises(self, serving_graph):
@@ -257,9 +257,9 @@ class TestFrontendFamilies:
             assert len(body["result"]["nodes"]) == 5
             # Wire answer equals the direct engine answer on the same
             # monitor worlds (seed-pinned => deterministic).
-            direct = TopKMonitor(
-                serving_graph.copy(), 4, seed=0, engine="indexed"
-            ).query("kcore", k=2, top=5)
+            direct = TopKMonitor(serving_graph.copy(), 4, seed=0).query(
+                "kcore", k=2, top=5
+            )
             assert body["result"]["nodes"] == direct.nodes.tolist()
             assert body["result"]["values"] == pytest.approx(
                 direct.values.tolist()

@@ -9,7 +9,7 @@ from repro.core.errors import SamplingError
 from repro.core.exact import exact_default_probabilities
 from repro.core.graph import UncertainGraph
 from repro.sampling.forward import ForwardSampler
-from repro.sampling.reverse import ReverseSampler, ReverseWorld
+from repro.sampling.reverse import ReverseSampler, ReverseWorld, WorldArena
 from repro.sampling.rng import make_rng
 
 
@@ -144,3 +144,64 @@ class TestReverseSampler:
         )
         sampler.run(10)
         assert sampler.nodes_touched > 0
+
+
+class TestWorldArena:
+    def test_new_world_bumps_epoch(self, paper_graph):
+        arena = WorldArena(paper_graph, 0)
+        assert arena.epoch == 0
+        arena.new_world()
+        assert arena.epoch == 1
+        arena.new_world()
+        assert arena.epoch == 2
+
+    def test_worlds_share_no_state_across_epochs(self):
+        """The hv/checked memos must reset (by stamp) between worlds."""
+        graph = UncertainGraph()
+        graph.add_node("root", 0.5)
+        graph.add_node("leaf", 0.0)
+        graph.add_edge("root", "leaf", 1.0)
+        arena = WorldArena(graph, 0)
+        n, m = graph.num_nodes, graph.num_edges
+        defaulting = arena.new_world(
+            node_uniforms=np.zeros(n), edge_uniforms=np.zeros(m)
+        )
+        assert defaulting.candidate_defaults(graph.index("leaf"))
+        surviving = arena.new_world(
+            node_uniforms=np.ones(n), edge_uniforms=np.zeros(m)
+        )
+        assert not surviving.candidate_defaults(graph.index("leaf"))
+
+    def test_buffers_not_reallocated_between_worlds(self, paper_graph):
+        arena = WorldArena(paper_graph, 0)
+        stamp_buffer = arena._node_stamp
+        for _ in range(5):
+            world = arena.new_world()
+            world.candidate_defaults(0)
+        assert arena._node_stamp is stamp_buffer
+
+    def test_stale_world_raises_instead_of_corrupting(self, paper_graph):
+        """A retired world must not silently overwrite the live world's
+        memo stamps."""
+        arena = WorldArena(paper_graph, 0)
+        stale = arena.new_world()
+        stale.candidate_defaults(0)
+        live = arena.new_world()
+        with pytest.raises(SamplingError, match="retired"):
+            stale.candidate_defaults(1)
+        live.candidate_defaults(0)  # the live world keeps working
+
+    def test_self_risk_mutations_observed_between_worlds(self):
+        graph = UncertainGraph()
+        graph.add_node("a", 0.0)
+        arena = WorldArena(graph, 0)
+        assert not arena.new_world().candidate_defaults(0)
+        graph.set_self_risk("a", 1.0)
+        assert arena.new_world().candidate_defaults(0)
+
+    def test_reverse_world_requires_graph_xor_arena(self, paper_graph):
+        arena = WorldArena(paper_graph, 0)
+        with pytest.raises(SamplingError):
+            ReverseWorld(paper_graph, 0, arena=arena)
+        with pytest.raises(SamplingError):
+            ReverseWorld()

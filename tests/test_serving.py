@@ -231,7 +231,7 @@ def _reference_answers(graph, streams, k, seed):
     """Single-threaded reference: one monitor per tenant, serial."""
     answers = {}
     for tenant_id, events in streams.items():
-        monitor = TopKMonitor(graph.copy(), k, seed=seed, engine="indexed")
+        monitor = TopKMonitor(graph.copy(), k, seed=seed)
         monitor.top_k()
         for batch in events:
             monitor.apply(batch)
@@ -262,7 +262,7 @@ class TestServingPool:
             base_graph.copy() if mode != "fork" else base_graph.copy(),
             mode=mode,
             shards=3,
-            monitor_defaults={"seed": seed, "engine": "indexed"},
+            monitor_defaults={"seed": seed},
         ) as pool:
             for tid in streams:
                 pool.register(tid, k)
@@ -294,7 +294,7 @@ class TestServingPool:
     def test_per_tenant_fifo_and_errors(self, base_graph):
         with ServingPool(
             base_graph.copy(), mode="serial",
-            monitor_defaults={"seed": 0, "engine": "indexed"},
+            monitor_defaults={"seed": 0},
         ) as pool:
             pool.register("a", 3)
             with pytest.raises(ReproError):
@@ -325,7 +325,7 @@ class TestRiskService:
         with RiskService(
             base_graph.copy(),
             mode="serial",
-            monitor_defaults={"seed": 0, "engine": "indexed"},
+            monitor_defaults={"seed": 0},
         ) as service:
             service.register_tenant("p", 5)
             for event in events:
@@ -354,7 +354,7 @@ class TestRiskService:
         with RiskService(
             base_graph.copy(),
             mode="serial",
-            monitor_defaults={"seed": 0, "engine": "indexed"},
+            monitor_defaults={"seed": 0},
         ) as service:
             service.register_tenant("a", 3)
             service.register_tenant("b", 3)
@@ -375,7 +375,7 @@ class TestRiskService:
             with RiskService(
                 base_graph.copy(),
                 mode="serial",
-                monitor_defaults={"seed": 0, "engine": "indexed"},
+                monitor_defaults={"seed": 0},
             ) as service:
                 service.register_tenant("p", 4)
                 stop = asyncio.Event()
@@ -409,7 +409,7 @@ class TestPipelineIntegration:
         with RiskService(
             graph,
             mode="serial",
-            monitor_defaults={"seed": 0, "engine": "indexed"},
+            monitor_defaults={"seed": 0},
         ) as service:
             center = RiskControlCenter(
                 rule_engine=RuleEngine([BlacklistRule([])]),
@@ -466,7 +466,7 @@ class TestReviewHardening:
         with RiskService(
             base_graph.copy(),
             mode="serial",
-            monitor_defaults={"seed": 0, "engine": "indexed"},
+            monitor_defaults={"seed": 0},
         ) as service:
             service.register_tenant("a", 3)
             service.register_tenant("b", 3)
@@ -496,7 +496,7 @@ class TestReviewHardening:
     def test_pool_has_tenant(self, base_graph):
         with ServingPool(base_graph.copy(), mode="serial") as pool:
             assert not pool.has_tenant("t")
-            pool.register("t", 2, seed=0, engine="indexed")
+            pool.register("t", 2, seed=0)
             assert pool.has_tenant("t")
 
     def test_threaded_submit_racing_pump_loses_nothing(self, base_graph):
@@ -544,7 +544,7 @@ class TestCrossTenantResultCache:
     def make_service(self, base_graph, tenants):
         service = RiskService(base_graph, mode="serial")
         for tenant_id in tenants:
-            service.register_tenant(tenant_id, 4, seed=0, engine="indexed")
+            service.register_tenant(tenant_id, 4, seed=0)
         return service
 
     def test_cohort_hit_is_bit_identical(self, base_graph):
@@ -592,8 +592,8 @@ class TestCrossTenantResultCache:
     def test_different_params_never_share(self, base_graph):
         service = RiskService(base_graph, mode="serial")
         try:
-            service.register_tenant("s0", 4, seed=0, engine="indexed")
-            service.register_tenant("s1", 4, seed=1, engine="indexed")
+            service.register_tenant("s0", 4, seed=0)
+            service.register_tenant("s1", 4, seed=1)
             service.query_topk("s0")
             service.query_topk("s1")
             assert service.cache_stats == {"hits": 0, "misses": 2}

@@ -6,28 +6,34 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dense_worldstate import DenseWorldState
+
+import repro.streaming.monitor as monitor_module
 from repro.algorithms.bsr import BoundedSampleReverseDetector
 from repro.algorithms.bsrbk import BottomKDetector
 from repro.bounds.incremental import IncrementalBoundPair, eq1_values_at
 from repro.bounds.iterative import bound_pair
 from repro.core.eq1 import apply_eq1
 from repro.core.errors import GraphError, SamplingError
+from repro.core.exact import exact_default_probabilities
 from repro.core.graph import UncertainGraph
 from repro.datasets.powerlaw import directed_powerlaw_edges
+from repro.datasets.registry import load_dataset
 from repro.datasets.temporal import build_guarantee_panel
 from repro.sampling.indexed import (
     IndexedReverseSampler,
     derive_stream_key,
     hashed_uniforms,
 )
-from repro.sampling.reverse import WorldArena, reverse_engine
+from repro.sampling.reverse import ReverseSampler, WorldArena, reverse_engine
 from repro.streaming.events import (
     BulkEdgeProbabilityUpdate,
     BulkSelfRiskUpdate,
     EdgeProbabilityUpdate,
     SelfRiskUpdate,
+    apply_event,
 )
-from repro.streaming.monitor import TopKMonitor, ancestor_closure
+from repro.streaming.monitor import TopKMonitor
 from repro.streaming.replay import panel_update_stream, random_patch_stream
 
 
@@ -68,27 +74,72 @@ class TestHashedUniforms:
 class TestIndexedReverseSampler:
     def test_registered_as_engine(self):
         assert reverse_engine("indexed") is IndexedReverseSampler
-        with pytest.raises(SamplingError):
-            reverse_engine("nope")
+        assert reverse_engine("reference") is ReverseSampler
+        for retired in ("nope", "batched"):
+            with pytest.raises(SamplingError):
+                reverse_engine(retired)
 
     def test_matches_reference_world_per_world(self):
         graph = powerlaw_graph(80, seed=4)
-        candidates = np.arange(0, 80, 3)
-        sampler = IndexedReverseSampler(graph, candidates, seed=11)
-        arena = WorldArena(graph)
-        for world in range(25):
-            node_u = sampler.node_uniforms(world, np.arange(graph.num_nodes))
-            edge_u = sampler.edge_uniforms(world, np.arange(graph.num_edges))
-            reference = arena.new_world(
-                node_uniforms=node_u, edge_uniforms=edge_u
-            )
-            expected = np.fromiter(
-                (reference.candidate_defaults(int(v)) for v in candidates),
-                dtype=bool,
-                count=candidates.size,
-            )
-            got = sampler.outcomes_for_worlds([world]).outcomes[0]
-            assert np.array_equal(got, expected)
+        # A spread of candidates, then duplicate and subset slots.
+        for candidates in (np.arange(0, 80, 3), np.array([3, 0, 3, 5])):
+            sampler = IndexedReverseSampler(graph, candidates, seed=11)
+            arena = WorldArena(graph)
+            for world in range(25):
+                node_u = sampler.node_uniforms(
+                    world, np.arange(graph.num_nodes)
+                )
+                edge_u = sampler.edge_uniforms(
+                    world, np.arange(graph.num_edges)
+                )
+                reference = arena.new_world(
+                    node_uniforms=node_u, edge_uniforms=edge_u
+                )
+                expected = np.fromiter(
+                    (reference.candidate_defaults(int(v)) for v in candidates),
+                    dtype=bool,
+                    count=candidates.size,
+                )
+                got = sampler.outcomes_for_worlds([world]).outcomes[0]
+                assert np.array_equal(got, expected)
+        assert got[0] == got[2]  # duplicate candidate slots agree
+
+    @pytest.mark.parametrize("fixture", ["paper_graph", "small_random_graph"])
+    def test_matches_exact_probabilities(self, fixture, request):
+        graph = request.getfixturevalue(fixture)
+        exact = exact_default_probabilities(graph)
+        t = 6000
+        estimate = IndexedReverseSampler(
+            graph, np.arange(graph.num_nodes), seed=3
+        ).estimate_probabilities(t)
+        sigma = np.sqrt(exact * (1 - exact) / t)
+        assert np.all(np.abs(estimate - exact) < 4 * sigma + 1e-9)
+
+    def test_counters_attributed_per_consumed_world(self):
+        """Early-stopping consumers must not be charged for unconsumed
+        worlds of a block, whatever the world_batch size."""
+        graph = UncertainGraph()
+        graph.add_node("a", 0.5)
+        graph.add_node("b", 0.2)
+        graph.add_node("c", 0.1)
+        for consumed in (1, 3, 5):
+            for world_batch in (1, 4, 32):
+                sampler = IndexedReverseSampler(
+                    graph, [0, 1, 2], seed=0, world_batch=world_batch
+                )
+                stream = sampler.iter_samples(100)
+                for _ in range(consumed):
+                    next(stream)
+                # Edgeless graph: every consumed world draws exactly one
+                # uniform per candidate, so the count is exact.
+                assert sampler.nodes_touched == consumed * 3
+                assert sampler.edges_touched == 0
+        # The same unit as the reference sampler's counters.
+        reference = ReverseSampler(graph, [0, 1, 2], seed=0)
+        reference.run(40)
+        indexed = IndexedReverseSampler(graph, [0, 1, 2], seed=0)
+        indexed.run(40)
+        assert indexed.nodes_touched == reference.nodes_touched == 40 * 3
 
     def test_outcomes_independent_of_world_batch(self):
         graph = powerlaw_graph(120, seed=5)
@@ -167,6 +218,13 @@ class TestIndexedReverseSampler:
             sampler.outcomes_for_worlds([-1])
         with pytest.raises(SamplingError):
             IndexedReverseSampler(graph, np.empty(0, dtype=np.int64))
+        for bad in ([30], [-1]):
+            with pytest.raises(SamplingError):
+                IndexedReverseSampler(graph, bad)
+        with pytest.raises(SamplingError):
+            IndexedReverseSampler(graph, [0], world_batch=0)
+        with pytest.raises(SamplingError):
+            list(sampler.iter_samples(-1))
 
     def test_usable_by_bsr_detector(self):
         graph = powerlaw_graph(150, seed=11)
@@ -178,6 +236,25 @@ class TestIndexedReverseSampler:
             graph, 5
         )
         assert result.nodes == again.nodes and result.scores == again.scores
+
+
+    @pytest.mark.parametrize(
+        "dataset,percent", [("guarantee", 2.0), ("p2p", 2.0)]
+    )
+    def test_engines_share_the_deterministic_stages(self, dataset, percent):
+        """Bounds, Algorithm 4 and Theorem 5 do not depend on the engine:
+        only the sampled estimates and work counts may differ."""
+        loaded = load_dataset(dataset, scale=0.02, seed=7)
+        k = loaded.k_for_percent(percent)
+        indexed, reference = (
+            BoundedSampleReverseDetector(seed=7, engine=engine).detect(
+                loaded.graph, k
+            )
+            for engine in ("indexed", "reference")
+        )
+        assert indexed.samples_used == reference.samples_used > 0
+        assert indexed.candidate_size == reference.candidate_size
+        assert indexed.k_verified == reference.k_verified
 
 
 class TestEq1ValuesAt:
@@ -290,20 +367,16 @@ def assert_equivalent(result, fresh):
 
 
 class TestTopKMonitorOracle:
-    @pytest.mark.parametrize("engine", ["indexed", "batched"])
-    def test_random_patches_match_fresh_detection(self, engine):
+    def test_random_patches_match_fresh_detection(self):
         graph = powerlaw_graph(200, seed=18)
-        monitor = TopKMonitor(graph, 6, seed=21, engine=engine)
-        detector_args = dict(seed=21, engine=engine)
+        monitor = TopKMonitor(graph, 6, seed=21)
         assert_equivalent(
             monitor.top_k(),
-            BoundedSampleReverseDetector(**detector_args).detect(graph, 6),
+            BoundedSampleReverseDetector(seed=21).detect(graph, 6),
         )
         for event in random_patch_stream(graph, 25, seed=1, drift=0.1):
             monitor.apply([event])
-            fresh = BoundedSampleReverseDetector(**detector_args).detect(
-                graph, 6
-            )
+            fresh = BoundedSampleReverseDetector(seed=21).detect(graph, 6)
             assert_equivalent(monitor.top_k(), fresh)
 
     def test_large_patches_match_fresh_detection(self):
@@ -456,28 +529,61 @@ class TestTopKMonitorBehaviour:
         with pytest.raises(GraphError):
             TopKMonitor(graph, 0)
         with pytest.raises(GraphError):
-            TopKMonitor(graph, 3, full_rebuild_fraction=0.0)
+            TopKMonitor(graph, 3, algorithm="nope")
         with pytest.raises(SamplingError):
-            TopKMonitor(graph, 3, engine="bogus")
+            TopKMonitor(graph, 3, algorithm="bsrbk", bk=1)
+        # One engine, one world state, one counter layout: no options.
+        for retired in (
+            "engine",
+            "world_state",
+            "world_state_budget",
+            "counter_layout",
+            "full_rebuild_fraction",
+        ):
+            with pytest.raises(TypeError):
+                TopKMonitor(graph, 3, **{retired: None})
 
-    def test_ancestor_closure(self):
-        graph = UncertainGraph(
-            [(name, 0.1) for name in "abcd"],
-            [("a", "b", 0.5), ("b", "c", 0.5)],
-        )
-        mask = ancestor_closure(graph, np.array([graph.index("c")]))
-        assert mask[graph.index("a")] and mask[graph.index("b")]
-        assert mask[graph.index("c")] and not mask[graph.index("d")]
-
-    def test_world_state_budget_zero_still_exact(self):
+    def test_world_state_budget_zero_still_exact(self, monkeypatch):
+        monkeypatch.setattr(monitor_module, "WORLD_STATE_BUDGET", 0)
         graph = powerlaw_graph(120, seed=28)
-        monitor = TopKMonitor(graph, 4, seed=9, world_state_budget=0)
+        monitor = TopKMonitor(graph, 4, seed=9)
         for event in random_patch_stream(graph, 8, seed=5, drift=0.1):
             monitor.apply([event])
             fresh = BoundedSampleReverseDetector(
                 seed=9, engine="indexed"
             ).detect(graph, 4)
             assert_equivalent(monitor.top_k(), fresh)
+
+
+    def test_touched_state_filters_most_crossings(self, monkeypatch):
+        """Touched-entity state is what keeps repair cheap: a world is
+        re-explored only if it drew the patched entity, not whenever the
+        entity's uniform crosses.  Timing-free: repair counts are seeded."""
+        base = load_dataset("guarantee", scale=0.05, seed=3).graph
+        drifted = base.copy()
+        events = []
+        for event in random_patch_stream(drifted, 60, seed=4, drift=0.02):
+            apply_event(drifted, event)
+            events.append(event)
+
+        def replay():
+            monitor = TopKMonitor(base.copy(), 10, seed=6)
+            monitor.top_k()
+            answers, repaired = [], 0
+            for start in range(0, len(events), 10):
+                monitor.apply(events[start : start + 10])
+                repaired += monitor.refresh().worlds_repaired
+                answers.append(monitor.top_k())
+            return answers, repaired
+
+        with_state, repaired_with_state = replay()
+        with monkeypatch.context() as patch:
+            patch.setattr(monitor_module, "WORLD_STATE_BUDGET", 0)
+            without_state, repaired_without_state = replay()
+        for kept, dropped in zip(with_state, without_state):
+            assert kept.same_answer(dropped)
+        assert repaired_with_state > 0
+        assert repaired_without_state >= 2 * repaired_with_state
 
 
 class TestReplayStreams:
@@ -551,14 +657,14 @@ class TestCoalescedIngestion:
         events = self._stream_with_repeats(base.copy(), 16, seed=8)
 
         serial_graph = base.copy()
-        serial = TopKMonitor(serial_graph, 5, seed=2, engine="indexed")
+        serial = TopKMonitor(serial_graph, 5, seed=2)
         serial.top_k()
         for event in events:
             serial.apply([event])
         serial_result = serial.top_k()
 
         coalesced_graph = base.copy()
-        coalesced = TopKMonitor(coalesced_graph, 5, seed=2, engine="indexed")
+        coalesced = TopKMonitor(coalesced_graph, 5, seed=2)
         coalesced.top_k()
         batch = coalesce_events(events)
         assert len(batch) < len(events)
@@ -602,7 +708,7 @@ class TestCoalescedIngestion:
 
         def run(ordered_events):
             graph = base.copy()
-            monitor = TopKMonitor(graph, 5, seed=4, engine="indexed")
+            monitor = TopKMonitor(graph, 5, seed=4)
             monitor.top_k()
             monitor.apply(ordered_events)
             report = monitor.refresh()
@@ -669,26 +775,16 @@ class TestTopKMonitorBSRBK:
             )
             assert_bsrbk_equivalent(monitor.top_k(), fresh)
 
-    def test_budget_zero_world_state_still_exact(self):
+    def test_budget_zero_world_state_still_exact(self, monkeypatch):
+        monkeypatch.setattr(monitor_module, "WORLD_STATE_BUDGET", 0)
         graph = powerlaw_graph(120, seed=23)
-        monitor = TopKMonitor(
-            graph, 4, seed=9, algorithm="bsrbk", world_state_budget=0
-        )
+        monitor = TopKMonitor(graph, 4, seed=9, algorithm="bsrbk")
         for event in random_patch_stream(graph, 8, seed=5, drift=0.1):
             monitor.apply([event])
             fresh = BottomKDetector(bk=16, seed=9, engine="indexed").detect(
                 graph, 4
             )
             assert_bsrbk_equivalent(monitor.top_k(), fresh)
-
-    def test_bsrbk_requires_indexed_engine(self):
-        graph = powerlaw_graph(30, seed=24)
-        with pytest.raises(GraphError, match="indexed"):
-            TopKMonitor(graph, 3, algorithm="bsrbk", engine="batched")
-        with pytest.raises(GraphError):
-            TopKMonitor(graph, 3, algorithm="nope")
-        with pytest.raises(SamplingError):
-            TopKMonitor(graph, 3, algorithm="bsrbk", bk=1)
 
     def test_fresh_bsrbk_indexed_is_chunk_schedule_independent(self):
         """The one-shot indexed BSRBK result must not depend on the
@@ -722,9 +818,13 @@ class TestCandidateColumnRepair:
     """Satellite: candidate/budget changes absorbed without resampling,
     with draw-count bookkeeping exactly equal to fresh detection."""
 
-    def _drive(self, world_state):
+    def _drive(self, world_state, monkeypatch):
+        if world_state == "dense":
+            monkeypatch.setattr(
+                monitor_module, "PackedWorldState", DenseWorldState
+            )
         graph = powerlaw_graph(300, seed=18)
-        monitor = TopKMonitor(graph, 6, seed=21, world_state=world_state)
+        monitor = TopKMonitor(graph, 6, seed=21)
         monitor.top_k()
         rng = np.random.default_rng(5)
         modes = {}
@@ -744,8 +844,10 @@ class TestCandidateColumnRepair:
         return monitor, modes
 
     @pytest.mark.parametrize("world_state", ["packed", "dense"])
-    def test_growing_candidates_column_in_exactly(self, world_state):
-        monitor, modes = self._drive(world_state)
+    def test_growing_candidates_column_in_exactly(
+        self, world_state, monkeypatch
+    ):
+        monitor, modes = self._drive(world_state, monkeypatch)
         # The whole point: candidate growth must not resample.
         assert modes.get("columned", 0) > 0
         assert modes.get("resampled", 0) == 0

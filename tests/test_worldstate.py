@@ -3,24 +3,28 @@ packed-vs-dense bit-identity of the full streaming pipeline.
 
 The contract under test is strict: the packed representation (two
 ``n``-bit masks per world plus an entity→worlds inverted index) must be
-*indistinguishable* from the dense PR-3 layout through every monitor
-behaviour — top-k answers, per-world repair sets, and draw counters —
-on the Figure-6 workload datasets as well as synthetic streams.
+*indistinguishable* from the dense oracle layout
+(``tests/dense_worldstate.py``) through every monitor behaviour — top-k
+answers, per-world repair sets, and draw counters — on the Figure-6
+workload datasets as well as synthetic streams.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from dense_worldstate import DenseWorldState
 
+import repro.streaming.monitor as monitor_module
 from repro.algorithms.bsr import BoundedSampleReverseDetector
+from repro.core.errors import SamplingError
 from repro.core.graph import UncertainGraph
 from repro.datasets.powerlaw import directed_powerlaw_edges
 from repro.datasets.registry import load_dataset
 from repro.sampling.indexed import IndexedReverseSampler
 from repro.sampling.worldstate import (
-    DenseWorldState,
     PackedWorldState,
+    WorldView,
     pack_bool_rows,
     popcount,
     unpack_bool_rows,
@@ -195,6 +199,14 @@ class TestStateEquivalence:
         assert np.array_equal(packed.node_draws(), draws[:4])
 
 
+def on_dense_state(monkeypatch, call):
+    """Run *call* with monitors building dense oracle state instead of
+    packed state (state is built inside refreshes, not at construction)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(monitor_module, "PackedWorldState", DenseWorldState)
+        return call()
+
+
 class TestSamplerDrawCountIdentities:
     """The identities the packed representation is built on."""
 
@@ -234,17 +246,16 @@ class TestPackedVsDenseBitIdentity:
     and draw counters — and on the final fresh-detection oracle."""
 
     @pytest.mark.parametrize("dataset,percent", FIG6_WORKLOAD)
-    def test_fig6_stream_lockstep(self, dataset, percent):
+    def test_fig6_stream_lockstep(self, dataset, percent, monkeypatch):
         loaded_a = load_dataset(dataset, scale=0.02, seed=11)
         loaded_b = load_dataset(dataset, scale=0.02, seed=11)
         k = loaded_a.k_for_percent(percent)
-        packed = TopKMonitor(
-            loaded_a.graph, k, seed=5, world_state="packed"
+        packed = TopKMonitor(loaded_a.graph, k, seed=5)
+        dense = TopKMonitor(loaded_b.graph, k, seed=5)
+        assert packed.top_k().same_answer(
+            on_dense_state(monkeypatch, dense.top_k)
         )
-        dense = TopKMonitor(
-            loaded_b.graph, k, seed=5, world_state="dense"
-        )
-        assert packed.top_k().same_answer(dense.top_k())
+        assert isinstance(dense._world_state, DenseWorldState)
         events = list(
             random_patch_stream(loaded_a.graph, 12, seed=2, drift=0.15)
         )
@@ -252,7 +263,7 @@ class TestPackedVsDenseBitIdentity:
             packed.apply([event])
             dense.apply([event])
             result_packed = packed.top_k()
-            result_dense = dense.top_k()
+            result_dense = on_dense_state(monkeypatch, dense.top_k)
             # Answers and work telemetry.
             assert result_packed.same_answer(result_dense)
             for key in ("nodes_touched", "edges_touched"):
@@ -281,16 +292,33 @@ class TestPackedVsDenseBitIdentity:
             == fresh.details["nodes_touched"]
         )
 
-    def test_packed_state_is_at_least_four_times_smaller(self):
+    def test_packed_state_is_at_least_four_times_smaller(self, monkeypatch):
         """On the sparse workload graphs the packed masks are ~8× (and
         with the m-bit collapse typically >8×) below the dense bytes."""
         graph = powerlaw_graph(800, seed=6)
-        packed = TopKMonitor(graph, 8, seed=3, world_state="packed")
-        dense = TopKMonitor(graph, 8, seed=3, world_state="dense")
+        packed = TopKMonitor(graph, 8, seed=3)
+        dense = TopKMonitor(graph, 8, seed=3)
         packed.top_k()
-        dense.top_k()
+        on_dense_state(monkeypatch, dense.top_k)
         assert packed.world_state_nbytes > 0
         assert (
             dense.world_state_nbytes
             >= 4 * packed.world_state_nbytes
         )
+
+
+class TestCounterLanes:
+    """World indices past the counter lanes are rejected, never wrapped
+    around 64 bits onto another world's draws."""
+
+    def test_world_view_rejects_index_beyond_lanes(self):
+        graph = powerlaw_graph(40, seed=2)
+        with pytest.raises(SamplingError):
+            WorldView(graph, [2**31], seed=4)
+        WorldView(graph, [2**31 - 1], seed=4)  # the last lane is valid
+
+    def test_sampler_rejects_index_beyond_lanes(self):
+        graph = powerlaw_graph(40, seed=2)
+        sampler = IndexedReverseSampler(graph, np.arange(5), seed=4)
+        with pytest.raises(SamplingError):
+            sampler.outcomes_for_worlds([2**31])
