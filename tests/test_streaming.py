@@ -104,6 +104,22 @@ class TestIndexedReverseSampler:
                 assert np.array_equal(got, expected)
         assert got[0] == got[2]  # duplicate candidate slots agree
 
+    def test_duplicate_and_subset_candidates(self):
+        """A candidate's outcome in a world is a property of the world:
+        it does not depend on which other candidates share the sampler,
+        nor on repeated slots."""
+        graph = powerlaw_graph(80, seed=4)
+        worlds = np.arange(25)
+        every = IndexedReverseSampler(
+            graph, np.arange(graph.num_nodes), seed=11
+        ).outcomes_for_worlds(worlds)
+        candidates = np.array([3, 0, 3, 5])
+        subset = IndexedReverseSampler(
+            graph, candidates, seed=11
+        ).outcomes_for_worlds(worlds)
+        assert subset.outcomes.shape == (worlds.size, candidates.size)
+        assert np.array_equal(subset.outcomes, every.outcomes[:, candidates])
+
     @pytest.mark.parametrize("fixture", ["paper_graph", "small_random_graph"])
     def test_matches_exact_probabilities(self, fixture, request):
         graph = request.getfixturevalue(fixture)
@@ -134,12 +150,19 @@ class TestIndexedReverseSampler:
                 # uniform per candidate, so the count is exact.
                 assert sampler.nodes_touched == consumed * 3
                 assert sampler.edges_touched == 0
-        # The same unit as the reference sampler's counters.
-        reference = ReverseSampler(graph, [0, 1, 2], seed=0)
-        reference.run(40)
-        indexed = IndexedReverseSampler(graph, [0, 1, 2], seed=0)
-        indexed.run(40)
-        assert indexed.nodes_touched == reference.nodes_touched == 40 * 3
+
+    def test_touch_counters_identical_on_edgeless_graph(self):
+        """The indexed counters are in the reference sampler's unit."""
+        graph = UncertainGraph()
+        graph.add_node("a", 0.5)
+        graph.add_node("b", 0.2)
+        samples = 40
+        indexed = IndexedReverseSampler(graph, [0, 1], seed=0)
+        indexed.run(samples)
+        reference = ReverseSampler(graph, [0, 1], seed=0)
+        reference.run(samples)
+        assert indexed.nodes_touched == reference.nodes_touched == samples * 2
+        assert indexed.edges_touched == reference.edges_touched == 0
 
     def test_outcomes_independent_of_world_batch(self):
         graph = powerlaw_graph(120, seed=5)
@@ -218,11 +241,18 @@ class TestIndexedReverseSampler:
             sampler.outcomes_for_worlds([-1])
         with pytest.raises(SamplingError):
             IndexedReverseSampler(graph, np.empty(0, dtype=np.int64))
-        for bad in ([30], [-1]):
+
+    def test_validates_candidates(self, paper_graph):
+        for bad in ([], [99], [-1]):
             with pytest.raises(SamplingError):
-                IndexedReverseSampler(graph, bad)
+                IndexedReverseSampler(paper_graph, bad)
         with pytest.raises(SamplingError):
-            IndexedReverseSampler(graph, [0], world_batch=0)
+            IndexedReverseSampler(paper_graph, [0], world_batch=0)
+
+    def test_samples_must_be_positive(self, paper_graph):
+        sampler = IndexedReverseSampler(paper_graph, [0], seed=0)
+        with pytest.raises(SamplingError):
+            sampler.run(0)
         with pytest.raises(SamplingError):
             list(sampler.iter_samples(-1))
 
@@ -785,6 +815,19 @@ class TestTopKMonitorBSRBK:
                 graph, 4
             )
             assert_bsrbk_equivalent(monitor.top_k(), fresh)
+
+    def test_validates_algorithm_and_bk(self):
+        """The monitor rejects the bk values BottomKDetector rejects and
+        accepts the smallest one it accepts."""
+        graph = powerlaw_graph(30, seed=24)
+        with pytest.raises(GraphError):
+            TopKMonitor(graph, 3, algorithm="nope")
+        for bk in (0, 1):
+            with pytest.raises(SamplingError):
+                BottomKDetector(bk=bk)
+            with pytest.raises(SamplingError):
+                TopKMonitor(graph, 3, algorithm="bsrbk", bk=bk)
+        TopKMonitor(graph, 3, algorithm="bsrbk", bk=2)
 
     def test_fresh_bsrbk_indexed_is_chunk_schedule_independent(self):
         """The one-shot indexed BSRBK result must not depend on the

@@ -8,10 +8,12 @@ import pytest
 
 from repro.algorithms.bsr import BoundedSampleReverseDetector
 from repro.algorithms.bsrbk import BottomKDetector
-from repro.core.errors import DuplicateEdgeError, GraphError
+from repro.core.errors import DuplicateEdgeError, GraphError, SamplingError
 from repro.core.graph import UncertainGraph
 from repro.crawling import ObservedGraphSession
 from repro.datasets.powerlaw import directed_powerlaw_edges
+from repro.sampling.indexed import IndexedReverseSampler
+from repro.sampling.worldstate import WorldView
 from repro.streaming.events import (
     EdgeAdd,
     EdgeProbabilityUpdate,
@@ -256,6 +258,27 @@ class TestInterleavedLockstep:
             # incremental topology path, never the full fallback.
             assert monitor.stats["topology"] == 16
             assert monitor.stats["full"] == fulls_after_build
+
+    def test_engine_option_is_retired(self):
+        """Growth needs no engine choice: the monitor has no engine
+        option, and the detectors it is checked against no longer
+        accept the deleted batched engine."""
+        with pytest.raises(TypeError):
+            TopKMonitor(powerlaw_graph(30, seed=1), 3, engine="indexed")
+        for detector in (BoundedSampleReverseDetector, BottomKDetector):
+            with pytest.raises(SamplingError):
+                detector(engine="batched")
+
+    def test_counter_layout_option_is_retired(self):
+        """Every world sits on the growth-stable counter lanes, so no
+        constructor takes a counter layout."""
+        graph = powerlaw_graph(30, seed=1)
+        with pytest.raises(TypeError):
+            TopKMonitor(graph, 3, counter_layout="stable")
+        with pytest.raises(TypeError):
+            IndexedReverseSampler(graph, [0], seed=0, counter_layout="stable")
+        with pytest.raises(TypeError):
+            WorldView(graph, [0], seed=0, counter_layout="stable")
 
 
 class TestWalCrawlReplay:
