@@ -1272,6 +1272,7 @@ def replicate_main(argv: list[str] | None = None) -> int:
     primary = None
     promoted = None
     scratch = None
+    fleet = {}
     try:
         graph = _load_graph(args)
         k = _resolve_k(args, graph)
@@ -1307,7 +1308,6 @@ def replicate_main(argv: list[str] | None = None) -> int:
         for tenant_id in tenant_ids:
             primary.register_tenant(tenant_id, k)
         hub = ReplicationHub(primary)
-        fleet = {}
         for index in range(args.replicas):
             node = f"r{index + 1}"
             replica = ReplicaService(
@@ -1394,6 +1394,8 @@ def replicate_main(argv: list[str] | None = None) -> int:
                 service._wal.close()
                 service._pool.shutdown()
                 service._closed = True
+        for replica, _ in fleet.values():
+            replica.close()
         if scratch is not None:
             shutil.rmtree(scratch, ignore_errors=True)
     lags_ms = sorted(lag * 1e3 for lag in lags)

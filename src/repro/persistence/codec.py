@@ -60,6 +60,7 @@ __all__ = [
     "encode_event",
     "decode_event",
     "encode_record",
+    "next_record",
     "decode_record_stream",
     "encode_batch_payload",
     "decode_batch_payload",
@@ -253,6 +254,31 @@ def encode_record(payload: bytes) -> bytes:
     return _RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
+def next_record(
+    data: bytes, offset: int = 0, *, max_length: int | None = None
+) -> tuple[bytes, int] | None:
+    """The record framed at *offset* of *data*: ``(payload, end_offset)``.
+
+    ``None`` while *data* ends before the record does (a torn tail, or
+    a shipped chunk whose rest is still in flight).  Raises
+    :class:`CorruptRecordError` on a CRC mismatch, or when the header
+    declares more than *max_length* payload bytes.
+    """
+    if offset + _RECORD_HEADER.size > len(data):
+        return None
+    length, crc = _RECORD_HEADER.unpack_from(data, offset)
+    if max_length is not None and length > max_length:
+        raise CorruptRecordError(f"record declares {length} payload bytes")
+    body_start = offset + _RECORD_HEADER.size
+    body_end = body_start + length
+    if body_end > len(data):
+        return None
+    payload = data[body_start:body_end]
+    if zlib.crc32(payload) != crc:
+        raise CorruptRecordError("record failed its CRC check")
+    return payload, body_end
+
+
 def decode_record_stream(
     data: bytes, *, start: int = 0
 ) -> Iterator[tuple[bytes, int]]:
@@ -265,19 +291,14 @@ def decode_record_stream(
     where appends may resume).
     """
     offset = start
-    total = len(data)
     while True:
-        if offset + _RECORD_HEADER.size > total:
+        try:
+            record = next_record(data, offset)
+        except CorruptRecordError:
             return
-        length, crc = _RECORD_HEADER.unpack_from(data, offset)
-        body_start = offset + _RECORD_HEADER.size
-        body_end = body_start + length
-        if body_end > total:
-            return  # torn tail: payload shorter than declared
-        payload = data[body_start:body_end]
-        if zlib.crc32(payload) != crc:
-            return  # corrupt record: stop trusting the file here
-        offset = body_end
+        if record is None:
+            return
+        payload, offset = record
         yield payload, offset
 
 

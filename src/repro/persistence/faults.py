@@ -28,19 +28,9 @@ import os
 import signal
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import BinaryIO, Callable, Hashable
 
-from repro.persistence.codec import (
-    BATCH_KIND_EVENTS,
-    SUPPORTED_WAL_VERSIONS,
-    CorruptRecordError,
-    WAL_MAGIC,
-    WAL_MAGIC_PREFIX,
-    decode_batch_payload,
-    decode_record_stream,
-)
-from repro.persistence.wal import _SEGMENT_PREFIX, _SEGMENT_SUFFIX, _segment_index
+from repro.persistence.wal import scan_batches
 
 __all__ = [
     "WriteFaultPlan",
@@ -140,40 +130,12 @@ class FaultyFile:
 def count_durable_batches(wal_dir: str | os.PathLike) -> int:
     """Intact event batches currently on disk under *wal_dir*.
 
-    Pure read: unlike opening a :class:`WriteAheadLog` (which repairs
-    torn tails in place), this walks the segment bytes as-is, so a
-    parent process can watch a live child's durable progress and time a
-    SIGKILL against it.
+    Pure read (:func:`~repro.persistence.wal.scan_batches`): unlike
+    opening a :class:`WriteAheadLog`, which repairs torn tails in place,
+    it leaves the segment bytes as they are, so a parent process can
+    watch a live child's durable progress and time a SIGKILL against it.
     """
-    directory = Path(wal_dir)
-    paths = sorted(
-        (
-            path
-            for path in directory.glob(f"{_SEGMENT_PREFIX}*{_SEGMENT_SUFFIX}")
-            if path.name[len(_SEGMENT_PREFIX):-len(_SEGMENT_SUFFIX)].isdigit()
-        ),
-        key=_segment_index,
-    )
-    count = 0
-    for path in paths:
-        try:
-            data = path.read_bytes()
-        except OSError:
-            break
-        if (
-            data[:8] != WAL_MAGIC_PREFIX
-            or len(data) < len(WAL_MAGIC)
-            or data[8] not in SUPPORTED_WAL_VERSIONS
-        ):
-            break
-        for payload, _ in decode_record_stream(data, start=len(WAL_MAGIC)):
-            try:
-                kind, _, _, _ = decode_batch_payload(payload)
-            except CorruptRecordError:
-                return count
-            if kind == BATCH_KIND_EVENTS:
-                count += 1
-    return count
+    return sum(batch.kind == "events" for batch in scan_batches(wal_dir))
 
 
 # ----------------------------------------------------------------------

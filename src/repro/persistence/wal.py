@@ -58,7 +58,16 @@ from repro.persistence.codec import (
 )
 from repro.streaming.events import UpdateEvent
 
-__all__ = ["WriteAheadLog", "WalBatch", "WalChunk", "FSYNC_POLICIES"]
+__all__ = [
+    "WriteAheadLog",
+    "WalBatch",
+    "WalChunk",
+    "SegmentWriter",
+    "FSYNC_POLICIES",
+    "decode_batch",
+    "scan_batches",
+    "segment_header_ok",
+]
 
 TenantId = Hashable
 FSYNC_POLICIES = ("always", "flush", "never")
@@ -126,6 +135,56 @@ def _segment_index(path: Path) -> int:
     return int(path.name[len(_SEGMENT_PREFIX):-len(_SEGMENT_SUFFIX)])
 
 
+def _segment_path(directory: Path, index: int) -> Path:
+    return directory / f"{_SEGMENT_PREFIX}{index:08d}{_SEGMENT_SUFFIX}"
+
+
+def _segment_files(directory: Path) -> list[Path]:
+    """*directory*'s segment files, oldest first."""
+    paths = [
+        path
+        for path in directory.glob(f"{_SEGMENT_PREFIX}*{_SEGMENT_SUFFIX}")
+        if path.name[len(_SEGMENT_PREFIX):-len(_SEGMENT_SUFFIX)].isdigit()
+    ]
+    return sorted(paths, key=_segment_index)
+
+
+def segment_header_ok(data: bytes) -> bool:
+    """Whether *data* opens with a segment header this build reads."""
+    return (
+        len(data) >= len(WAL_MAGIC)
+        and data[:8] == WAL_MAGIC_PREFIX
+        and data[8] in SUPPORTED_WAL_VERSIONS
+    )
+
+
+def scan_batches(directory: str | os.PathLike) -> list[WalBatch]:
+    """Every intact batch in *directory*'s segments, in sequence order.
+
+    A pure read: unlike opening a :class:`WriteAheadLog`, which repairs
+    torn tails in place, this walks the segment bytes as they are, so
+    it is safe next to a live writer in another process.  It stops at
+    the first segment whose header it cannot read and at the first torn
+    or corrupt record.  A segment deleted between listing and reading
+    is skipped: truncation deletes only segments a published snapshot
+    covers.
+    """
+    batches: list[WalBatch] = []
+    for path in _segment_files(Path(directory)):
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            continue
+        if not segment_header_ok(data):
+            break
+        for payload, _ in decode_record_stream(data, start=len(WAL_MAGIC)):
+            try:
+                batches.append(decode_batch(payload))
+            except CorruptRecordError:
+                return batches
+    return batches
+
+
 def _fsync_dir(directory: Path) -> None:
     """Best-effort directory fsync so renames/creates are durable."""
     try:
@@ -138,6 +197,100 @@ def _fsync_dir(directory: Path) -> None:
         pass
     finally:
         os.close(fd)
+
+
+class SegmentWriter:
+    """Appends whole records to a directory's numbered segment files.
+
+    The one owner of the fsync policy (see the module docstring) and of
+    torn-append repair, shared by :class:`WriteAheadLog` and a replica's
+    byte-for-byte mirror.  An append that fails part-way (ENOSPC, EIO,
+    a partial write) is cut back to the last good byte before the error
+    propagates: the handle keeps appending, and readers stop at the
+    first bad record, so a tear left in place would silently discard
+    every later good batch.
+    """
+
+    def __init__(
+        self,
+        directory: Path,
+        *,
+        fsync: str,
+        io_wrapper: Callable[[BinaryIO], BinaryIO] | None = None,
+    ) -> None:
+        self._directory = Path(directory)
+        self._fsync = fsync
+        self._io_wrapper = io_wrapper
+        self._handle: BinaryIO | None = None
+        #: Index of the segment being appended to (see begin_segment).
+        self.index = 0
+        #: Verified bytes in that segment: where the next append lands.
+        self.offset = 0
+
+    def begin_segment(self, index: int, *, header: bytes | None = None) -> None:
+        """Seal the current segment, if any, and append to *index*.
+
+        ``header`` first replaces the target file's bytes: a new WAL
+        segment's magic, or ``b""`` to empty a mirror segment that the
+        shipped stream will fill from its first byte.
+        """
+        if self._handle is not None:
+            self.sync()
+            self._handle.close()
+        path = _segment_path(self._directory, index)
+        if header is not None:
+            path.write_bytes(header)
+        raw: BinaryIO = open(path, "ab")
+        if self._io_wrapper is not None:
+            raw = self._io_wrapper(raw)
+        self._handle = raw
+        self.index = int(index)
+        self.offset = raw.tell()
+
+    def append(self, data: bytes) -> None:
+        """Write and flush *data*; fsync it under ``fsync="always"``."""
+        assert self._handle is not None
+        try:
+            self._handle.write(data)
+            self._handle.flush()
+            if self._fsync == "always":
+                os.fsync(self._handle.fileno())
+        except OSError:
+            self._cut_back()
+            raise
+        self.offset += len(data)
+
+    def _cut_back(self) -> None:
+        """Truncate the segment to :attr:`offset` and reopen it."""
+        assert self._handle is not None
+        try:
+            self._handle.close()
+        except OSError:  # pragma: no cover - close on a faulted handle
+            pass
+        self._handle = None
+        with open(_segment_path(self._directory, self.index), "r+b") as handle:
+            handle.truncate(self.offset)
+            handle.flush()
+            os.fsync(handle.fileno())
+        self.begin_segment(self.index)
+
+    def sync(self) -> None:
+        """Flush, then fsync unless the policy is ``"never"``."""
+        assert self._handle is not None
+        self._handle.flush()
+        if self._fsync != "never":
+            os.fsync(self._handle.fileno())
+
+    def close(self) -> None:
+        """Sync (errors ignored) and close; idempotent."""
+        if self._handle is None:
+            return
+        try:
+            self.sync()
+        except (OSError, ValueError):  # pragma: no cover - defensive
+            pass
+        self._handle.close()
+        self._handle = None
 
 
 class WriteAheadLog:
@@ -179,10 +332,10 @@ class WriteAheadLog:
             )
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._fsync = fsync
         self._segment_max = int(segment_max_bytes)
-        self._io_wrapper = io_wrapper
-        self._handle: BinaryIO | None = None
+        self._writer = SegmentWriter(
+            self.directory, fsync=fsync, io_wrapper=io_wrapper
+        )
         self._segments: list[_Segment] = []
         self._next_seq = 1
         #: Last appended batch seq per tenant (rebuilt from disk on open).
@@ -197,18 +350,8 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     # Open-time scan and repair
     # ------------------------------------------------------------------
-    def _segment_paths(self) -> list[Path]:
-        paths = [
-            path
-            for path in self.directory.glob(
-                f"{_SEGMENT_PREFIX}*{_SEGMENT_SUFFIX}"
-            )
-            if path.name[len(_SEGMENT_PREFIX):-len(_SEGMENT_SUFFIX)].isdigit()
-        ]
-        return sorted(paths, key=_segment_index)
-
     def _recover_segments(self) -> None:
-        paths = self._segment_paths()
+        paths = _segment_files(self.directory)
         truncated_at: Path | None = None
         for position, path in enumerate(paths):
             segment, clean = self._scan_segment(path)
@@ -235,7 +378,7 @@ class WriteAheadLog:
                 _segment_index(self._segments[-1].path) + 1
             )
         else:
-            self._open_for_append(self._segments[-1])
+            self._writer.begin_segment(_segment_index(self._segments[-1].path))
 
     def _scan_segment(self, path: Path) -> tuple[_Segment, bool]:
         """Walk one segment; truncate it at the first bad record."""
@@ -275,22 +418,11 @@ class WriteAheadLog:
     # Append path
     # ------------------------------------------------------------------
     def _start_segment(self, index: int) -> None:
-        path = self.directory / (
-            f"{_SEGMENT_PREFIX}{index:08d}{_SEGMENT_SUFFIX}"
-        )
-        path.write_bytes(WAL_MAGIC)
+        self._writer.begin_segment(index, header=WAL_MAGIC)
         _fsync_dir(self.directory)
-        segment = _Segment(path=path)
-        self._segments.append(segment)
-        self._open_for_append(segment)
-
-    def _open_for_append(self, segment: _Segment) -> None:
-        if self._handle is not None:
-            self._handle.close()
-        raw: BinaryIO = open(segment.path, "ab")
-        if self._io_wrapper is not None:
-            raw = self._io_wrapper(raw)
-        self._handle = raw
+        self._segments.append(
+            _Segment(path=_segment_path(self.directory, index))
+        )
 
     @property
     def active_segment(self) -> Path:
@@ -308,43 +440,13 @@ class WriteAheadLog:
         return self._next_seq
 
     def _append_payload(self, payload: bytes) -> None:
-        assert self._handle is not None
         record = encode_record(payload)
-        active = self._segments[-1]
         if (
-            self._handle.tell() + len(record) > self._segment_max
-            and active.first_seq is not None
+            self._writer.offset + len(record) > self._segment_max
+            and self._segments[-1].first_seq is not None
         ):
             self.rotate()
-        start = self._handle.tell()
-        try:
-            self._handle.write(record)
-            self._handle.flush()
-            if self._fsync == "always":
-                os.fsync(self._handle.fileno())
-        except OSError:
-            # A failed or partial write leaves torn bytes at the tail.
-            # Cut the segment back to the last good record NOW, not at
-            # the next open: this in-process handle keeps appending, and
-            # readers stop at the first bad record — leaving the tear in
-            # place would silently discard every later good batch.
-            self._repair_active_tail(start)
-            raise
-
-    def _repair_active_tail(self, good_end: int) -> None:
-        """Truncate the active segment to *good_end* and reopen it."""
-        active = self._segments[-1]
-        try:
-            if self._handle is not None:
-                self._handle.close()
-        except OSError:  # pragma: no cover - close on a faulted handle
-            pass
-        self._handle = None
-        with open(active.path, "r+b") as handle:
-            handle.truncate(good_end)
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._open_for_append(active)
+        self._writer.append(record)
 
     def append_events(
         self, tenant_id: TenantId, events: list[UpdateEvent]
@@ -408,18 +510,11 @@ class WriteAheadLog:
     def sync(self) -> None:
         """fsync the active segment (the ``fsync="flush"`` commit point)."""
         self._ensure_open()
-        assert self._handle is not None
-        self._handle.flush()
-        if self._fsync != "never":
-            os.fsync(self._handle.fileno())
+        self._writer.sync()
 
     def rotate(self) -> None:
         """Seal the active segment and append to a fresh one."""
         self._ensure_open()
-        assert self._handle is not None
-        self._handle.flush()
-        if self._fsync != "never":
-            os.fsync(self._handle.fileno())
         self._start_segment(_segment_index(self._segments[-1].path) + 1)
 
     # ------------------------------------------------------------------
@@ -428,37 +523,17 @@ class WriteAheadLog:
     def read_batches(self) -> list[WalBatch]:
         """Every durable batch across all segments, in sequence order.
 
-        Reads from disk (not from in-memory state) so it sees exactly
-        what a recovering process would; a torn tail in the active
-        segment is skipped, not raised.
+        Reads from disk (:func:`scan_batches`; every append is flushed
+        before it returns) so it sees exactly what a recovering process
+        would; a torn tail in the active segment is skipped, not raised.
         """
         self._ensure_open()
-        assert self._handle is not None
-        self._handle.flush()
-        batches: list[WalBatch] = []
-        for segment in self._segments:
-            data = segment.path.read_bytes()
-            if (
-                data[:8] != WAL_MAGIC_PREFIX
-                or data[8] not in SUPPORTED_WAL_VERSIONS
-            ):
-                break
-            for payload, _ in decode_record_stream(
-                data, start=len(WAL_MAGIC)
-            ):
-                try:
-                    batches.append(_decode_batch(payload))
-                except CorruptRecordError:
-                    return batches
-        return batches
+        return scan_batches(self.directory)
 
     def tail_cursor(self) -> tuple[int, int]:
         """``(segment_index, byte_offset)`` of the durable append tail."""
         self._ensure_open()
-        assert self._handle is not None
-        self._handle.flush()
-        active = self._segments[-1]
-        return _segment_index(active.path), active.path.stat().st_size
+        return self._writer.index, self._writer.offset
 
     def read_from(
         self, segment: int, offset: int, max_bytes: int = 1 << 20
@@ -471,8 +546,6 @@ class WriteAheadLog:
         only persists whole CRC-verified records.
         """
         self._ensure_open()
-        assert self._handle is not None
-        self._handle.flush()
         oldest = _segment_index(self._segments[0].path)
         active_index = _segment_index(self._segments[-1].path)
         if segment < oldest:
@@ -498,8 +571,7 @@ class WriteAheadLog:
         by_index = {
             _segment_index(entry.path): entry for entry in self._segments
         }
-        path = by_index[segment].path
-        data = path.read_bytes()
+        data = by_index[segment].path.read_bytes()
         chunk = data[offset:offset + max_bytes]
         sealed = segment != active_index
         exhausted = sealed and offset + len(chunk) >= len(data)
@@ -546,15 +618,7 @@ class WriteAheadLog:
         if self._closed:
             return
         self._closed = True
-        if self._handle is not None:
-            try:
-                self._handle.flush()
-                if self._fsync != "never":
-                    os.fsync(self._handle.fileno())
-            except (OSError, ValueError):  # pragma: no cover - defensive
-                pass
-            self._handle.close()
-            self._handle = None
+        self._writer.close()
 
     def _ensure_open(self) -> None:
         if self._closed:
@@ -567,7 +631,12 @@ class WriteAheadLog:
         self.close()
 
 
-def _decode_batch(payload: bytes) -> WalBatch:
+def decode_batch(payload: bytes) -> WalBatch:
+    """Decode one record payload into a :class:`WalBatch`.
+
+    Raises :class:`~repro.persistence.codec.CorruptRecordError` on a
+    malformed payload, event body, registration or epoch stamp.
+    """
     kind, seq, tenant_id, parts = decode_batch_payload(payload)
     if kind == BATCH_KIND_EVENTS:
         return WalBatch(

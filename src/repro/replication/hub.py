@@ -130,11 +130,6 @@ class ReplicationHub:
         with self._cond:
             return dict(self._acked)
 
-    def replicated_count(self, seq: int) -> int:
-        """How many replicas have acked at least *seq*."""
-        with self._cond:
-            return sum(1 for acked in self._acked.values() if acked >= seq)
-
     def wait_replicated(
         self, seq: int, *, replicas: int = 1, timeout: float = 5.0
     ) -> bool:

@@ -27,45 +27,35 @@ Corruption and fencing are handled at the frame boundary:
 Crash recovery is inherited from the WAL itself: restarting a replica
 opens the mirror with :class:`~repro.persistence.wal.WriteAheadLog`
 (repairing any torn tail), replays it through a fresh pool, and resumes
-shipping from the verified byte cursor.
+shipping from the verified byte cursor.  Every batch reaches the pool
+through :mod:`repro.serving.replay`, like the primary's own recovery.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
-import struct
-import zlib
 from pathlib import Path
 from typing import BinaryIO, Callable, Hashable
 
 from repro.core.errors import FencedError, ReplicationError, ReproError
-from repro.persistence.codec import (
-    BATCH_KIND_EPOCH,
-    BATCH_KIND_EVENTS,
-    BATCH_KIND_REGISTER,
-    SUPPORTED_WAL_VERSIONS,
-    WAL_MAGIC,
-    WAL_MAGIC_PREFIX,
-    CorruptRecordError,
-    decode_batch_payload,
-    decode_event,
-)
+from repro.persistence.codec import WAL_MAGIC, CorruptRecordError, next_record
 from repro.persistence.snapshots import SnapshotStore
 from repro.persistence.wal import (
-    _SEGMENT_PREFIX,
-    _SEGMENT_SUFFIX,
+    SegmentWriter,
+    WalBatch,
     WriteAheadLog,
+    decode_batch,
+    segment_header_ok,
 )
 from repro.serving.pool import ServingPool
+from repro.serving.replay import replay_batch, restore_snapshot
 from repro.serving.service import PromotionState, RiskService
 
 __all__ = ["ReplicaService", "CorruptShippedError"]
 
 TenantId = Hashable
 
-_FRAME_HEADER = struct.Struct("<II")
 #: Upper bound on a single record's declared payload length; a shipped
 #: header declaring more than this is corruption, not a huge batch
 #: (the primary's segments cap out at 64 MiB total).
@@ -74,97 +64,6 @@ _MAX_RECORD_BYTES = 64 * 1024 * 1024
 
 class CorruptShippedError(ReplicationError):
     """A shipped record failed CRC/framing checks before persistence."""
-
-
-def _segment_path(directory: Path, index: int) -> Path:
-    return directory / f"{_SEGMENT_PREFIX}{index:08d}{_SEGMENT_SUFFIX}"
-
-
-class _MirrorWriter:
-    """Appends verified raw bytes to the mirror's segment files."""
-
-    def __init__(
-        self,
-        directory: Path,
-        segment: int,
-        *,
-        fsync: str = "flush",
-        io_wrapper: Callable[[BinaryIO], BinaryIO] | None = None,
-    ) -> None:
-        self._directory = directory
-        self._fsync = fsync
-        self._io_wrapper = io_wrapper
-        self._segment = int(segment)
-        self._handle: BinaryIO | None = None
-        self._open(self._segment)
-
-    def _open(self, index: int) -> None:
-        if self._handle is not None:
-            self._handle.close()
-        raw: BinaryIO = open(_segment_path(self._directory, index), "ab")
-        if self._io_wrapper is not None:
-            raw = self._io_wrapper(raw)
-        self._handle = raw
-        self._segment = index
-
-    @property
-    def segment(self) -> int:
-        return self._segment
-
-    def append(self, data: bytes) -> None:
-        assert self._handle is not None
-        self._handle.write(data)
-        self._handle.flush()
-        if self._fsync == "always":
-            os.fsync(self._handle.fileno())
-
-    def sync(self) -> None:
-        assert self._handle is not None
-        self._handle.flush()
-        if self._fsync != "never":
-            os.fsync(self._handle.fileno())
-
-    def begin_segment(self, index: int, *, truncate: bool = False) -> None:
-        """Seal the current segment and open the next mirror file.
-
-        ``truncate`` resets the target file first — the bootstrap path,
-        where local recovery may have pre-created an empty segment whose
-        header bytes will arrive again in the shipped stream.
-        """
-        self.sync()
-        if truncate:
-            with open(_segment_path(self._directory, index), "wb"):
-                pass
-        self._open(index)
-
-    def repair_to(self, offset: int) -> None:
-        """Cut the active mirror file back to *offset* and reopen it.
-
-        A failed append (e.g. ENOSPC with a partial write) may leave
-        torn bytes past the verified offset; appending after them would
-        corrupt the mirror, so the tail is truncated away first.
-        """
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            except OSError:  # pragma: no cover - close on faulted handle
-                pass
-            self._handle = None
-        path = _segment_path(self._directory, self._segment)
-        with open(path, "r+b") as handle:
-            handle.truncate(offset)
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._open(self._segment)
-
-    def close(self) -> None:
-        if self._handle is not None:
-            try:
-                self.sync()
-            except (OSError, ValueError):  # pragma: no cover - defensive
-                pass
-            self._handle.close()
-            self._handle = None
 
 
 class ReplicaService:
@@ -219,8 +118,6 @@ class ReplicaService:
         #: Primary's durable seq as of the last fetch (lag reference).
         self._primary_seq = 0
         self._buffer = b""
-        #: Bytes of the current segment already persisted (mirror offset).
-        self._offset = 0
         self._promoted = False
         self._closed = False
         self.stats = {
@@ -235,59 +132,42 @@ class ReplicaService:
     # Local recovery (restart of a replica that already mirrored bytes)
     # ------------------------------------------------------------------
     def _recover_local(self) -> None:
-        snapshots = SnapshotStore(self._directory)
-        with snapshots.pin_latest() as snapshot:
-            if snapshot is not None:
-                for tenant_snapshot in snapshot.tenants.values():
-                    tenant_id = tenant_snapshot.tenant_id
-                    self._pool.restore_tenant(
-                        tenant_id, tenant_snapshot.load_state_blob()
-                    )
-                    self._watermarks[tenant_id] = tenant_snapshot.watermark
-                    self._applied_seq = max(
-                        self._applied_seq, tenant_snapshot.watermark
-                    )
+        self._restore_snapshot()
         # Opening the WAL repairs any torn mirror tail (a crash mid-
-        # append), so the byte cursor below is the verified end.
+        # append), so the segment it appends to ends at the verified
+        # byte cursor.
         wal = WriteAheadLog(self._directory, fsync="never")
         try:
             for batch in wal.read_batches():
-                self._apply_recovered(batch)
-            segment, offset = wal.tail_cursor()
+                if batch.kind == "epoch":
+                    self._epoch = max(self._epoch, batch.epoch)
+                self._replay(batch)
+            segment, _ = wal.tail_cursor()
         finally:
             wal.close()
-        self._writer = _MirrorWriter(
-            self._directory, segment,
-            fsync=self._fsync, io_wrapper=self._io_wrapper,
+        self._writer = SegmentWriter(
+            self._directory, fsync=self._fsync, io_wrapper=self._io_wrapper
         )
-        self._offset = offset
+        self._writer.begin_segment(segment)
 
-    def _apply_recovered(self, batch) -> None:
-        if batch.kind == "epoch":
-            self._epoch = max(self._epoch, int(batch.epoch or 0))
-            self._applied_seq = max(self._applied_seq, batch.seq)
-            return
-        if batch.kind == "register":
-            register = batch.register or {}
-            k = int(register.get("k", 1))
-            kwargs = dict(register.get("kwargs", {}))
-            self._registered[batch.tenant_id] = (k, kwargs)
-            if not self._pool.has_tenant(batch.tenant_id):
-                self._pool.register(batch.tenant_id, k, **kwargs)
-            self._applied_seq = max(self._applied_seq, batch.seq)
-            return
-        if batch.seq <= self._watermarks.get(batch.tenant_id, 0):
-            self._applied_seq = max(self._applied_seq, batch.seq)
-            return
-        if not self._pool.has_tenant(batch.tenant_id):
-            raise ReplicationError(
-                f"mirrored batch {batch.seq} addresses tenant "
-                f"{batch.tenant_id!r} with neither a snapshot nor a "
-                "registration record"
-            )
-        self._pool.apply(batch.tenant_id, list(batch.events)).result()
+    def _restore_snapshot(self) -> None:
+        """Install the mirror directory's latest snapshot, if any."""
+        with SnapshotStore(self._directory).pin_latest() as snapshot:
+            self._watermarks.update(restore_snapshot(self._pool, snapshot))
+        self._applied_seq = max(
+            [self._applied_seq, *self._watermarks.values()]
+        )
+
+    def _replay(self, batch: WalBatch) -> None:
+        """Apply one persisted batch to the pool; advance the cursor."""
+        future = replay_batch(
+            self._pool, batch, self._watermarks.get(batch.tenant_id, 0),
+            self._registered,
+        )
+        if future is not None:
+            future.result()
+            self.stats["batches_applied"] += 1
         self._applied_seq = max(self._applied_seq, batch.seq)
-        self.stats["batches_applied"] += 1
 
     # ------------------------------------------------------------------
     # Shipping surface (driven by WalShipper)
@@ -295,7 +175,7 @@ class ReplicaService:
     @property
     def durable_cursor(self) -> tuple[int, int]:
         """``(segment, offset)`` of the last verified, persisted byte."""
-        return self._writer.segment, self._offset
+        return self._writer.index, self._writer.offset
 
     @property
     def applied_seq(self) -> int:
@@ -349,7 +229,6 @@ class ReplicaService:
                 "segment advanced with an incomplete record buffered"
             )
         self._writer.begin_segment(int(index))
-        self._offset = 0
         self.stats["segments_opened"] += 1
 
     def ingest(self, data: bytes) -> int:
@@ -365,97 +244,48 @@ class ReplicaService:
         self._buffer += data
         applied = 0
         try:
+            if self._writer.offset == 0 and not self._take_header():
+                return 0
             while True:
-                if self._offset == 0 and not self._header_done():
-                    break
-                if len(self._buffer) < _FRAME_HEADER.size:
-                    break
-                length, crc = _FRAME_HEADER.unpack_from(self._buffer, 0)
-                if length > _MAX_RECORD_BYTES:
-                    raise CorruptShippedError(
-                        f"shipped record declares {length} bytes"
-                    )
-                end = _FRAME_HEADER.size + length
-                if len(self._buffer) < end:
+                record = next_record(
+                    self._buffer, max_length=_MAX_RECORD_BYTES
+                )
+                if record is None:
                     break  # incomplete frame: wait for the next chunk
-                payload = self._buffer[_FRAME_HEADER.size:end]
-                if zlib.crc32(payload) != crc:
-                    raise CorruptShippedError(
-                        "shipped record failed its CRC check"
-                    )
+                payload, end = record
                 self._apply_shipped(payload, self._buffer[:end])
                 self._buffer = self._buffer[end:]
                 applied += 1
-        except CorruptShippedError:
+        except CorruptRecordError as error:
             self.stats["corrupt_chunks"] += 1
             self.reset_buffer()
-            raise
+            raise CorruptShippedError(f"shipped {error}") from None
         return applied
 
-    def _header_done(self) -> bool:
-        """Consume the 9 magic bytes that open every segment file."""
+    def _take_header(self) -> bool:
+        """Persist the magic bytes that open every segment file."""
         header = len(WAL_MAGIC)
         if len(self._buffer) < header:
             return False
-        if (
-            self._buffer[:8] != WAL_MAGIC_PREFIX
-            or self._buffer[8] not in SUPPORTED_WAL_VERSIONS
-        ):
-            raise CorruptShippedError("shipped segment header is invalid")
-        self._persist(self._buffer[:header])
+        if not segment_header_ok(self._buffer[:header]):
+            raise CorruptRecordError("segment header is invalid")
+        self._writer.append(self._buffer[:header])
         self._buffer = self._buffer[header:]
         return True
 
     def _apply_shipped(self, payload: bytes, record: bytes) -> None:
-        try:
-            kind, seq, tenant_id, parts = decode_batch_payload(payload)
-        except CorruptRecordError as error:
-            raise CorruptShippedError(str(error)) from None
-        if kind == BATCH_KIND_EPOCH:
-            stamp = json.loads(parts[0].decode("utf-8"))
-            epoch = int(stamp["epoch"])
-            if epoch < self._fence_epoch:
-                raise FencedError(epoch, self._fence_epoch)
-            self._persist(record)
-            self._epoch = epoch
-            self._applied_seq = max(self._applied_seq, seq)
-            self.stats["records_applied"] += 1
-            return
-        if self._epoch < self._fence_epoch:
-            # Batches between epoch stamps inherit the last stamp; a
-            # deposed primary's stream is still at the old epoch.
-            raise FencedError(self._epoch, self._fence_epoch)
-        self._persist(record)
-        if kind == BATCH_KIND_REGISTER:
-            register = json.loads(parts[0].decode("utf-8"))
-            k = int(register.get("k", 1))
-            kwargs = dict(register.get("kwargs", {}))
-            self._registered[tenant_id] = (k, kwargs)
-            if not self._pool.has_tenant(tenant_id):
-                self._pool.register(tenant_id, k, **kwargs)
-        elif kind == BATCH_KIND_EVENTS:
-            events = [decode_event(part) for part in parts]
-            if seq > self._watermarks.get(tenant_id, 0):
-                if not self._pool.has_tenant(tenant_id):
-                    raise ReplicationError(
-                        f"shipped batch {seq} addresses unknown tenant "
-                        f"{tenant_id!r} (bootstrap incomplete?)"
-                    )
-                self._pool.apply(tenant_id, events).result()
-                self.stats["batches_applied"] += 1
-        self._applied_seq = max(self._applied_seq, seq)
+        batch = decode_batch(payload)
+        # Batches between epoch stamps inherit the last stamp; a
+        # deposed primary's stream is still at the old epoch.
+        epoch = batch.epoch if batch.kind == "epoch" else self._epoch
+        if epoch < self._fence_epoch:
+            raise FencedError(epoch, self._fence_epoch)
+        # A failed append cuts the mirror back to the verified offset,
+        # so the shipper's rewind-and-retry lands on clean bytes.
+        self._writer.append(record)
+        self._epoch = epoch
+        self._replay(batch)
         self.stats["records_applied"] += 1
-
-    def _persist(self, data: bytes) -> None:
-        try:
-            self._writer.append(data)
-        except OSError:
-            # Disk fault mid-append: the file may hold a torn prefix of
-            # this record.  Repair to the verified offset now so the
-            # shipper's rewind-and-retry appends onto clean bytes.
-            self._writer.repair_to(self._offset)
-            raise
-        self._offset += len(data)
 
     def sync(self) -> None:
         """fsync the mirror's active segment."""
@@ -485,24 +315,12 @@ class ReplicaService:
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_bytes(data)
         if files:
-            snapshots = SnapshotStore(self._directory)
-            with snapshots.pin_latest() as snapshot:
-                if snapshot is not None:
-                    for tenant_snapshot in snapshot.tenants.values():
-                        tenant_id = tenant_snapshot.tenant_id
-                        self._pool.restore_tenant(
-                            tenant_id, tenant_snapshot.load_state_blob()
-                        )
-                        self._watermarks[tenant_id] = (
-                            tenant_snapshot.watermark
-                        )
-                        self._applied_seq = max(
-                            self._applied_seq, tenant_snapshot.watermark
-                        )
+            self._restore_snapshot()
         if int(offset) != 0:
             raise ReplicationError("bootstrap cursors start at offset 0")
-        self._writer.begin_segment(int(segment), truncate=True)
-        self._offset = 0
+        # Local recovery may have pre-created this segment; its header
+        # bytes arrive again in the shipped stream.
+        self._writer.begin_segment(int(segment), header=b"")
 
     # ------------------------------------------------------------------
     # Read serving

@@ -93,10 +93,21 @@ def _worker_warmup(pool_id: str) -> int:
 
 
 def _worker_register(
-    pool_id: str, tenant_id: TenantId, k: int, kwargs: dict
+    pool_id: str,
+    tenant_id: TenantId,
+    k: int,
+    kwargs: dict,
+    replace: bool = False,
 ) -> TenantId:
+    """Build a fresh monitor for *tenant_id*.
+
+    ``replace=True`` is the heal path's rebuild: after a worker respawn
+    there is no state to collide with (fork mode) or the surviving
+    state is being deliberately replaced from durable records
+    (thread/serial), so there is no duplicate check.
+    """
     state = _POOL_STATE[pool_id]
-    if tenant_id in state["tenants"]:
+    if not replace and tenant_id in state["tenants"]:
         raise ReproError(f"tenant {tenant_id!r} already registered")
     # checkout -> share_view mutates the base graph's column wrappers;
     # serialize it across thread-mode shards (fork/serial never race).
@@ -154,24 +165,6 @@ def _worker_restore(pool_id: str, tenant_id: TenantId, blob: bytes) -> TenantId:
     """Install a previously dumped monitor state (overwrites any)."""
     monitor = pickle.loads(blob)
     _POOL_STATE[pool_id]["tenants"][tenant_id] = monitor
-    return tenant_id
-
-
-def _worker_rebuild(
-    pool_id: str, tenant_id: TenantId, k: int, kwargs: dict
-) -> TenantId:
-    """Build a *fresh* monitor for *tenant_id*, overwriting any.
-
-    The heal path's counterpart of :func:`_worker_register`: after a
-    worker respawn there is no state to collide with (fork mode) or the
-    surviving state is being deliberately replaced from durable records
-    (thread/serial), so no duplicate check.
-    """
-    state = _POOL_STATE[pool_id]
-    with _REGISTER_LOCK:
-        graph = state["store"].checkout("base")
-    merged = {**state["defaults"], **kwargs}
-    state["tenants"][tenant_id] = TopKMonitor(graph, k, **merged)
     return tenant_id
 
 
@@ -460,7 +453,8 @@ class ServingPool:
         brings the fresh monitor back to the exact pre-crash state.
         """
         self._shard(tenant_id).submit(
-            _worker_rebuild, self._pool_id, tenant_id, k, monitor_kwargs
+            _worker_register, self._pool_id, tenant_id, k, monitor_kwargs,
+            True,  # replace the monitor the dead worker held
         ).result()
 
     def last_report(self, tenant_id: TenantId) -> Future:

@@ -6,16 +6,16 @@ already has.  The :class:`IngestionQueue` buffers events per tenant and
 flushes them in *windows*: everything a tenant accumulated inside one
 window is coalesced (:func:`~repro.serving.coalesce.coalesce_events`,
 last write wins — provably state-equivalent to serial application) and
-handed to the sink as one batch.
+dispatched as one batch.
 
 The buffering core is synchronous and loop-agnostic (``submit`` /
 ``drain`` / ``drain_tenant``), guarded by one lock so request threads
 can submit while an event-loop thread drains — no event is ever lost to
 a swap race.  The :meth:`IngestionQueue.pump` coroutine adds the timed
-flush loop for the live service: one ``asyncio`` task draining every
-``flush_interval`` seconds, plus an early flush whenever any tenant's
-backlog reaches ``max_pending`` (signalled thread-safely into the
-pump's loop).
+flush loop for the live service: one ``asyncio`` task running a flush
+cycle every ``flush_interval`` seconds, plus an early cycle whenever
+any tenant's backlog reaches ``max_pending`` (signalled thread-safely
+into the pump's loop).
 
 ``max_pending`` is also the queue's memory bound: the ``overflow``
 policy decides whether a tenant's full backlog keeps growing until the
@@ -25,7 +25,7 @@ event with an explicit :class:`~repro.core.errors.BackpressureError`
 
 With a :class:`~repro.persistence.wal.WriteAheadLog` attached
 (``wal=``), every drained batch is appended to the log *in coalesced
-form, in dispatch order, before the sink sees it* — the write-ahead
+form, in dispatch order, before it is dispatched* — the write-ahead
 property crash recovery replays against.  A WAL append failure puts the
 raw events back at the front of the tenant's backlog and re-raises, so
 a disk fault never silently drops accepted traffic.
@@ -50,8 +50,6 @@ __all__ = ["IngestionQueue", "QueueStats", "OVERFLOW_POLICIES"]
 OVERFLOW_POLICIES = ("wake", "error", "shed")
 
 TenantId = Hashable
-#: A flush sink: receives ``(tenant_id, coalesced_events)`` per tenant.
-FlushSink = Callable[[TenantId, list], "Awaitable[None] | None"]
 
 
 @dataclass
@@ -105,8 +103,8 @@ class IngestionQueue:
         tenant.
     wal:
         Optional :class:`~repro.persistence.wal.WriteAheadLog`; every
-        drained batch is appended (coalesced, dispatch order) before it
-        reaches the flush sink, and :meth:`drain` commits the log once
+        drained batch is appended (coalesced, dispatch order) before
+        :meth:`drain` returns it, and :meth:`drain` commits the log once
         per cycle (the ``fsync="flush"`` policy's durability point).
     """
 
@@ -263,44 +261,28 @@ class IngestionQueue:
     # ------------------------------------------------------------------
     async def pump(
         self,
-        sink: FlushSink | None = None,
+        flush: Callable[[], Awaitable[None]],
         *,
         flush_interval: float = 0.05,
         stop: asyncio.Event | None = None,
-        flush: Callable[[], "Awaitable[None]"] | None = None,
     ) -> None:
-        """Drain every *flush_interval* seconds until *stop*.
+        """Run *flush* every *flush_interval* seconds until *stop*.
 
-        A backlog hitting ``max_pending`` wakes the pump early (safe to
-        trigger from other threads).  Two wiring styles:
-
-        * ``sink`` — the pump drains itself and invokes the sink once
-          per (tenant, batch), awaiting awaitables, so per-tenant
-          batches apply in submission order.
-        * ``flush`` — a coroutine function that performs one whole
-          drain-and-dispatch cycle itself.  Callers whose drain must be
-          atomic with downstream dispatch (e.g. a service keeping
-          queue→worker enqueue order consistent with concurrent
-          per-tenant drains) use this and hold their own lock inside.
-
-        On stop, one final cycle flushes whatever is still buffered.
+        *flush* is a coroutine function performing one whole
+        drain-and-dispatch cycle, so a caller whose drain must be atomic
+        with downstream dispatch (a service keeping queue→worker enqueue
+        order consistent with concurrent per-tenant drains) holds its
+        own lock inside.  A backlog hitting ``max_pending`` wakes the
+        pump early (safe to trigger from other threads).  On stop, one
+        final cycle flushes whatever is still buffered.
         """
         if flush_interval <= 0:
             raise ReproError(
                 f"flush_interval must be positive, got {flush_interval}"
             )
-        if (sink is None) == (flush is None):
-            raise ReproError("pump needs exactly one of sink= or flush=")
         stop = stop or asyncio.Event()
         self._wakeup = asyncio.Event()
         self._pump_loop = asyncio.get_running_loop()
-
-        async def cycle() -> None:
-            if flush is not None:
-                await flush()
-            else:
-                await self._flush_into(sink)
-
         try:
             while not stop.is_set():
                 waiters = [
@@ -316,16 +298,8 @@ class IngestionQueue:
                     task.cancel()
                 await asyncio.gather(*pending, return_exceptions=True)
                 self._wakeup.clear()
-                await cycle()
-            await cycle()
+                await flush()
+            await flush()
         finally:
             self._wakeup = None
             self._pump_loop = None
-
-    async def _flush_into(self, sink: FlushSink) -> None:
-        for tenant_id, events in self.drain().items():
-            if not events:
-                continue
-            outcome = sink(tenant_id, events)
-            if outcome is not None and hasattr(outcome, "__await__"):
-                await outcome

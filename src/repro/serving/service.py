@@ -43,7 +43,9 @@ While a tenant's replay is still in flight, ``query_topk(...,
 allow_stale=True)`` serves the last snapshot's answer flagged
 ``stale=True`` instead of blocking or erroring.  A shard worker that
 dies (e.g. OOM-killed) is respawned with bounded retry/backoff and its
-tenants are restored from snapshot + WAL replay transparently.
+tenants are restored from snapshot + WAL replay transparently, on
+dispatch and on reads.  Recovery, promotion and healing all read
+durable state through :mod:`repro.serving.replay`.
 """
 
 from __future__ import annotations
@@ -62,9 +64,13 @@ from typing import Callable, Hashable, Iterable, Mapping
 
 from repro.core.errors import FencedError, ReproError
 from repro.core.graph import UncertainGraph
+from repro.persistence.codec import PersistenceError, encode_event
+from repro.persistence.snapshots import SnapshotStore
+from repro.persistence.wal import WriteAheadLog
 from repro.queries.base import param_key
 from repro.serving.pool import ServingPool
 from repro.serving.queue import IngestionQueue
+from repro.serving.replay import replay_batch, restore_snapshot
 from repro.serving.store import graph_fingerprint
 from repro.streaming.events import UpdateEvent
 from repro.streaming.monitor import RefreshReport, TopKMonitor
@@ -72,6 +78,14 @@ from repro.streaming.monitor import RefreshReport, TopKMonitor
 __all__ = ["RiskService", "ServiceSnapshot", "PromotionState"]
 
 TenantId = Hashable
+
+#: Capacity (entries) of the cross-tenant exact-answer cache.  Tenants
+#: whose monitors share ``(k, kwargs)`` and whose event histories hash
+#: to the same state token share cached answers: monitors are
+#: deterministic functions of (base graph, params, event history), so a
+#: token hit is provably the bit-identical answer, and the frozen result
+#: dataclasses make sharing safe.
+RESULT_CACHE_SIZE = 128
 
 
 @dataclass
@@ -141,29 +155,9 @@ class RiskService:
         Durability directory.  ``None`` (default) keeps the PR-4
         in-memory behaviour; a path makes the service durable — and, if
         the directory already holds a WAL/snapshots, *recovers* it (see
-        the module docstring).
-    degraded_answers:
-        Keep a parent-side *bounds mirror* per tenant — a
-        :class:`~repro.streaming.monitor.TopKMonitor` over a
-        copy-on-write view of the base snapshot that absorbs every
-        accepted event at submit time.  :meth:`query_degraded` then
-        answers from the mirror's always-warm Eq-(1) iterates without
-        queueing behind the tenant's shard backlog — the degraded path
-        the SLO front end and ``allow_stale`` fall back to.  Costs one
-        COW view plus an ``O((n + m) · z)`` bound evaluation per
-        degraded answer; ``False`` disables mirrors entirely.
-    result_cache_size:
-        Capacity (entries) of the cross-tenant exact-answer cache.
-        Tenants whose monitors share ``(k, kwargs)`` and whose event
-        histories hash to the same state token share cached
-        :class:`DetectionResult` objects — the frozen dataclass makes
-        sharing safe, and monitors are deterministic functions of
-        (base graph, params, event history), so a token hit is provably
-        the bit-identical answer.  ``0`` disables the cache.
+        the module docstring).  Rotation keeps the latest 2 snapshots.
     fsync:
         WAL fsync policy (``"always"`` / ``"flush"`` / ``"never"``).
-    snapshot_keep:
-        Completed snapshots retained by rotation.
     snapshot_on_close:
         Write a final snapshot during a durable :meth:`close`, making
         the next recovery replay-free.
@@ -180,10 +174,7 @@ class RiskService:
         overflow: str = "wake",
         wal_dir=None,
         fsync: str = "flush",
-        snapshot_keep: int = 2,
         snapshot_on_close: bool = True,
-        degraded_answers: bool = True,
-        result_cache_size: int = 128,
         adopt: PromotionState | None = None,
         epoch_store=None,
         node_id: str = "primary",
@@ -209,8 +200,7 @@ class RiskService:
         self._stale_results: dict[TenantId, object] = {}
         #: tenant -> (k, kwargs) for rebuild-from-scratch healing.
         self._registered: dict[TenantId, tuple[int, dict]] = {}
-        self._degraded_answers = bool(degraded_answers)
-        #: tenant -> parent-side bounds mirror (see ``degraded_answers``).
+        #: tenant -> parent-side bounds mirror (see ``_make_mirror``).
         self._mirrors: dict[TenantId, TopKMonitor] = {}
         #: tenant -> sha256 state token over the accepted event history
         #: (``None`` = uncacheable: unknown history or unencodable event).
@@ -219,7 +209,6 @@ class RiskService:
         #: submission, so both track exactly the accepted event order.
         self._token_lock = threading.Lock()
         self._result_cache: OrderedDict = OrderedDict()
-        self._result_cache_size = int(result_cache_size)
         self.cache_stats = {"hits": 0, "misses": 0}
         #: tenant -> most recent RefreshReport the parent observed.
         self._last_reports: dict[TenantId, RefreshReport] = {}
@@ -236,15 +225,10 @@ class RiskService:
         self._epoch_store = epoch_store
         self._node_id = str(node_id)
         if adopt is not None and wal_dir is None:
-            from repro.persistence.codec import PersistenceError
-
             raise PersistenceError("promotion adoption needs wal_dir=...")
         if wal_dir is not None:
-            from repro.persistence.snapshots import SnapshotStore
-            from repro.persistence.wal import WriteAheadLog
-
             self._wal = WriteAheadLog(wal_dir, fsync=fsync)
-            self._snapshots = SnapshotStore(wal_dir, keep=snapshot_keep)
+            self._snapshots = SnapshotStore(wal_dir)
             if adopt is not None:
                 self._adopt_recover(adopt)
             else:
@@ -255,8 +239,6 @@ class RiskService:
             # provably belongs to this epoch, and any older primary's
             # next fence check (at its next flush) will see it and
             # refuse to append.
-            from repro.persistence.codec import PersistenceError
-
             if self._wal is None:
                 raise PersistenceError(
                     "epoch fencing needs a durable service (wal_dir=...)"
@@ -350,10 +332,20 @@ class RiskService:
     # ------------------------------------------------------------------
     def _recover(self) -> None:
         """Restore snapshot state and enqueue the WAL replay suffix."""
-        from repro.persistence.codec import PersistenceError
-
         assert self._wal is not None and self._snapshots is not None
-        watermarks: dict[TenantId, int] = {}
+
+        def restored(tenant_snapshot, blob: bytes) -> None:
+            tenant_id = tenant_snapshot.tenant_id
+            self._stale_results[tenant_id] = tenant_snapshot.load_result()
+            # The snapshot blob is the pickled monitor itself —
+            # unpickling it parent-side gives an exact bounds mirror at
+            # the snapshot watermark (replay advances it below).
+            # Event-history tokens don't survive a crash, so the tenant
+            # rejoins the result cache only after a restart of its token
+            # chain; answers stay exact regardless.
+            self._mirrors[tenant_id] = pickle.loads(blob)
+            self._tokens[tenant_id] = None
+
         # Read-pin while loading blobs: a concurrent rotation (another
         # thread's snapshot_to_disk, or an operator process sharing the
         # directory) cannot sweep this snapshot out from under us.
@@ -369,54 +361,26 @@ class RiskService:
                         "different base graph (fingerprint mismatch); "
                         "durable state cannot be replayed onto this network"
                     )
-                for tenant_snapshot in snapshot.tenants.values():
-                    tenant_id = tenant_snapshot.tenant_id
-                    blob = tenant_snapshot.load_state_blob()
-                    self._pool.restore_tenant(tenant_id, blob)
-                    watermarks[tenant_id] = tenant_snapshot.watermark
-                    self._stale_results[tenant_id] = (
-                        tenant_snapshot.load_result()
-                    )
-                    # The snapshot blob is the pickled monitor itself —
-                    # unpickling it parent-side gives an exact bounds
-                    # mirror at the snapshot watermark (replay advances
-                    # it below).  Event-history tokens don't survive a
-                    # crash, so the tenant rejoins the result cache only
-                    # after a restart of its token chain; answers stay
-                    # exact regardless.
-                    if self._degraded_answers:
-                        self._mirrors[tenant_id] = pickle.loads(blob)
-                    self._tokens[tenant_id] = None
                 self.recovered_extras = dict(snapshot.extras or {})
-        for batch in self._wal.read_batches():
-            if batch.kind == "epoch":
-                # A previous lineage's fence stamp; recovery replays
-                # the batches regardless of which epoch wrote them —
-                # they were all accepted by the then-legitimate primary.
-                continue
-            if batch.kind == "register":
-                register = batch.register or {}
-                k = int(register.get("k", 1))
-                kwargs = dict(register.get("kwargs", {}))
-                self._registered[batch.tenant_id] = (k, kwargs)
-                if not self._pool.has_tenant(batch.tenant_id):
-                    self._pool.register(batch.tenant_id, k, **kwargs)
-                    self._make_mirror(batch.tenant_id, k, kwargs)
-                    self._tokens[batch.tenant_id] = self._fingerprint
-                continue
-            if batch.seq <= watermarks.get(batch.tenant_id, 0):
-                continue  # already folded into the snapshot blob
-            if not self._pool.has_tenant(batch.tenant_id):
-                raise PersistenceError(
-                    f"WAL batch {batch.seq} addresses tenant "
-                    f"{batch.tenant_id!r} with neither a snapshot nor a "
-                    "registration record — the log is inconsistent"
-                )
-            self._recovering[batch.tenant_id] = self._pool.apply(
-                batch.tenant_id, list(batch.events)
+            watermarks = restore_snapshot(
+                self._pool, snapshot, on_restore=restored
             )
-            for event in batch.events:
-                self._track_event(batch.tenant_id, event)
+        # Batches replay whichever epoch wrote them: every one was
+        # accepted by the then-legitimate primary.
+        for batch in self._wal.read_batches():
+            tenant_id = batch.tenant_id
+            future = replay_batch(
+                self._pool, batch, watermarks.get(tenant_id, 0),
+                self._registered,
+            )
+            if batch.kind == "register" and tenant_id not in watermarks:
+                # Registered after the snapshot: a fresh mirror and token.
+                self._make_mirror(tenant_id, *self._registered[tenant_id])
+                self._tokens[tenant_id] = self._fingerprint
+            if future is not None:
+                self._recovering[tenant_id] = future
+                for event in batch.events:
+                    self._track_event(tenant_id, event)
 
     def _adopt_recover(self, adopt: PromotionState) -> None:
         """Promotion: keep the warm pool, replay only the un-acked tail.
@@ -428,45 +392,35 @@ class RiskService:
         from the complete durable history — the "replays its un-acked
         WAL suffix before accepting writes" promotion contract.
         """
-        from repro.persistence.codec import PersistenceError
-
         assert self._wal is not None
         self._registered = dict(adopt.registered)
         for batch in self._wal.read_batches():
-            if batch.kind == "epoch":
-                continue
-            if batch.kind == "register":
-                register = batch.register or {}
-                k = int(register.get("k", 1))
-                kwargs = dict(register.get("kwargs", {}))
-                self._registered.setdefault(batch.tenant_id, (k, kwargs))
-                if not self._pool.has_tenant(batch.tenant_id):
-                    self._pool.register(batch.tenant_id, k, **kwargs)
-                continue
-            if batch.seq <= adopt.applied_upto:
-                continue
-            if not self._pool.has_tenant(batch.tenant_id):
-                raise PersistenceError(
-                    f"WAL batch {batch.seq} addresses tenant "
-                    f"{batch.tenant_id!r} unknown to the adopted pool"
-                )
-            self._pool.apply(batch.tenant_id, list(batch.events)).result()
+            future = replay_batch(
+                self._pool, batch, adopt.applied_upto, self._registered
+            )
+            if future is not None:
+                future.result()
         # Rebuild parent-side mirrors from the live monitors so the
         # degraded/bounds path works immediately after promotion; the
         # token chain restarts (like post-crash recovery), so these
         # tenants rejoin the result cache on their next quiet period.
         for tenant_id in self._pool.tenants():
             self._tokens[tenant_id] = None
-            if self._degraded_answers:
-                blob, _ = self._pool.dump_tenant(tenant_id).result()
-                self._mirrors[tenant_id] = pickle.loads(blob)
+            blob, _ = self._pool.dump_tenant(tenant_id).result()
+            self._mirrors[tenant_id] = pickle.loads(blob)
+
+    def _await_replay(self, tenant_id: TenantId) -> None:
+        """Block until *tenant_id*'s post-recovery replay has applied."""
+        replay = self._recovering.get(tenant_id)
+        if replay is not None:
+            self._result_after_break(tenant_id, replay)
+            self._recovering.pop(tenant_id, None)
+            self._stale_results.pop(tenant_id, None)
 
     def _await_recovery(self) -> None:
         """Block until every tenant's replay has been applied."""
-        for tenant_id, future in list(self._recovering.items()):
-            self._result_after_break(tenant_id, future)
-            self._recovering.pop(tenant_id, None)
-            self._stale_results.pop(tenant_id, None)
+        for tenant_id in list(self._recovering):
+            self._await_replay(tenant_id)
 
     # ------------------------------------------------------------------
     # Bounds mirrors and state tokens (degraded path + result cache)
@@ -474,9 +428,15 @@ class RiskService:
     def _make_mirror(
         self, tenant_id: TenantId, k: int, monitor_kwargs: dict
     ) -> None:
-        """Build the tenant's parent-side bounds mirror, if enabled."""
-        if not self._degraded_answers:
-            return
+        """Build the tenant's parent-side *bounds mirror*.
+
+        A :class:`~repro.streaming.monitor.TopKMonitor` over a
+        copy-on-write view of the base snapshot that absorbs every
+        accepted event at submit time, so :meth:`query_degraded` answers
+        from its always-warm Eq-(1) iterates without queueing behind the
+        tenant's shard backlog — the degraded path the SLO front end and
+        ``allow_stale`` fall back to.
+        """
         merged = {**self._monitor_defaults, **monitor_kwargs}
         self._mirrors[tenant_id] = TopKMonitor(
             self._pool.checkout_base(), k, **merged
@@ -499,8 +459,6 @@ class RiskService:
                 del self._mirrors[tenant_id]
         token = self._tokens.get(tenant_id)
         if token is not None:
-            from repro.persistence.codec import PersistenceError, encode_event
-
             try:
                 payload = encode_event(event)
             except (PersistenceError, ReproError, TypeError, ValueError):
@@ -530,8 +488,8 @@ class RiskService:
         matter how deep the shard backlog is.  Flagged
         ``degraded=True`` (and ``stale=True`` when requested — the
         recovery path marks replay-lagged answers).  Returns ``None``
-        when the tenant has no usable mirror (mirrors disabled, or the
-        mirror was dropped after an unapplicable event).
+        when the tenant has no usable mirror (it was dropped after an
+        unapplicable event).
         """
         self._ensure_open()
         if not self._pool.has_tenant(tenant_id):
@@ -568,8 +526,6 @@ class RiskService:
         """
         self._ensure_open()
         if self._wal is not None:
-            from repro.persistence.codec import PersistenceError
-
             try:
                 json.dumps(monitor_kwargs)
             except (TypeError, ValueError) as error:
@@ -632,20 +588,29 @@ class RiskService:
         """
         self._ensure_open()
         if self._wal is None:
-            from repro.persistence.codec import PersistenceError
-
             raise PersistenceError(
                 "submit_and_sync needs a durable service (wal_dir=...)"
             )
         if not self.submit_update(tenant_id, event):
             return -1
+        return self._drain_tenant(tenant_id)
+
+    def _drain_tenant(self, tenant_id: TenantId) -> int:
+        """Apply the tenant's own backlog; return its last durable seq.
+
+        Draining, the WAL append and the shard dispatch share the
+        dispatch critical section (see ``__init__``); waiting for the
+        apply does not.  The seq is 0 on an in-memory service.
+        """
         with self._dispatch_lock:
             self._check_fence()
             events = self._queue.drain_tenant(tenant_id)
             future = (
                 self._apply_after_break(tenant_id, events) if events else None
             )
-            seq = self._wal.last_seq_of.get(tenant_id, 0)
+            seq = 0 if self._wal is None else self._wal.last_seq_of.get(
+                tenant_id, 0
+            )
         if events:
             self._result_after_break(tenant_id, future)
         return seq
@@ -699,25 +664,22 @@ class RiskService:
 
     def _result_after_break(self, tenant_id: TenantId, future: "Future | None"):
         """Resolve one shard future, healing a dead worker if durable."""
-        if future is None:
-            return self._observe(
-                tenant_id, self._pool.last_report(tenant_id).result()
-            )
-        try:
-            return self._observe(tenant_id, future.result())
-        except BrokenExecutor:
-            if self._wal is None:
-                raise
-            index = self._pool.shard_index(tenant_id)
-            if not self._pool.shard_alive(index):
-                self._heal_shard(index)
-            # The submitted work either applied before the crash (then
-            # the heal's snapshot/replay state includes it) or it never
-            # ran (then it was durable and the replay applied it).
-            # Either way the monitor is current; serve its last report.
-            return self._observe(
-                tenant_id, self._pool.last_report(tenant_id).result()
-            )
+        if future is not None:
+            try:
+                return self._observe(tenant_id, future.result())
+            except BrokenExecutor:
+                if self._wal is None:
+                    raise
+                index = self._pool.shard_index(tenant_id)
+                if not self._pool.shard_alive(index):
+                    self._heal_shard(index)
+        # Healed work either applied before the crash (then the heal's
+        # snapshot/replay state includes it) or it never ran (then it
+        # was durable and the replay applied it).  Either way the
+        # monitor is current; serve its last report.
+        return self._observe(
+            tenant_id, self._pool.last_report(tenant_id).result()
+        )
 
     def _observe(self, tenant_id: TenantId, outcome):
         """Cache refresh telemetry as it flows back from the shards."""
@@ -726,34 +688,33 @@ class RiskService:
         return outcome
 
     def _heal_shard(self, index: int) -> None:
-        """Respawn a dead shard and restore its tenants from durable state."""
+        """Respawn a dead shard and restore its tenants from durable state.
+
+        A tenant without a snapshot blob is rebuilt from its
+        registration and replays the whole log.
+        """
         assert self._wal is not None and self._snapshots is not None
         self._pool.respawn_shard(index)
+        tenants = self._pool.tenants_on_shard(index)
         batches = self._wal.read_batches()
         with self._snapshots.pin_latest() as snapshot:
-            for tenant_id in self._pool.tenants_on_shard(index):
-                watermark = 0
-                tenant_snapshot = (
-                    snapshot.tenants.get(tenant_id) if snapshot else None
+            watermarks = restore_snapshot(
+                self._pool, snapshot, tenants=tenants
+            )
+        for tenant_id in tenants:
+            if tenant_id not in watermarks:
+                k, kwargs = self._registered[tenant_id]
+                self._pool.rebuild_tenant(tenant_id, k, **kwargs)
+        for batch in batches:
+            if batch.tenant_id in tenants:
+                future = replay_batch(
+                    self._pool, batch, watermarks.get(batch.tenant_id, 0),
+                    self._registered,
                 )
-                if tenant_snapshot is not None:
-                    self._pool.restore_tenant(
-                        tenant_id, tenant_snapshot.load_state_blob()
-                    )
-                    watermark = tenant_snapshot.watermark
-                else:
-                    k, kwargs = self._registered[tenant_id]
-                    self._pool.rebuild_tenant(tenant_id, k, **kwargs)
-                for batch in batches:
-                    if (
-                        batch.kind == "events"
-                        and batch.tenant_id == tenant_id
-                        and batch.seq > watermark
-                    ):
-                        self._pool.apply(
-                            tenant_id, list(batch.events)
-                        ).result()
-                self._recovering.pop(tenant_id, None)
+                if future is not None:
+                    future.result()
+        for tenant_id in tenants:
+            self._recovering.pop(tenant_id, None)
 
     def query_topk(
         self,
@@ -783,69 +744,21 @@ class RiskService:
         """
         self._ensure_open()
         replay = self._recovering.get(tenant_id)
-        if replay is not None:
-            if not replay.done() and allow_stale:
-                stale = self._stale_results.get(tenant_id)
-                if stale is not None:
-                    return dataclasses.replace(stale, stale=True)
-                degraded = self.query_degraded(tenant_id, stale=True)
-                if degraded is not None:
-                    return degraded
-            self._result_after_break(tenant_id, replay)
-            self._recovering.pop(tenant_id, None)
-            self._stale_results.pop(tenant_id, None)
+        if allow_stale and replay is not None and not replay.done():
+            stale = self._stale_results.get(tenant_id)
+            if stale is not None:
+                return dataclasses.replace(stale, stale=True)
+            degraded = self.query_degraded(tenant_id, stale=True)
+            if degraded is not None:
+                return degraded
+        self._await_replay(tenant_id)
         if flush:
-            with self._dispatch_lock:
-                self._check_fence()
-                events = self._queue.drain_tenant(tenant_id)
-                future = (
-                    self._apply_after_break(tenant_id, events)
-                    if events
-                    else None
-                )
-            if events:
-                self._result_after_break(tenant_id, future)
-        # Cross-tenant result cache: tenants with identical parameters
-        # and token-equal accepted histories provably hold bit-identical
-        # answers (monitors are deterministic), so the second one is a
-        # dictionary lookup.  Eligible only when nothing is pending for
-        # the tenant — with ``flush=False`` and a backlog, the exact
-        # answer deliberately lags the token.
-        cache_key = None
-        if self._result_cache_size > 0:
-            with self._token_lock:
-                token = self._tokens.get(tenant_id)
-                pending = self._queue.pending(tenant_id)
-            monitor_key = self._monitor_key(tenant_id)
-            if token is not None and monitor_key is not None and not pending:
-                # The family tag keeps top-k entries disjoint from
-                # query_family entries sharing the same state token.
-                cache_key = (token, "topk", monitor_key)
-                cached = self._result_cache.get(cache_key)
-                if cached is not None:
-                    self.cache_stats["hits"] += 1
-                    self._result_cache.move_to_end(cache_key)
-                    return cached
-                self.cache_stats["misses"] += 1
-        try:
-            result = self._pool.query(tenant_id).result()
-        except BrokenExecutor:
-            if self._wal is None:
-                raise
-            self._heal_shard(self._pool.shard_index(tenant_id))
-            result = self._pool.query(tenant_id).result()
-        if cache_key is not None:
-            with self._token_lock:
-                unchanged = self._tokens.get(tenant_id) == cache_key[0]
-            # A submit that raced the query would make the token newer
-            # than the answer; only a quiescent tenant populates the
-            # cache.
-            if unchanged:
-                self._result_cache[cache_key] = result
-                self._result_cache.move_to_end(cache_key)
-                while len(self._result_cache) > self._result_cache_size:
-                    self._result_cache.popitem(last=False)
-        return result
+            self._drain_tenant(tenant_id)
+        # The "topk" tag keeps these cache entries disjoint from
+        # query_family entries sharing the same state token.
+        return self._answer(
+            tenant_id, ("topk",), lambda: self._pool.query(tenant_id)
+        )
 
     def query_family(
         self,
@@ -871,54 +784,57 @@ class RiskService:
         self._ensure_open()
         params = dict(params or {})
         family = str(family)
-        replay = self._recovering.get(tenant_id)
-        if replay is not None:
-            self._result_after_break(tenant_id, replay)
-            self._recovering.pop(tenant_id, None)
-            self._stale_results.pop(tenant_id, None)
+        self._await_replay(tenant_id)
         if flush:
-            with self._dispatch_lock:
-                self._check_fence()
-                events = self._queue.drain_tenant(tenant_id)
-                future = (
-                    self._apply_after_break(tenant_id, events)
-                    if events
-                    else None
-                )
-            if events:
-                self._result_after_break(tenant_id, future)
+            self._drain_tenant(tenant_id)
+        return self._answer(
+            tenant_id,
+            (family, param_key(params)),
+            lambda: self._pool.query_family(tenant_id, family, params),
+        )
+
+    def _answer(
+        self, tenant_id: TenantId, query: tuple, run: Callable[[], Future]
+    ):
+        """Run *query* on the tenant's shard through the result cache.
+
+        Tenants with identical parameters and token-equal accepted
+        histories provably hold bit-identical answers (monitors are
+        deterministic), so the second one is a dictionary lookup.
+        Eligible only when nothing is pending for the tenant — with
+        ``flush=False`` and a backlog, the exact answer deliberately
+        lags the token.  A dead shard is healed and *run* retried once.
+        """
+        with self._token_lock:
+            token = self._tokens.get(tenant_id)
+            pending = self._queue.pending(tenant_id)
+        monitor_key = self._monitor_key(tenant_id)
         cache_key = None
-        if self._result_cache_size > 0:
-            with self._token_lock:
-                token = self._tokens.get(tenant_id)
-                pending = self._queue.pending(tenant_id)
-            monitor_key = self._monitor_key(tenant_id)
-            if token is not None and monitor_key is not None and not pending:
-                cache_key = (token, family, param_key(params), monitor_key)
-                cached = self._result_cache.get(cache_key)
-                if cached is not None:
-                    self.cache_stats["hits"] += 1
-                    self._result_cache.move_to_end(cache_key)
-                    return cached
-                self.cache_stats["misses"] += 1
+        if token is not None and monitor_key is not None and not pending:
+            cache_key = (token, *query, monitor_key)
+            cached = self._result_cache.get(cache_key)
+            if cached is not None:
+                self.cache_stats["hits"] += 1
+                self._result_cache.move_to_end(cache_key)
+                return cached
+            self.cache_stats["misses"] += 1
         try:
-            result = self._pool.query_family(
-                tenant_id, family, params
-            ).result()
+            result = run().result()
         except BrokenExecutor:
             if self._wal is None:
                 raise
             self._heal_shard(self._pool.shard_index(tenant_id))
-            result = self._pool.query_family(
-                tenant_id, family, params
-            ).result()
+            result = run().result()
         if cache_key is not None:
             with self._token_lock:
-                unchanged = self._tokens.get(tenant_id) == cache_key[0]
+                unchanged = self._tokens.get(tenant_id) == token
+            # A submit that raced the query would make the token newer
+            # than the answer; only a quiescent tenant populates the
+            # cache.
             if unchanged:
                 self._result_cache[cache_key] = result
                 self._result_cache.move_to_end(cache_key)
-                while len(self._result_cache) > self._result_cache_size:
+                while len(self._result_cache) > RESULT_CACHE_SIZE:
                     self._result_cache.popitem(last=False)
         return result
 
@@ -954,8 +870,6 @@ class RiskService:
         Returns the published
         :class:`~repro.persistence.snapshots.Snapshot`.
         """
-        from repro.persistence.codec import PersistenceError
-
         self._ensure_open()
         if self._wal is None or self._snapshots is None:
             raise PersistenceError(
@@ -1041,7 +955,7 @@ class RiskService:
     ) -> None:
         """Drain the ingestion queue on a timer until *stop* is set.
 
-        Runs :meth:`IngestionQueue.pump` in ``flush=`` mode: each cycle
+        Runs :meth:`IngestionQueue.pump`, each of whose cycles
         performs the whole drain-and-dispatch under the service's
         dispatch lock (shared with :meth:`flush` and
         :meth:`query_topk`), so a request thread draining one tenant

@@ -219,6 +219,25 @@ class TestServeSubcommand:
         assert "error:" in capsys.readouterr().err
 
 
+class TestReplicateSubcommand:
+    def test_drill_verifies_and_closes_every_replica(self, capsys):
+        from repro.serving import pool
+
+        before = set(pool._POOL_STATE)
+        code = main([
+            "replicate", "--dataset", "guarantee", "--scale", "0.02",
+            "--k", "5", "--replicas", "2", "--verify", "--json",
+        ])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["deposed_primary_fenced"] is True
+        assert report["replicas_bit_identical"] is True
+        assert all(row["match"] for row in report["tenants_detail"])
+        # Primary, promoted service and the other replica all shut
+        # their pools down.
+        assert set(pool._POOL_STATE) == before
+
+
 class TestCrawlSubcommand:
     def test_crawl_verifies_every_step(self, capsys):
         code = main(

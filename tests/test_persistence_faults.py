@@ -144,6 +144,23 @@ class TestSigkillRecovery:
             assert recovered[tenant_id].same_answer(reference[tenant_id])
 
 
+def never_crashed_answers(graph, events_before, events_after):
+    """t1/t2 answers of a serial service fed both event lists, one flush
+    each, that never loses a worker."""
+    reference = RiskService(graph, mode="serial", monitor_defaults=DEFAULTS)
+    try:
+        reference.register_tenant("t1", 3)
+        reference.register_tenant("t2", 4)
+        for events in (events_before, events_after):
+            for event in events:
+                reference.submit_update("t1", event)
+                reference.submit_update("t2", event)
+            reference.flush()
+        return {t: reference.query_topk(t) for t in ("t1", "t2")}
+    finally:
+        reference.close()
+
+
 class TestDeadShardWorker:
     def test_sigkilled_fork_worker_heals_bit_identically(self, tmp_path):
         graph = make_graph()
@@ -177,26 +194,50 @@ class TestDeadShardWorker:
         finally:
             service.close()
 
-        reference = RiskService(
-            graph, mode="serial", monitor_defaults=DEFAULTS
+        reference = never_crashed_answers(graph, events[:12], events[12:])
+        for tenant_id in ("t1", "t2"):
+            assert answers[tenant_id].same_answer(reference[tenant_id])
+
+    def test_shard_without_snapshot_heals_on_read(self, tmp_path):
+        """With no snapshot on disk, the first read of a dead shard's
+        tenant rebuilds it from its registration and replays the whole
+        log."""
+        graph = make_graph()
+        events = [
+            SelfRiskUpdate(int(i % graph.num_nodes), float((i % 5) / 5.0))
+            for i in range(24)
+        ]
+        service = RiskService(
+            graph, mode="fork", shards=2,
+            wal_dir=tmp_path / "wal", monitor_defaults=DEFAULTS,
         )
         try:
-            reference.register_tenant("t1", 3)
-            reference.register_tenant("t2", 4)
+            service.register_tenant("t1", 3)
+            service.register_tenant("t2", 4)
             for event in events[:12]:
-                reference.submit_update("t1", event)
-                reference.submit_update("t2", event)
-            reference.flush()
+                service.submit_update("t1", event)
+                service.submit_update("t2", event)
+            service.flush()
+            assert service.snapshot_store.latest() is None
+
+            victim = service.pool.shard_index("t1")
+            os.kill(service.pool.worker_pids()[victim], signal.SIGKILL)
+            time.sleep(0.2)
+            assert service.queue.pending() == 0
+            service.query_topk("t1")  # only the read meets the dead worker
+            assert service.pool.shard_alive(victim)
+
             for event in events[12:]:
-                reference.submit_update("t1", event)
-                reference.submit_update("t2", event)
-            reference.flush()
-            for tenant_id in ("t1", "t2"):
-                assert answers[tenant_id].same_answer(
-                    reference.query_topk(tenant_id)
-                )
+                service.submit_update("t1", event)
+                service.submit_update("t2", event)
+            service.flush()
+            answers = {t: service.query_topk(t) for t in ("t1", "t2")}
         finally:
-            reference.close()
+            service.close()
+
+        reference = never_crashed_answers(graph, events[:12], events[12:])
+        for tenant_id in ("t1", "t2"):
+            assert answers[tenant_id].same_answer(reference[tenant_id])
 
     def test_respawn_without_wal_propagates(self):
         graph = make_graph()

@@ -177,8 +177,7 @@ class TestSnapshotRotation:
     def test_keep_bound_and_wal_truncation(self, graph, events, tmp_path):
         service = RiskService(
             graph, mode="serial", wal_dir=tmp_path,
-            monitor_defaults=DEFAULTS, snapshot_keep=2,
-            snapshot_on_close=False,
+            monitor_defaults=DEFAULTS, snapshot_on_close=False,
         )
         service.register_tenant("t1", 3)
         for start in range(0, 30, 10):

@@ -35,7 +35,8 @@ from repro.replication.router import (
     LocalReplicaHandle,
     NodeUnavailable,
 )
-from repro.serving.service import RiskService
+from repro.serving.pool import ServingPool
+from repro.serving.service import PromotionState, RiskService
 from repro.streaming.events import SelfRiskUpdate
 
 DEFAULTS = {"seed": 42, "epsilon": 0.5}
@@ -531,6 +532,54 @@ class TestPromotion:
         finally:
             promoted.close()
             primary.close()
+
+    def test_adoption_replays_the_durable_tail(self, tmp_path):
+        """A pool fed only through seq ``s`` takes the rest from the WAL:
+        the tail's events for a known tenant, and a tenant registered
+        after ``s`` together with its batches."""
+        primary = RiskService(
+            make_graph(), mode="serial", wal_dir=tmp_path / "p",
+            fsync="always", monitor_defaults=DEFAULTS,
+            snapshot_on_close=False,
+        )
+        primary.register_tenant("t1", 5)
+        drive(primary, "t1", 4)
+        primary.register_tenant("t2", 4)
+        drive(primary, "t2", 4, start=10)
+        drive(primary, "t1", 2, start=20)
+        answers = {t: primary.query_topk(t) for t in ("t1", "t2")}
+        primary.close()
+
+        with WriteAheadLog(tmp_path / "p") as wal:
+            batches = wal.read_batches()
+        upto = batches[3].seq  # registration + t1's first three batches
+        pool = ServingPool(
+            make_graph(), mode="serial", monitor_defaults=DEFAULTS
+        )
+        registered = {}
+        for batch in batches:
+            if batch.seq > upto:
+                break
+            if batch.kind == "register":
+                k, kwargs = batch.register["k"], batch.register["kwargs"]
+                registered[batch.tenant_id] = (k, kwargs)
+                pool.register(batch.tenant_id, k, **kwargs)
+            elif batch.kind == "events":
+                pool.apply(batch.tenant_id, list(batch.events)).result()
+        assert registered.keys() == {"t1"} and not pool.has_tenant("t2")
+
+        adopted = RiskService(
+            make_graph(), mode="serial", wal_dir=tmp_path / "p",
+            fsync="always", monitor_defaults=DEFAULTS,
+            adopt=PromotionState(
+                pool=pool, registered=registered, applied_upto=upto
+            ),
+        )
+        try:
+            for tenant_id, answer in answers.items():
+                assert answer.same_answer(adopted.query_topk(tenant_id))
+        finally:
+            adopted.close()
 
     def test_promoted_mirror_restarts_as_plain_durable_service(
         self, tmp_path

@@ -184,14 +184,14 @@ class TestIngestionQueue:
         queue = IngestionQueue()
         seen: list[tuple] = []
 
+        async def flush():
+            for tenant_id, events in queue.drain().items():
+                seen.append((tenant_id, len(events)))
+
         async def scenario():
             stop = asyncio.Event()
             task = asyncio.create_task(
-                queue.pump(
-                    lambda t, evs: seen.append((t, len(evs))),
-                    flush_interval=0.01,
-                    stop=stop,
-                )
+                queue.pump(flush, flush_interval=0.01, stop=stop)
             )
             queue.submit("t", SelfRiskUpdate("a", 0.1))
             await asyncio.sleep(0.05)
@@ -207,11 +207,15 @@ class TestIngestionQueue:
         queue = IngestionQueue(max_pending=3)
         seen: list[int] = []
 
+        async def flush():
+            for events in queue.drain().values():
+                seen.append(len(events))
+
         async def scenario():
             stop = asyncio.Event()
             task = asyncio.create_task(
                 queue.pump(
-                    lambda t, evs: seen.append(len(evs)),
+                    flush,
                     flush_interval=30.0,  # timer alone would never fire
                     stop=stop,
                 )
@@ -508,14 +512,14 @@ class TestReviewHardening:
         received: list = []
         total = 400
 
+        async def flush():
+            for events in queue.drain().values():
+                received.extend(events)
+
         async def scenario():
             stop = asyncio.Event()
             pump = asyncio.create_task(
-                queue.pump(
-                    lambda t, evs: received.extend(evs),
-                    flush_interval=0.001,
-                    stop=stop,
-                )
+                queue.pump(flush, flush_interval=0.001, stop=stop)
             )
             await asyncio.sleep(0)
             worker = threading.Thread(
@@ -597,17 +601,6 @@ class TestCrossTenantResultCache:
             service.query_topk("s0")
             service.query_topk("s1")
             assert service.cache_stats == {"hits": 0, "misses": 2}
-        finally:
-            service.close()
-
-    def test_cache_disabled(self, base_graph):
-        service = RiskService(base_graph, mode="serial", result_cache_size=0)
-        try:
-            service.register_tenant("a", 4, seed=0)
-            service.register_tenant("b", 4, seed=0)
-            service.query_topk("a")
-            service.query_topk("b")
-            assert service.cache_stats == {"hits": 0, "misses": 0}
         finally:
             service.close()
 
