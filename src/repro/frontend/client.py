@@ -16,20 +16,14 @@ around:
 * **bounded attempts** — after ``retries`` failures the last error
   surfaces as :class:`~repro.core.errors.FrontendError` (or the last
   429 response is returned, so callers can inspect it);
-* **retry budget** — an optional wall-clock cap on one logical
-  request's total retry time: a sleep that would overrun the budget is
-  never taken (deadline-aware, not best-effort), so a caller with a
-  500 ms budget gets an answer or an error in ≤ 500 ms, not after the
-  full attempt schedule;
-* **circuit breaker** — consecutive transport failures / 503s open
-  the circuit: further requests fail fast with
-  :class:`CircuitOpenError` instead of hammering a fenced or dead
-  node.  After a cooldown the next request is a half-open probe — its
-  success closes the circuit, its failure re-opens it for another
-  cooldown.
+* **writes are never re-sent blind** — ``/v1/update`` and
+  ``/v1/register`` retry only when the server provably did not apply
+  them: the connection was refused, or the server answered 429 or 503.
+  Any other transport error may land after the server applied the
+  write, so it surfaces after one attempt.
 
-The clock and RNG are injectable, so the backoff schedule and breaker
-state machine are unit-testable without sleeping.
+The sleeper and RNG are injectable, so the backoff schedule is
+unit-testable without sleeping.
 """
 
 from __future__ import annotations
@@ -45,15 +39,13 @@ from repro.core.errors import FrontendError
 from repro.frontend.protocol import event_to_json
 from repro.streaming.events import UpdateEvent
 
-__all__ = ["ClientResponse", "FrontendClient", "CircuitOpenError"]
+__all__ = ["ClientResponse", "FrontendClient"]
 
 TenantId = Hashable
 #: Outcomes worth retrying: overload and transient transport failures.
 _RETRYABLE_STATUSES = (429, 503)
-
-
-class CircuitOpenError(FrontendError):
-    """Failing fast: the client's circuit breaker is open."""
+#: Routes that change server state (see the module docstring).
+_WRITE_PATHS = frozenset({"/v1/update", "/v1/register"})
 
 
 @dataclass(frozen=True)
@@ -72,6 +64,9 @@ class ClientResponse:
 class FrontendClient:
     """Call a :class:`FrontendServer`; retries overload politely.
 
+    Queries retry any transport error; writes retry only a refused
+    connection (see the module docstring).
+
     Parameters
     ----------
     host, port:
@@ -86,18 +81,9 @@ class FrontendClient:
         Base and ceiling (seconds) of the exponential schedule.
     timeout:
         Per-connection socket timeout.
-    retry_budget:
-        Optional cap (seconds) on one logical request's total time
-        across retries.  ``None`` keeps the attempt-count bound alone.
-    breaker_threshold:
-        Consecutive unavailability outcomes (transport failure or 503)
-        that open the circuit; ``0`` disables the breaker.
-    breaker_cooldown:
-        Seconds the circuit stays open before one half-open probe.
-    sleep, rng, clock:
+    sleep, rng:
         Injectable for tests: the sleeper receives the computed delay;
-        the RNG drives the jitter; the clock drives budget and breaker
-        timing.
+        the RNG drives the jitter.
     """
 
     def __init__(
@@ -111,23 +97,11 @@ class FrontendClient:
         backoff: float = 0.05,
         backoff_cap: float = 2.0,
         timeout: float = 10.0,
-        retry_budget: float | None = None,
-        breaker_threshold: int = 0,
-        breaker_cooldown: float = 1.0,
         sleep: Callable[[float], None] = time.sleep,
         rng: random.Random | None = None,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if retries < 1:
             raise FrontendError(f"retries must be >= 1, got {retries}")
-        if retry_budget is not None and retry_budget <= 0:
-            raise FrontendError(
-                f"retry_budget must be > 0, got {retry_budget}"
-            )
-        if breaker_threshold < 0:
-            raise FrontendError(
-                f"breaker_threshold must be >= 0, got {breaker_threshold}"
-            )
         self._host = host
         self._port = int(port)
         self._token = str(token)
@@ -136,18 +110,8 @@ class FrontendClient:
         self._backoff = float(backoff)
         self._backoff_cap = float(backoff_cap)
         self._timeout = float(timeout)
-        self._retry_budget = (
-            None if retry_budget is None else float(retry_budget)
-        )
-        self._breaker_threshold = int(breaker_threshold)
-        self._breaker_cooldown = float(breaker_cooldown)
         self._sleep = sleep
         self._rng = rng if rng is not None else random.Random()
-        self._clock = clock
-        self._consecutive_failures = 0
-        self._open_until: float | None = None
-        #: ``closed`` / ``open`` / ``half-open`` (observability + tests).
-        self.breaker_state = "closed"
         #: Backoff sleeps actually performed (observability + tests).
         self.backoffs: list[float] = []
 
@@ -186,65 +150,25 @@ class FrontendClient:
         finally:
             connection.close()
 
-    # ------------------------------------------------------------------
-    # Circuit breaker
-    # ------------------------------------------------------------------
-    def _breaker_gate(self) -> None:
-        """Fail fast while open; admit one probe once cooled down."""
-        if self._breaker_threshold <= 0 or self._open_until is None:
-            return
-        now = self._clock()
-        if now < self._open_until:
-            self.breaker_state = "open"
-            raise CircuitOpenError(
-                f"circuit open for another {self._open_until - now:.3f}s"
-            )
-        self.breaker_state = "half-open"
-
-    def _breaker_failure(self) -> None:
-        """An unavailability outcome (transport error or 503)."""
-        if self._breaker_threshold <= 0:
-            return
-        self._consecutive_failures += 1
-        half_open = self.breaker_state == "half-open"
-        if half_open or self._consecutive_failures >= self._breaker_threshold:
-            self._open_until = self._clock() + self._breaker_cooldown
-            self.breaker_state = "open"
-
-    def _breaker_success(self) -> None:
-        """The node answered (any status but 503): it is alive."""
-        if self._breaker_threshold <= 0:
-            return
-        self._consecutive_failures = 0
-        self._open_until = None
-        self.breaker_state = "closed"
-
     def request(
         self, method: str, path: str, payload: Any = None
     ) -> ClientResponse:
-        """One request with retry, budget, and breaker policy applied."""
-        deadline = (
-            None
-            if self._retry_budget is None
-            else self._clock() + self._retry_budget
-        )
+        """One request with the retry policy applied."""
         last_error: Exception | None = None
         last_response: ClientResponse | None = None
         for attempt in range(self._retries):
-            self._breaker_gate()
             try:
                 response = self._once(method, path, payload)
             except (ConnectionError, OSError, http.client.HTTPException) as error:
                 last_error, last_response = error, None
-                self._breaker_failure()
+                if path in _WRITE_PATHS and not isinstance(
+                    error, ConnectionRefusedError
+                ):
+                    raise FrontendError(
+                        f"{method} {path} failed after it may have "
+                        f"reached the server, not re-sent: {error}"
+                    ) from error
             else:
-                # A 503 marks the node unavailable (fenced / shutting
-                # down); any other answer proves it alive — including
-                # 429, which is backpressure, not death.
-                if response.status == 503:
-                    self._breaker_failure()
-                else:
-                    self._breaker_success()
                 if response.status not in _RETRYABLE_STATUSES:
                     return response
                 last_error, last_response = None, response
@@ -259,8 +183,6 @@ class FrontendClient:
                     except ValueError:
                         retry_after = None
             delay = self._delay(attempt, retry_after)
-            if deadline is not None and self._clock() + delay > deadline:
-                break  # the sleep would blow the budget: stop here
             self.backoffs.append(delay)
             self._sleep(delay)
         if last_response is not None:

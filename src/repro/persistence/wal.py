@@ -65,6 +65,7 @@ __all__ = [
     "SegmentWriter",
     "FSYNC_POLICIES",
     "decode_batch",
+    "remove_segments_below",
     "scan_batches",
     "segment_header_ok",
 ]
@@ -147,6 +148,23 @@ def _segment_files(directory: Path) -> list[Path]:
         if path.name[len(_SEGMENT_PREFIX):-len(_SEGMENT_SUFFIX)].isdigit()
     ]
     return sorted(paths, key=_segment_index)
+
+
+def remove_segments_below(directory: str | os.PathLike, index: int) -> None:
+    """Delete *directory*'s segment files numbered below *index*.
+
+    For a replica mirror that a cold bootstrap positioned at *index*:
+    the segments below it hold no records.
+    """
+    directory = Path(directory)
+    stale = [
+        path for path in _segment_files(directory)
+        if _segment_index(path) < index
+    ]
+    for path in stale:
+        path.unlink()
+    if stale:
+        _fsync_dir(directory)
 
 
 def segment_header_ok(data: bytes) -> bool:

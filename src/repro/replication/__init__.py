@@ -1,4 +1,4 @@
-"""Replicated serving: WAL shipping, health-checked failover, fencing.
+"""Replicated serving: WAL shipping, operator-driven promotion, fencing.
 
 The package turns one durable :class:`~repro.serving.service.RiskService`
 into a replicated topology with provable zero accepted-event loss:
@@ -11,26 +11,14 @@ into a replicated topology with provable zero accepted-event loss:
   resumable cursors, corruption rewind, reconnect backoff.
 * :mod:`~repro.replication.replica` — byte-identical WAL mirror plus a
   warm serving pool; promotes in place.
-* :mod:`~repro.replication.health` — heartbeat probing with bounded
-  backoff before a death verdict.
-* :mod:`~repro.replication.failover` — choose the most-caught-up
-  replica, fence the old lineage, adopt.
-* :mod:`~repro.replication.router` — client-side failover writes and
-  hedged, stale-bounded reads.
+* :mod:`~repro.replication.failover` — when an operator promotes,
+  choose the most-caught-up replica, fence the old lineage, adopt.
 """
 
 from repro.replication.epoch import EpochRecord, EpochStore
 from repro.replication.failover import FailoverCoordinator, FailoverEvent
-from repro.replication.health import HealthMonitor, HealthReport
 from repro.replication.hub import BootstrapResult, FetchResult, ReplicationHub
 from repro.replication.replica import CorruptShippedError, ReplicaService
-from repro.replication.router import (
-    EwmaLatency,
-    HttpNodeHandle,
-    LocalPrimaryHandle,
-    LocalReplicaHandle,
-    ReplicatedClient,
-)
 from repro.replication.shipper import (
     HttpSource,
     LocalSource,
@@ -42,18 +30,11 @@ __all__ = [
     "EpochStore",
     "FailoverCoordinator",
     "FailoverEvent",
-    "HealthMonitor",
-    "HealthReport",
     "BootstrapResult",
     "FetchResult",
     "ReplicationHub",
     "CorruptShippedError",
     "ReplicaService",
-    "EwmaLatency",
-    "HttpNodeHandle",
-    "LocalPrimaryHandle",
-    "LocalReplicaHandle",
-    "ReplicatedClient",
     "HttpSource",
     "LocalSource",
     "WalShipper",

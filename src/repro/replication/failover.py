@@ -1,6 +1,7 @@
 """Promotion choreography: pick the most-caught-up replica, fence, adopt.
 
-:class:`FailoverCoordinator` turns a death verdict into a new primary:
+:class:`FailoverCoordinator` turns an operator's decision to fail over
+into a new primary:
 
 1. **Choose** — among the surviving replicas, take the one with the
    highest ``(applied_seq, durable_cursor)``; ties break toward the

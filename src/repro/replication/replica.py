@@ -24,6 +24,11 @@ Corruption and fencing are handled at the frame boundary:
   and is not persisted — a deposed primary's late appends die here
   even if they slipped past the primary-side store check.
 
+One lock makes the replica single-writer: shipped ingest (persist plus
+apply), segment moves, bootstrap, fencing and promotion never
+interleave, so promotion never replays a record the shipper is still
+applying.
+
 Crash recovery is inherited from the WAL itself: restarting a replica
 opens the mirror with :class:`~repro.persistence.wal.WriteAheadLog`
 (repairing any torn tail), replays it through a fresh pool, and resumes
@@ -34,7 +39,9 @@ through :mod:`repro.serving.replay`, like the primary's own recovery.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
+import threading
 from pathlib import Path
 from typing import BinaryIO, Callable, Hashable
 
@@ -46,6 +53,7 @@ from repro.persistence.wal import (
     WalBatch,
     WriteAheadLog,
     decode_batch,
+    remove_segments_below,
     segment_header_ok,
 )
 from repro.serving.pool import ServingPool
@@ -64,6 +72,17 @@ _MAX_RECORD_BYTES = 64 * 1024 * 1024
 
 class CorruptShippedError(ReplicationError):
     """A shipped record failed CRC/framing checks before persistence."""
+
+
+def _single_writer(method):
+    """Run *method* under the replica's lock (see the module docstring)."""
+
+    @functools.wraps(method)
+    def locked(self, *args, **kwargs):
+        with self._lock:
+            return method(self, *args, **kwargs)
+
+    return locked
 
 
 class ReplicaService:
@@ -120,6 +139,7 @@ class ReplicaService:
         self._buffer = b""
         self._promoted = False
         self._closed = False
+        self._lock = threading.Lock()
         self.stats = {
             "records_applied": 0,
             "batches_applied": 0,
@@ -207,6 +227,7 @@ class ReplicaService:
     def note_primary_seq(self, seq: int) -> None:
         self._primary_seq = max(self._primary_seq, int(seq))
 
+    @_single_writer
     def fence_below(self, epoch: int) -> None:
         """Reject future stream batches stamped below *epoch*.
 
@@ -221,6 +242,7 @@ class ReplicaService:
         """Drop unverified buffered bytes (corruption retry path)."""
         self._buffer = b""
 
+    @_single_writer
     def begin_segment(self, index: int) -> None:
         """Advance the mirror to segment *index* (shipper rotation)."""
         self._ensure_live()
@@ -231,6 +253,7 @@ class ReplicaService:
         self._writer.begin_segment(int(index))
         self.stats["segments_opened"] += 1
 
+    @_single_writer
     def ingest(self, data: bytes) -> int:
         """Verify, persist, and apply shipped bytes; returns records applied.
 
@@ -294,6 +317,7 @@ class ReplicaService:
     # ------------------------------------------------------------------
     # Cold bootstrap
     # ------------------------------------------------------------------
+    @_single_writer
     def bootstrap(self, files: dict, segment: int, offset: int = 0) -> None:
         """Install a snapshot payload and position the mirror cursor.
 
@@ -321,6 +345,10 @@ class ReplicaService:
         # Local recovery may have pre-created this segment; its header
         # bytes arrive again in the shipped stream.
         self._writer.begin_segment(int(segment), header=b"")
+        # The segments it created below the cursor hold no records.  A
+        # promoted mirror that kept them would never truncate its WAL
+        # again, and a replica of it would walk into the missing ones.
+        remove_segments_below(self._directory, int(segment))
 
     # ------------------------------------------------------------------
     # Read serving
@@ -328,21 +356,13 @@ class ReplicaService:
     def tenants(self) -> list[TenantId]:
         return self._pool.tenants()
 
-    def query_topk(self, tenant_id: TenantId, *, max_lag: int | None = None):
+    def query_topk(self, tenant_id: TenantId):
         """The tenant's answer from the replica's applied state.
 
         Flagged ``stale=True`` whenever the replica knows the primary
-        is ahead (``lag > 0``).  With ``max_lag`` set, a replica lagging
-        beyond the bound raises :class:`ReplicationError` instead of
-        serving an answer older than the caller tolerates — the
-        router's staleness bound.
+        is ahead (``lag > 0``).
         """
         self._ensure_live()
-        if max_lag is not None and self.lag > max_lag:
-            raise ReplicationError(
-                f"replica {self.node_id} lags {self.lag} batches "
-                f"(> bound {max_lag})"
-            )
         if not self._pool.has_tenant(tenant_id):
             raise ReproError(f"unknown tenant {tenant_id!r}")
         result = self._pool.query(tenant_id).result()
@@ -350,25 +370,10 @@ class ReplicaService:
             result = dataclasses.replace(result, stale=True)
         return result
 
-    def health(self) -> dict:
-        """Liveness/lag probe payload (see ``HealthMonitor``)."""
-        segment, offset = self.durable_cursor
-        return {
-            "node": self.node_id,
-            "role": "replica" if not self._promoted else "primary",
-            "epoch": self._epoch,
-            "fence_epoch": self._fence_epoch,
-            "applied_seq": self._applied_seq,
-            "primary_seq": self._primary_seq,
-            "lag": self.lag,
-            "segment": segment,
-            "offset": offset,
-            "tenants": len(self._pool.tenants()),
-        }
-
     # ------------------------------------------------------------------
     # Promotion
     # ------------------------------------------------------------------
+    @_single_writer
     def promote(
         self,
         *,
@@ -408,6 +413,7 @@ class ReplicaService:
         return service
 
     # ------------------------------------------------------------------
+    @_single_writer
     def close(self) -> None:
         """Stop serving (idempotent).  A promoted replica's pool lives
         on inside the service that adopted it."""

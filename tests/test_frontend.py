@@ -31,7 +31,8 @@ from repro.frontend import (
     event_to_json,
     read_request,
 )
-from repro.frontend.client import CircuitOpenError, ClientResponse
+from repro.frontend.client import ClientResponse
+from repro.replication import EpochStore, ReplicationHub
 from repro.serving import RiskService
 from repro.streaming.events import (
     BulkEdgeProbabilityUpdate,
@@ -349,156 +350,44 @@ class TestClientBackoff:
         assert client.request("POST", "/v1/query", {}).status == 401
         assert sleeps == []
 
+    @staticmethod
+    def record_calls(client):
+        """Record each ``(method, path)`` the client puts on the wire."""
+        calls: list[tuple[str, str]] = []
+        send = client._once
 
-# ----------------------------------------------------------------------
-# Client retry budget and circuit breaker (fake clock, no sockets)
-# ----------------------------------------------------------------------
-class TestClientBudgetAndBreaker:
-    def make_client(self, outcomes, **kwargs):
-        """Scripted transport + a clock that only sleeps advance."""
+        def recording(method, path, payload):
+            calls.append((method, path))
+            return send(method, path, payload)
 
-        class Clock:
-            now = 0.0
+        client._once = recording
+        return calls
 
-        def sleep(seconds):
-            Clock.now += seconds
-
-        client = FrontendClient(
-            "127.0.0.1",
-            1,
-            "tok",
-            tenant="t",
-            sleep=sleep,
-            clock=lambda: Clock.now,
-            rng=random.Random(7),
-            **kwargs,
+    def test_write_is_not_resent_after_a_reset(self):
+        # The reset may come after the server applied the update.
+        accepted = ClientResponse(202, {"accepted": True}, {})
+        client, sleeps = self.make_client(
+            [ConnectionResetError("reset"), accepted]
         )
-        script = iter(outcomes)
-        calls: list[str] = []
+        calls = self.record_calls(client)
+        try:
+            client.update(SelfRiskUpdate(0, 0.5))
+        except FrontendError as error:
+            assert "not re-sent" in str(error)
+        # One POST means it raised: a second would have found the 202.
+        assert calls == [("POST", "/v1/update")]
+        assert sleeps == []
 
-        def fake_once(method, path, payload):
-            calls.append(path)
-            outcome = next(script)
-            if isinstance(outcome, Exception):
-                raise outcome
-            return outcome
-
-        client._once = fake_once
-        return client, Clock, calls
-
-    def test_budget_exhaustion_stops_before_the_sleep(self):
-        # Each retry wants a 0.25 s Retry-After; a 0.4 s budget admits
-        # exactly one sleep — the second would overrun, so the client
-        # surfaces the last 429 with attempts left unspent.
-        throttled = ClientResponse(429, {"error": "rate"}, {"retry-after": "0.25"})
-        client, clock, calls = self.make_client(
-            [throttled] * 5, retries=5, retry_budget=0.4
+    def test_write_is_resent_after_a_refused_connection(self):
+        # A refused connection never carried the request.
+        accepted = ClientResponse(202, {"accepted": True}, {})
+        client, sleeps = self.make_client(
+            [ConnectionRefusedError("down"), accepted]
         )
-        response = client.request("POST", "/v1/query", {})
-        assert response.status == 429
-        assert len(calls) == 2  # not the full 5-attempt schedule
-        assert clock.now <= 0.4
-
-    def test_budget_exhaustion_with_transport_errors_raises(self):
-        error = ConnectionRefusedError("down")
-        client, clock, calls = self.make_client(
-            [error] * 5,
-            retries=5,
-            backoff=0.2,
-            backoff_cap=0.2,
-            retry_budget=0.3,
-        )
-        with pytest.raises(FrontendError, match="failed after"):
-            client.request("GET", "/healthz")
-        assert len(calls) < 5
-        assert clock.now <= 0.3
-
-    def test_generous_budget_changes_nothing(self):
-        error = ConnectionRefusedError("down")
-        ok = ClientResponse(200, None, {})
-        client, _, calls = self.make_client(
-            [error, ok], retry_budget=60.0
-        )
-        assert client.request("GET", "/healthz").ok
-        assert len(calls) == 2
-
-    def test_breaker_opens_after_threshold_and_fails_fast(self):
-        error = ConnectionRefusedError("down")
-        client, clock, calls = self.make_client(
-            [error] * 6,
-            retries=1,  # isolate the breaker from retry behaviour
-            breaker_threshold=3,
-            breaker_cooldown=5.0,
-        )
-        for _ in range(3):
-            with pytest.raises(FrontendError):
-                client.request("GET", "/healthz")
-        assert client.breaker_state == "open"
-        # While open, requests fail fast without touching the wire.
-        with pytest.raises(CircuitOpenError):
-            client.request("GET", "/healthz")
-        assert len(calls) == 3
-
-    def test_half_open_probe_success_closes_the_circuit(self):
-        error = ConnectionRefusedError("down")
-        ok = ClientResponse(200, {"ok": True}, {})
-        client, clock, calls = self.make_client(
-            [error, error, ok, ok],
-            retries=1,
-            breaker_threshold=2,
-            breaker_cooldown=1.0,
-        )
-        for _ in range(2):
-            with pytest.raises(FrontendError):
-                client.request("GET", "/healthz")
-        assert client.breaker_state == "open"
-        clock.now += 1.5  # cooldown elapses -> next call is the probe
-        assert client.request("GET", "/healthz").ok
-        assert client.breaker_state == "closed"
-        # Fully closed again: the next request flows normally.
-        assert client.request("GET", "/healthz").ok
-        assert len(calls) == 4
-
-    def test_half_open_probe_failure_reopens_for_another_cooldown(self):
-        error = ConnectionRefusedError("down")
-        client, clock, calls = self.make_client(
-            [error] * 4,
-            retries=1,
-            breaker_threshold=2,
-            breaker_cooldown=1.0,
-        )
-        for _ in range(2):
-            with pytest.raises(FrontendError):
-                client.request("GET", "/healthz")
-        clock.now += 1.5
-        with pytest.raises(FrontendError):  # the probe itself fails
-            client.request("GET", "/healthz")
-        assert client.breaker_state == "open"
-        with pytest.raises(CircuitOpenError):  # re-opened, fail fast
-            client.request("GET", "/healthz")
-        assert len(calls) == 3
-
-    def test_429_counts_as_alive_not_failure(self):
-        # Backpressure is not death: a stream of 429s must never open
-        # the breaker, only 503s and transport errors do.
-        throttled = ClientResponse(429, {"error": "rate"}, {"retry-after": "0.01"})
-        client, _, calls = self.make_client(
-            [throttled] * 4, retries=2, breaker_threshold=2
-        )
-        for _ in range(2):
-            assert client.request("POST", "/v1/query", {}).status == 429
-        assert client.breaker_state == "closed"
-        assert len(calls) == 4
-
-    def test_503_opens_the_breaker(self):
-        fenced = ClientResponse(
-            503, {"error": "fenced", "fenced": True}, {"retry-after": "0.05"}
-        )
-        client, _, _ = self.make_client(
-            [fenced] * 4, retries=2, breaker_threshold=2
-        )
-        client.request("POST", "/v1/update", {})
-        assert client.breaker_state == "open"
+        calls = self.record_calls(client)
+        assert client.update(SelfRiskUpdate(0, 0.5)).status == 202
+        assert calls == [("POST", "/v1/update")] * 2
+        assert len(sleeps) == 1
 
 
 # ----------------------------------------------------------------------
@@ -549,6 +438,44 @@ def quiet_client(server, token="alpha-secret", tenant="alpha", **kwargs):
     return FrontendClient(
         "127.0.0.1", server.port, token, tenant=tenant, **kwargs
     )
+
+
+class TestHealthRoute:
+    def test_reports_role_epoch_seq_and_replica_acks(
+        self, frontend_graph, tmp_path
+    ):
+        service = RiskService(
+            frontend_graph,
+            mode="serial",
+            wal_dir=tmp_path / "p",
+            epoch_store=EpochStore(tmp_path / "epoch.json"),
+            node_id="p1",
+        )
+        try:
+            service.register_tenant("alpha", 4, seed=0)
+            service.submit_and_sync(
+                "alpha", SelfRiskUpdate(frontend_graph.label(0), 0.5)
+            )
+            hub = ReplicationHub(service)
+            hub.note_ack("r1", service.durable_seq)
+            with ServerHarness(
+                service, replication=hub, cluster_token="cluster"
+            ) as server:
+                # No auth: an operator's probe carries no tenant token.
+                client = quiet_client(server, token="wrong", retries=1)
+                response = client.request("GET", "/v1/health")
+            assert response.status == 200
+            assert response.payload == {
+                "node": "p1",
+                "role": "primary",
+                "epoch": 1,
+                "applied_seq": service.durable_seq,
+                "lag": 0,
+                "tenants": 1,
+                "replicas_acked": {"r1": service.durable_seq},
+            }
+        finally:
+            service.close()
 
 
 class TestEndToEnd:

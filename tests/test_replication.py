@@ -1,39 +1,32 @@
-"""Replication layer units: shipping, fencing, health, failover, routing.
+"""Replication layer units: shipping, fencing, failover.
 
 The chaos matrix (``test_replication_chaos.py``) proves the end-to-end
 zero-loss claims under SIGKILL; this file pins the mechanisms those
 runs compose — cursor arithmetic, mirror byte-identity, epoch claims,
-corruption rewind, death verdicts, and the router's failover/hedging
-policies — each in isolation, deterministically.
+corruption rewind and promotion — each in isolation,
+deterministically.
 """
 
 from __future__ import annotations
 
 import random
 import threading
-import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from types import SimpleNamespace
 
 import pytest
 
 from repro.core.errors import FencedError, ReplicationError
 from repro.core.graph import UncertainGraph
+from repro.persistence.faults import count_durable_batches
 from repro.persistence.wal import WriteAheadLog
 from repro.replication import (
     EpochStore,
     FailoverCoordinator,
-    HealthMonitor,
     LocalSource,
     ReplicaService,
-    ReplicatedClient,
     ReplicationHub,
     WalShipper,
-)
-from repro.replication.router import (
-    EwmaLatency,
-    LocalPrimaryHandle,
-    LocalReplicaHandle,
-    NodeUnavailable,
 )
 from repro.serving.pool import ServingPool
 from repro.serving.service import PromotionState, RiskService
@@ -83,6 +76,11 @@ def drive(primary, tenant, count, *, seed=3, start=0):
             tenant,
             SelfRiskUpdate(rng.randrange(14), rng.uniform(0.0, 1.0)),
         )
+
+
+def wal_segments(directory):
+    """Indices of the segment files in *directory*, oldest first."""
+    return sorted(int(path.stem[4:]) for path in directory.glob("wal-*.log"))
 
 
 def mirror_bytes_match(primary_dir, mirror_dir):
@@ -385,79 +383,6 @@ class TestShippedCorruption:
 
 
 # ----------------------------------------------------------------------
-# Health monitor (virtual time)
-# ----------------------------------------------------------------------
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def sleep(self, seconds):
-        self.now += seconds
-
-
-class TestHealthMonitor:
-    def test_death_needs_consecutive_failures(self):
-        outcomes = iter([Exception("x"), {"ok": 1}, Exception("x"),
-                         Exception("x"), Exception("x")])
-
-        def probe():
-            outcome = next(outcomes)
-            if isinstance(outcome, Exception):
-                raise outcome
-            return outcome
-
-        clock = FakeClock()
-        monitor = HealthMonitor(
-            {"n": probe}, failure_threshold=3,
-            clock=clock, sleep=clock.sleep,
-        )
-        assert monitor.probe_once("n").consecutive_failures == 1
-        # One success resets the count: no flap-triggered failover.
-        assert monitor.probe_once("n").consecutive_failures == 0
-        for _ in range(2):
-            assert monitor.probe_once("n").alive
-        assert not monitor.probe_once("n").alive
-        assert monitor.dead_nodes() == ["n"]
-
-    def test_backoff_is_exponential_and_bounded(self):
-        monitor = HealthMonitor(
-            {"n": dict}, backoff=0.05, backoff_cap=0.4,
-        )
-        delays = [monitor.failure_delay(f) for f in range(1, 7)]
-        assert delays[:4] == [0.05, 0.1, 0.2, 0.4]
-        assert all(delay <= 0.4 for delay in delays)
-        assert monitor.failure_delay(0) == 0.0
-
-    def test_wait_for_death_confirms_in_bounded_probes(self):
-        clock = FakeClock()
-        calls = []
-
-        def probe():
-            calls.append(clock.now)
-            raise ConnectionRefusedError("dead")
-
-        monitor = HealthMonitor(
-            {"n": probe}, failure_threshold=3, backoff=0.05,
-            backoff_cap=0.4, clock=clock, sleep=clock.sleep,
-        )
-        report = monitor.wait_for_death("n", timeout=10.0)
-        assert not report.alive
-        assert len(calls) == 3  # threshold probes, no more
-        assert "ConnectionRefusedError" in report.last_error
-
-    def test_wait_for_death_times_out_on_healthy_node(self):
-        clock = FakeClock()
-        monitor = HealthMonitor(
-            {"n": dict}, interval=1.0, clock=clock, sleep=clock.sleep,
-        )
-        with pytest.raises(TimeoutError):
-            monitor.wait_for_death("n", timeout=5.0)
-
-
-# ----------------------------------------------------------------------
 # Failover choice
 # ----------------------------------------------------------------------
 class TestFailoverChoice:
@@ -610,173 +535,74 @@ class TestPromotion:
         finally:
             restarted.close()
 
-
-# ----------------------------------------------------------------------
-# Router
-# ----------------------------------------------------------------------
-class FakeNode:
-    def __init__(self, node_id, *, role="replica", epoch=1, lag=0,
-                 alive=True, submit_error=None, read_delay=0.0,
-                 result=None):
-        self.node_id = node_id
-        self.role = role
-        self.epoch = epoch
-        self.lag = lag
-        self.alive = alive
-        self.submit_error = submit_error
-        self.read_delay = read_delay
-        self.result = result if result is not None else f"answer-{node_id}"
-        self.submits = 0
-        self.reads = 0
-
-    def health(self):
-        if not self.alive:
-            raise ConnectionRefusedError("dead")
-        return {"node": self.node_id, "role": self.role,
-                "epoch": self.epoch, "lag": self.lag}
-
-    def submit(self, tenant, event, *, ack="window", timeout=5.0):
-        self.submits += 1
-        if self.submit_error is not None:
-            raise self.submit_error
-        return {"accepted": True, "seq": self.submits}
-
-    def query_topk(self, tenant, *, max_lag=None):
-        self.reads += 1
-        if self.read_delay:
-            time.sleep(self.read_delay)
-        return self.result
-
-
-class TestRouter:
-    def test_highest_epoch_primary_wins_the_election(self):
-        deposed = FakeNode("old", role="primary", epoch=1)
-        promoted = FakeNode("new", role="primary", epoch=2)
-        router = ReplicatedClient([deposed, promoted])
-        router.refresh_topology()
-        assert router.primary_id == "new"
-        reply = router.submit("t", object())
-        assert reply["node"] == "new"
-        assert deposed.submits == 0
-        router.close()
-
-    def test_write_retries_across_failover(self):
-        failing = FakeNode(
-            "p1", role="primary", epoch=1,
-            submit_error=NodeUnavailable("fenced", retry_after=0.0),
-        )
-        standby = FakeNode("p2", role="replica", epoch=1)
-        router = ReplicatedClient(
-            [failing, standby], sleep=lambda _: None,
-            refresh_interval=0.0,
-        )
-
-        original = failing.submit
-
-        def failing_submit(*args, **kwargs):
-            # The dying primary rejects once, then the standby is
-            # promoted (role flip) and the old one stops answering.
-            try:
-                return original(*args, **kwargs)
-            finally:
-                failing.alive = False
-                standby.role = "primary"
-                standby.epoch = 2
-
-        failing.submit = failing_submit
-        reply = router.submit("t", object(), deadline=5.0)
-        assert reply["node"] == "p2"
-        assert router.stats["write_failovers"] >= 1
-        router.close()
-
-    def test_write_deadline_budget_is_honoured(self):
-        clock = FakeClock()
-        dead = FakeNode(
-            "p1", role="primary",
-            submit_error=NodeUnavailable("down", retry_after=0.2),
-        )
-        router = ReplicatedClient(
-            [dead], clock=clock, sleep=clock.sleep,
-            refresh_interval=0.0,
-        )
-        with pytest.raises(ReplicationError, match="no accepting"):
-            router.submit("t", object(), deadline=1.0)
-        assert clock.now <= 1.0  # never slept past the budget
-        router.close()
-
-    def test_reads_skip_replicas_past_the_staleness_bound(self):
-        primary = FakeNode("p", role="primary", epoch=1)
-        laggy = FakeNode("r", role="replica", lag=50)
-        router = ReplicatedClient([primary, laggy], max_lag=5)
-        router.refresh_topology()
-        result = router.query_topk("t")
-        assert result == "answer-p"
-        assert laggy.reads == 0
-        assert router.stats["primary_reads"] == 1
-        router.close()
-
-    def test_in_bound_replica_serves_reads(self):
-        primary = FakeNode("p", role="primary", epoch=1)
-        fresh = FakeNode("r", role="replica", lag=2)
-        router = ReplicatedClient([primary, fresh], max_lag=5)
-        result = router.query_topk("t")
-        assert result == "answer-r"
-        assert primary.reads == 0
-        router.close()
-
-    def test_slow_replica_read_is_hedged(self):
-        primary = FakeNode("p", role="primary", epoch=1)
-        slow = FakeNode("r1", role="replica", read_delay=0.25)
-        fast = FakeNode("r2", role="replica")
-        router = ReplicatedClient(
-            [primary, slow, fast], hedge_floor=0.01,
-        )
-        router.refresh_topology()
-        # Teach the estimator r1 is normally fast, so 250 ms reads as
-        # an outlier well past the estimated p99.
-        for _ in range(8):
-            router._latency["r1"].observe(0.002)
-        started = time.monotonic()
-        result = router.query_topk("t")
-        elapsed = time.monotonic() - started
-        assert result == "answer-r2"  # the hedge won
-        assert router.stats["hedged_reads"] == 1
-        assert router.stats["hedge_wins"] == 1
-        assert elapsed < 0.25  # did not wait out the slow replica
-        router.close()
-
-    def test_local_handles_route_against_real_services(self, tmp_path):
+    def test_promotion_waits_for_an_in_flight_ingest(self, tmp_path):
+        """A promotion that lands while the shipper has mirrored a
+        record but not yet applied it must not apply the record twice."""
         primary = make_primary(tmp_path)
         primary.register_tenant("t1", 5)
-        hub = ReplicationHub(primary)
         replica = make_replica(tmp_path)
-        shipper = WalShipper(LocalSource(hub), replica)
-        drive(primary, "t1", 5)
+        shipper = WalShipper(LocalSource(ReplicationHub(primary)), replica)
+        drive(primary, "t1", 4)
         shipper.catch_up()
-        router = ReplicatedClient(
-            [LocalPrimaryHandle(primary, hub), LocalReplicaHandle(replica)],
-            max_lag=0,
-        )
-        reply = router.submit(
-            "t1", SelfRiskUpdate(2, 0.5), ack="durable"
-        )
-        assert reply["accepted"] and reply["seq"] > 0
-        shipper.catch_up()
-        answer = router.query_topk("t1")
-        assert primary.query_topk("t1").same_answer(answer)
-        router.close()
-        primary.close()
-        replica.close()
+        drive(primary, "t1", 1, start=4)
 
+        parked, release = threading.Event(), threading.Event()
+        replay = replica._replay
 
-class TestEwmaLatency:
-    def test_tracks_mean_and_deviation(self):
-        ewma = EwmaLatency(alpha=0.5)
-        assert ewma.p99() is None
-        ewma.observe(0.1)
-        assert ewma.p99() == pytest.approx(0.1)
-        for _ in range(20):
-            ewma.observe(0.1)
-        assert ewma.p99() == pytest.approx(0.1, abs=0.01)
-        ewma.observe(1.0)  # an outlier lifts both mean and deviation
-        assert ewma.p99() > 0.5
+        def parked_replay(batch):
+            # Runs after the record reached the mirror, before its apply.
+            parked.set()
+            assert release.wait(30)
+            replay(batch)
+
+        replica._replay = parked_replay
+        with ThreadPoolExecutor(max_workers=2) as threads:
+            shipping = threads.submit(shipper.step)
+            assert parked.wait(30)
+            promotion = threads.submit(replica.promote, fsync="always")
+            # Unserialised, the promotion finishes here, before the apply.
+            wait([promotion], timeout=1.0)
+            release.set()
+            shipping.result(timeout=30)
+            service = promotion.result(timeout=30)
+        try:
+            stats = service.snapshot().shards[0]["monitor_stats"]
+            assert stats["t1"]["refreshes"] == count_durable_batches(
+                tmp_path / "p"
+            )
+            assert primary.query_topk("t1").same_answer(
+                service.query_topk("t1")
+            )
+        finally:
+            service.close()
+            primary.close()
+
+    def test_replica_of_a_bootstrapped_promoted_node_catches_up(
+        self, tmp_path
+    ):
+        """A cold replica bootstraps from the primary's oldest live
+        segment, not segment 1; once promoted, its WAL must truncate
+        like any primary's and serve a cold replica of its own."""
+        primary = make_primary(tmp_path)
+        primary.register_tenant("t1", 5)
+        for start in range(3):
+            drive(primary, "t1", 2, start=2 * start)
+            primary.snapshot_to_disk()
+        assert wal_segments(tmp_path / "p") == [4]
+        replica = make_replica(tmp_path)
+        WalShipper(LocalSource(ReplicationHub(primary)), replica).catch_up()
+        promoted = replica.promote(fsync="always")
+        second = make_replica(tmp_path, name="r2")
+        try:
+            for start in range(3):
+                drive(promoted, "t1", 2, start=10 + 2 * start)
+                promoted.snapshot_to_disk()
+            assert len(wal_segments(tmp_path / "r1")) == 1
+            WalShipper(LocalSource(ReplicationHub(promoted)), second).catch_up()
+            assert promoted.query_topk("t1").same_answer(
+                second.query_topk("t1")
+            )
+        finally:
+            second.close()
+            promoted.close()
+            primary.close()

@@ -8,9 +8,9 @@ events, and a deposed primary's late writes are provably fenced.
 "Accepted" is measured at the replication-ack boundary: an event is in
 the promoted lineage once its batch was shipped and applied by the
 replica.  Events acked durable by a primary that dies before shipping
-them are re-driven by the client (the router's retry-on-failover
-contract) — here the deterministic workload's suffix replay plays that
-client role, exactly as the local crash-recovery tests do.
+them must be re-driven by the client against the promoted primary —
+here the deterministic workload's suffix replay plays that client
+role, exactly as the local crash-recovery tests do.
 """
 
 from __future__ import annotations
@@ -195,7 +195,11 @@ class TestKillPrimaryMidDrain:
 
             async def main():
                 await server.start()
-                port_file.write_text(str(server.port))
+                # Write, then rename: the parent polls for the file and
+                # must never read it half-written.
+                staged = port_file.with_suffix(".tmp")
+                staged.write_text(str(server.port))
+                staged.replace(port_file)
                 loop = asyncio.get_running_loop()
 
                 def stream():
