@@ -34,71 +34,22 @@ from __future__ import annotations
 import argparse
 import json
 import shutil
-import sys
 import tempfile
 import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-
-try:  # pragma: no cover - import plumbing
-    import repro  # noqa: F401
-except ImportError:  # pragma: no cover
-    sys.path.insert(0, str(_REPO_ROOT / "src"))
-
-import numpy as np
-
+from benchmarks.common import (
+    EDGE_FACTOR,
+    REPO_ROOT,
+    assert_identical,
+    build_powerlaw_graph,
+    build_workload,
+)
 from repro.core.graph import UncertainGraph
-from repro.datasets.powerlaw import directed_powerlaw_edges
 from repro.serving.service import RiskService
-from repro.streaming.events import UpdateEvent, apply_event
-from repro.streaming.replay import random_patch_stream
 
-DEFAULT_OUTPUT = _REPO_ROOT / "BENCH_durability.json"
-EDGE_FACTOR = 3
-
-
-def build_powerlaw_graph(n: int, seed: int) -> UncertainGraph:
-    """Power-law topology with guarantee-style Beta(2, 4) edge strengths."""
-    rng = np.random.default_rng(seed)
-    src, dst = directed_powerlaw_edges(n, EDGE_FACTOR * n, seed=rng)
-    return UncertainGraph.from_arrays(
-        self_risks=rng.random(n) * 0.2,
-        edge_src=src,
-        edge_dst=dst,
-        edge_probs=np.clip(rng.beta(2.0, 4.0, src.size), 0.01, 0.95),
-    )
-
-
-def build_workload(
-    graph: UncertainGraph,
-    tenants: int,
-    rounds: int,
-    events_per_round: int,
-    drift: float,
-    seed: int,
-) -> list[list[list[UpdateEvent]]]:
-    """Per-tenant, per-round event batches (drift compounds per tenant)."""
-    workload: list[list[list[UpdateEvent]]] = []
-    for tenant in range(tenants):
-        shadow = graph.copy()
-        stream = random_patch_stream(
-            shadow,
-            rounds * events_per_round,
-            seed=seed + 1_000 + tenant,
-            drift=drift,
-        )
-        tenant_rounds: list[list[UpdateEvent]] = []
-        for _ in range(rounds):
-            batch: list[UpdateEvent] = []
-            for _ in range(events_per_round):
-                event = next(stream)
-                apply_event(shadow, event)
-                batch.append(event)
-            tenant_rounds.append(batch)
-        workload.append(tenant_rounds)
-    return workload
+DEFAULT_OUTPUT = REPO_ROOT / "BENCH_durability.json"
 
 
 def replay(
@@ -198,19 +149,6 @@ def time_fresh_rebuild(graph: UncertainGraph, workload, k: int, seed: int):
     return elapsed, answers
 
 
-def _assert_identical(reference: dict, candidate: dict, what: str) -> None:
-    diverged = [
-        tenant
-        for tenant in reference
-        if not reference[tenant].same_answer(candidate[tenant])
-    ]
-    if diverged:
-        raise AssertionError(
-            f"{what}: tenants {diverged} diverged from the reference — "
-            "timings would be meaningless"
-        )
-
-
 def run(
     n: int,
     tenants: int,
@@ -239,8 +177,8 @@ def run(
             graph, workload, k, seed,
             wal_dir=scratch / "wal-always", fsync="always",
         )
-        _assert_identical(plain_answers, flush_answers, "durable (flush)")
-        _assert_identical(plain_answers, always_answers, "durable (always)")
+        assert_identical(plain_answers, flush_answers, "durable (flush)")
+        assert_identical(plain_answers, always_answers, "durable (always)")
 
         # --- crash recovery ---------------------------------------------
         # Snapshot late in the stream, then crash: recovery restores the
@@ -258,8 +196,8 @@ def run(
         fresh_seconds, fresh_answers = time_fresh_rebuild(
             graph, workload, k, seed
         )
-        _assert_identical(crashed_answers, recovered_answers, "recovery")
-        _assert_identical(crashed_answers, fresh_answers, "fresh rebuild")
+        assert_identical(crashed_answers, recovered_answers, "recovery")
+        assert_identical(crashed_answers, fresh_answers, "fresh rebuild")
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 

@@ -17,33 +17,23 @@ Usage
     python -m benchmarks.bench_exact_oracle            # full sweep
     python -m benchmarks.bench_exact_oracle --quick    # CI smoke (seconds)
     python -m benchmarks.bench_exact_oracle --choices 16 18 --repeats 1
-
-The script needs no installed package: it falls back to adding ``src/``
-to ``sys.path`` when ``repro`` is not importable.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-
-try:  # pragma: no cover - import plumbing
-    import repro  # noqa: F401
-except ImportError:  # pragma: no cover
-    sys.path.insert(0, str(_REPO_ROOT / "src"))
-
 import numpy as np
 
+from benchmarks.common import REPO_ROOT
 from repro.core.exact import exact_default_probabilities
 from repro.core.graph import UncertainGraph
 
-DEFAULT_OUTPUT = _REPO_ROOT / "BENCH_exact.json"
+DEFAULT_OUTPUT = REPO_ROOT / "BENCH_exact.json"
 
 
 def build_choice_graph(choices: int, seed: int) -> UncertainGraph:

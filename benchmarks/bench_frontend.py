@@ -43,42 +43,19 @@ import argparse
 import asyncio
 import json
 import random
-import sys
 import threading
 import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-
-try:  # pragma: no cover - import plumbing
-    import repro  # noqa: F401
-except ImportError:  # pragma: no cover
-    sys.path.insert(0, str(_REPO_ROOT / "src"))
-
 import numpy as np
 
-from repro.core.graph import UncertainGraph
-from repro.datasets.powerlaw import directed_powerlaw_edges
+from benchmarks.common import EDGE_FACTOR, REPO_ROOT, build_powerlaw_graph
 from repro.frontend.protocol import send_request
 from repro.frontend.server import FrontendServer
 from repro.serving import RiskService
 
-DEFAULT_OUTPUT = _REPO_ROOT / "BENCH_frontend.json"
-
-EDGE_FACTOR = 3
-
-
-def build_powerlaw_graph(n: int, seed: int) -> UncertainGraph:
-    """Power-law topology with guarantee-style Beta(2, 4) edge strengths."""
-    rng = np.random.default_rng(seed)
-    src, dst = directed_powerlaw_edges(n, EDGE_FACTOR * n, seed=rng)
-    return UncertainGraph.from_arrays(
-        self_risks=rng.random(n) * 0.2,
-        edge_src=src,
-        edge_dst=dst,
-        edge_probs=np.clip(rng.beta(2.0, 4.0, src.size), 0.01, 0.95),
-    )
+DEFAULT_OUTPUT = REPO_ROOT / "BENCH_frontend.json"
 
 
 class ServerThread:

@@ -24,35 +24,23 @@ Usage
 
     python -m benchmarks.bench_queries            # full sweep
     python -m benchmarks.bench_queries --quick    # CI smoke (seconds)
-
-The script needs no installed package: it falls back to adding ``src/``
-to ``sys.path`` when ``repro`` is not importable.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-
-try:  # pragma: no cover - import plumbing
-    import repro  # noqa: F401
-except ImportError:  # pragma: no cover
-    sys.path.insert(0, str(_REPO_ROOT / "src"))
-
 import numpy as np
 
+from benchmarks.common import REPO_ROOT, build_powerlaw_graph
 from repro.queries import QueryEngine
 from repro.sampling.worldstate import WorldView
 
-from benchmarks.bench_streaming import build_powerlaw_graph
-
-DEFAULT_OUTPUT = _REPO_ROOT / "BENCH_queries.json"
+DEFAULT_OUTPUT = REPO_ROOT / "BENCH_queries.json"
 
 
 def query_battery(n: int) -> list[tuple[str, dict]]:

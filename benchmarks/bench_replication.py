@@ -38,22 +38,17 @@ import argparse
 import json
 import shutil
 import statistics
-import sys
 import tempfile
 import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-
-try:  # pragma: no cover - import plumbing
-    import repro  # noqa: F401
-except ImportError:  # pragma: no cover
-    sys.path.insert(0, str(_REPO_ROOT / "src"))
-if str(_REPO_ROOT) not in sys.path:  # pragma: no cover
-    sys.path.insert(0, str(_REPO_ROOT))
-
-from benchmarks.bench_durability import build_powerlaw_graph, build_workload
+from benchmarks.common import (
+    REPO_ROOT,
+    assert_identical,
+    build_powerlaw_graph,
+    build_workload,
+)
 from repro.replication import (
     EpochStore,
     FailoverCoordinator,
@@ -64,7 +59,7 @@ from repro.replication import (
 )
 from repro.serving.service import RiskService
 
-DEFAULT_OUTPUT = _REPO_ROOT / "BENCH_replication.json"
+DEFAULT_OUTPUT = REPO_ROOT / "BENCH_replication.json"
 
 
 def _percentile(samples: list[float], q: float) -> float:
@@ -87,19 +82,6 @@ def _answers(service, tenants: int) -> dict:
     return {
         tenant: service.query_topk(tenant) for tenant in range(tenants)
     }
-
-
-def _assert_identical(reference: dict, candidate: dict, what: str) -> None:
-    diverged = [
-        tenant
-        for tenant in reference
-        if not reference[tenant].same_answer(candidate[tenant])
-    ]
-    if diverged:
-        raise AssertionError(
-            f"{what}: tenants {diverged} diverged from the reference — "
-            "timings would be meaningless"
-        )
 
 
 def run(
@@ -170,7 +152,7 @@ def run(
             lags.append(time.perf_counter() - started)
         primary_answers = _answers(primary, tenants)
         for node, (replica, _) in fleet.items():
-            _assert_identical(
+            assert_identical(
                 primary_answers, _answers(replica, tenants),
                 f"replica {node}",
             )
@@ -209,8 +191,8 @@ def run(
         promoted_answers = _answers(promoted, tenants)
         failover_seconds = time.perf_counter() - started
 
-        _assert_identical(primary_answers, recovered_answers, "recovery")
-        _assert_identical(primary_answers, promoted_answers, "failover")
+        assert_identical(primary_answers, recovered_answers, "recovery")
+        assert_identical(primary_answers, promoted_answers, "failover")
         zero_loss = (
             all(seq == durable_seq for seq in applied.values())
             and promoted.durable_seq >= durable_seq

@@ -32,73 +32,24 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-
-try:  # pragma: no cover - import plumbing
-    import repro  # noqa: F401
-except ImportError:  # pragma: no cover
-    sys.path.insert(0, str(_REPO_ROOT / "src"))
-
 import numpy as np
 
+from benchmarks.common import (
+    EDGE_FACTOR,
+    REPO_ROOT,
+    build_powerlaw_graph,
+    build_workload,
+)
 from repro.algorithms.bsr import BoundedSampleReverseDetector
 from repro.core.graph import UncertainGraph
-from repro.datasets.powerlaw import directed_powerlaw_edges
 from repro.serving import RiskService, default_mode
-from repro.streaming.events import UpdateEvent, apply_event
-from repro.streaming.replay import random_patch_stream
+from repro.streaming.events import apply_event
 
-DEFAULT_OUTPUT = _REPO_ROOT / "BENCH_serving.json"
-
-#: ~3 edges per node matches the sparsity of the paper's Table-2 graphs.
-EDGE_FACTOR = 3
-
-
-def build_powerlaw_graph(n: int, seed: int) -> UncertainGraph:
-    """Power-law topology with guarantee-style Beta(2, 4) edge strengths."""
-    rng = np.random.default_rng(seed)
-    src, dst = directed_powerlaw_edges(n, EDGE_FACTOR * n, seed=rng)
-    return UncertainGraph.from_arrays(
-        self_risks=rng.random(n) * 0.2,
-        edge_src=src,
-        edge_dst=dst,
-        edge_probs=np.clip(rng.beta(2.0, 4.0, src.size), 0.01, 0.95),
-    )
-
-
-def build_workload(
-    graph: UncertainGraph,
-    tenants: int,
-    rounds: int,
-    events_per_round: int,
-    drift: float,
-    seed: int,
-) -> list[list[list[UpdateEvent]]]:
-    """Per-tenant, per-round event batches (drift compounds per tenant)."""
-    workload: list[list[list[UpdateEvent]]] = []
-    for tenant in range(tenants):
-        shadow = graph.copy()
-        stream = random_patch_stream(
-            shadow,
-            rounds * events_per_round,
-            seed=seed + 1_000 + tenant,
-            drift=drift,
-        )
-        tenant_rounds: list[list[UpdateEvent]] = []
-        for _ in range(rounds):
-            batch: list[UpdateEvent] = []
-            for _ in range(events_per_round):
-                event = next(stream)
-                apply_event(shadow, event)
-                batch.append(event)
-            tenant_rounds.append(batch)
-        workload.append(tenant_rounds)
-    return workload
+DEFAULT_OUTPUT = REPO_ROOT / "BENCH_serving.json"
 
 
 def bench_serving(

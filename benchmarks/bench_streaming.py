@@ -18,51 +18,22 @@ Usage
     python -m benchmarks.bench_streaming            # full sweep (5k nodes)
     python -m benchmarks.bench_streaming --quick    # CI smoke (seconds)
     python -m benchmarks.bench_streaming --sizes 5000 10000 --events 60
-
-The script needs no installed package: it falls back to adding ``src/``
-to ``sys.path`` when ``repro`` is not importable.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-
-try:  # pragma: no cover - import plumbing
-    import repro  # noqa: F401
-except ImportError:  # pragma: no cover
-    sys.path.insert(0, str(_REPO_ROOT / "src"))
-
-import numpy as np
-
+from benchmarks.common import EDGE_FACTOR, REPO_ROOT, build_powerlaw_graph
 from repro.algorithms.bsr import BoundedSampleReverseDetector
-from repro.core.graph import UncertainGraph
-from repro.datasets.powerlaw import directed_powerlaw_edges
 from repro.streaming.monitor import TopKMonitor
 from repro.streaming.replay import random_patch_stream
 
-DEFAULT_OUTPUT = _REPO_ROOT / "BENCH_streaming.json"
-
-#: ~3 edges per node matches the sparsity of the paper's Table-2 graphs.
-EDGE_FACTOR = 3
-
-
-def build_powerlaw_graph(n: int, seed: int) -> UncertainGraph:
-    """Power-law topology with guarantee-style Beta(2, 4) edge strengths."""
-    rng = np.random.default_rng(seed)
-    src, dst = directed_powerlaw_edges(n, EDGE_FACTOR * n, seed=rng)
-    return UncertainGraph.from_arrays(
-        self_risks=rng.random(n) * 0.2,
-        edge_src=src,
-        edge_dst=dst,
-        edge_probs=np.clip(rng.beta(2.0, 4.0, src.size), 0.01, 0.95),
-    )
+DEFAULT_OUTPUT = REPO_ROOT / "BENCH_streaming.json"
 
 
 def bench_one_size(

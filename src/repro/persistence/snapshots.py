@@ -71,8 +71,6 @@ class TenantSnapshot:
     """One tenant's durable state inside a snapshot."""
 
     tenant_id: TenantId
-    #: WAL batch sequence this state reflects; replay starts after it.
-    watermark: int
     state_path: Path
     result_path: Path
 
@@ -92,6 +90,8 @@ class Snapshot:
 
     path: Path
     index: int
+    #: Every tenant blob folds in each WAL batch through this seq and
+    #: none after it: replay starts past it.
     wal_seq: int
     base_fingerprint: str | None
     tenants: dict[TenantId, TenantSnapshot]
@@ -203,12 +203,12 @@ class SnapshotStore:
                 f"{manifest.get('version')}, this build reads "
                 f"{SUPPORTED_WAL_VERSIONS}"
             )
+        # Rows from older builds also carry a per-tenant watermark; unread.
         tenants: dict[TenantId, TenantSnapshot] = {}
         for row in manifest["tenants"]:
             tenant_id = row["tenant_id"]
             tenants[tenant_id] = TenantSnapshot(
                 tenant_id=tenant_id,
-                watermark=int(row["watermark"]),
                 state_path=path / row["state"],
                 result_path=path / row["result"],
             )
@@ -226,7 +226,7 @@ class SnapshotStore:
     # ------------------------------------------------------------------
     def write(
         self,
-        tenants: dict[TenantId, tuple[bytes, object, int]],
+        tenants: dict[TenantId, tuple[bytes, object]],
         *,
         wal_seq: int,
         base_fingerprint: str | None = None,
@@ -237,11 +237,10 @@ class SnapshotStore:
         Parameters
         ----------
         tenants:
-            ``tenant_id -> (monitor_blob, last_result, watermark)``; the
-            watermark is the last WAL batch seq folded into that blob.
+            ``tenant_id -> (monitor_blob, last_result)``.
         wal_seq:
-            Global WAL position the snapshot cycle observed; recovery
-            treats batches at or below ``min`` tenant watermark as dead.
+            The last WAL batch seq every blob folds in; recovery treats
+            batches at or below it as applied.
         extras:
             Optional JSON-serialisable sidecar state stored inline in
             the manifest (must stay small — it is read on every
@@ -256,7 +255,7 @@ class SnapshotStore:
         tmp.mkdir()
         rows = []
         for position, (tenant_id, payload) in enumerate(tenants.items()):
-            blob, result, watermark = payload
+            blob, result = payload
             state_name = f"tenant-{position:04d}.state.pkl"
             result_name = f"tenant-{position:04d}.result.pkl"
             (tmp / state_name).write_bytes(blob)
@@ -267,7 +266,6 @@ class SnapshotStore:
             rows.append(
                 {
                     "tenant_id": tenant_id,
-                    "watermark": int(watermark),
                     "state": state_name,
                     "result": result_name,
                 }

@@ -7,8 +7,9 @@ last snapshot) or the coalesced event batch a tenant's monitor consumed
 at one flush — written **before** the batch is dispatched to its shard,
 so the durable order is exactly the order the monitors applied
 (write-ahead).  Batches carry a global, strictly increasing sequence
-number; snapshots record per-tenant watermarks against it, and recovery
-replays only the suffix past each tenant's watermark.
+number.  A snapshot covers every batch through its ``wal_seq``:
+recovery replays only the batches past it, and the sealed segments it
+covers are deleted.
 
 Durability knobs
 ----------------
@@ -127,9 +128,6 @@ class _Segment:
     path: Path
     first_seq: int | None = None
     last_seq: int | None = None
-
-    def covers_only_upto(self, seq: int) -> bool:
-        return self.last_seq is not None and self.last_seq <= seq
 
 
 def _segment_index(path: Path) -> int:
@@ -356,8 +354,6 @@ class WriteAheadLog:
         )
         self._segments: list[_Segment] = []
         self._next_seq = 1
-        #: Last appended batch seq per tenant (rebuilt from disk on open).
-        self.last_seq_of: dict[TenantId, int] = {}
         #: Replication retain floor: when set, truncation keeps every
         #: batch newer than this seq even if snapshots no longer need
         #: it — segments a lagging replica has not acked stay on disk.
@@ -416,7 +412,7 @@ class WriteAheadLog:
         clean = True
         for payload, end in decode_record_stream(data, start=len(WAL_MAGIC)):
             try:
-                kind, seq, tenant_id, _ = decode_batch_payload(payload)
+                _, seq, _, _ = decode_batch_payload(payload)
             except CorruptRecordError:
                 clean = False
                 break
@@ -424,8 +420,6 @@ class WriteAheadLog:
             if segment.first_seq is None:
                 segment.first_seq = seq
             segment.last_seq = seq
-            if kind == BATCH_KIND_EVENTS:
-                self.last_seq_of[tenant_id] = seq
         if good_end < len(data):
             clean = False
             with open(path, "r+b") as handle:
@@ -479,7 +473,7 @@ class WriteAheadLog:
             [encode_event(event) for event in events],
         )
         self._append_payload(payload)
-        self._note_seq(seq, tenant_id, events=True)
+        self._note_seq(seq)
         return seq
 
     def append_register(
@@ -495,7 +489,7 @@ class WriteAheadLog:
             BATCH_KIND_REGISTER, seq, tenant_id, [blob]
         )
         self._append_payload(payload)
-        self._note_seq(seq, tenant_id, events=False)
+        self._note_seq(seq)
         return seq
 
     def append_epoch(self, epoch: int, node: str) -> int:
@@ -513,17 +507,15 @@ class WriteAheadLog:
         ).encode("utf-8")
         payload = encode_batch_payload(BATCH_KIND_EPOCH, seq, None, [blob])
         self._append_payload(payload)
-        self._note_seq(seq, None, events=False)
+        self._note_seq(seq)
         return seq
 
-    def _note_seq(self, seq: int, tenant_id: TenantId, *, events: bool) -> None:
+    def _note_seq(self, seq: int) -> None:
         self._next_seq = seq + 1
         active = self._segments[-1]
         if active.first_seq is None:
             active.first_seq = seq
         active.last_seq = seq
-        if events:
-            self.last_seq_of[tenant_id] = seq
 
     def sync(self) -> None:
         """fsync the active segment (the ``fsync="flush"`` commit point)."""
@@ -610,21 +602,21 @@ class WriteAheadLog:
     def truncate_upto(self, seq: int) -> int:
         """Delete sealed segments wholly covered by a snapshot at *seq*.
 
-        Returns the number of segments removed.  The active segment is
-        never deleted (rotate first — the snapshot path does), and a
-        segment survives if it holds any batch newer than *seq* or
-        newer than the replication retain floor (:meth:`set_retain_seq`).
+        Returns the number of segments removed.  Sealed segments go
+        oldest first, record-less ones too, until one holds a batch
+        newer than *seq* or than the replication retain floor
+        (:meth:`set_retain_seq`).  The active segment is never deleted
+        (rotate first — the snapshot path does).
         """
         self._ensure_open()
         if self._retain_seq is not None:
             seq = min(seq, self._retain_seq)
         removed = 0
         while len(self._segments) > 1:
-            segment = self._segments[0]
-            if segment.last_seq is None or not segment.covers_only_upto(seq):
+            last_seq = self._segments[0].last_seq
+            if last_seq is not None and last_seq > seq:
                 break
-            segment.path.unlink()
-            self._segments.pop(0)
+            self._segments.pop(0).path.unlink()
             removed += 1
         if removed:
             _fsync_dir(self.directory)

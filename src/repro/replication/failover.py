@@ -16,7 +16,7 @@ into a new primary:
    late stream batches from the old lineage are rejected too.
 3. **Adopt** — :meth:`ReplicaService.promote` re-opens the mirrored WAL
    as a real :class:`~repro.serving.service.RiskService`, replaying
-   only the durable suffix past the replica's applied watermark: the
+   only the durable suffix past the replica's ``applied_seq``: the
    warm serving pool is kept, so failover time is dominated by the
    un-acked suffix, not a cold rebuild.
 """

@@ -56,6 +56,7 @@ from repro.persistence.wal import (
     remove_segments_below,
     segment_header_ok,
 )
+from repro.replication.hub import BootstrapResult
 from repro.serving.pool import ServingPool
 from repro.serving.replay import replay_batch, restore_snapshot
 from repro.serving.service import PromotionState, RiskService
@@ -127,8 +128,8 @@ class ReplicaService:
             monitor_defaults=monitor_defaults,
         )
         self._registered: dict[TenantId, tuple[int, dict]] = {}
-        self._watermarks: dict[TenantId, int] = {}
-        #: Last WAL batch seq persisted AND applied by this replica.
+        #: Last WAL batch seq persisted AND applied (or covered by the
+        #: restored snapshot): the floor replay starts past.
         self._applied_seq = 0
         #: Epoch of the last epoch stamp seen in the stream.
         self._epoch = 0
@@ -173,16 +174,14 @@ class ReplicaService:
     def _restore_snapshot(self) -> None:
         """Install the mirror directory's latest snapshot, if any."""
         with SnapshotStore(self._directory).pin_latest() as snapshot:
-            self._watermarks.update(restore_snapshot(self._pool, snapshot))
-        self._applied_seq = max(
-            [self._applied_seq, *self._watermarks.values()]
-        )
+            restore_snapshot(self._pool, snapshot)
+        if snapshot is not None:
+            self._applied_seq = max(self._applied_seq, snapshot.wal_seq)
 
     def _replay(self, batch: WalBatch) -> None:
         """Apply one persisted batch to the pool; advance the cursor."""
         future = replay_batch(
-            self._pool, batch, self._watermarks.get(batch.tenant_id, 0),
-            self._registered,
+            self._pool, batch, self._applied_seq, self._registered
         )
         if future is not None:
             future.result()
@@ -217,7 +216,7 @@ class ReplicaService:
     @property
     def is_cold(self) -> bool:
         """True when the mirror holds no durable batches at all."""
-        return self._applied_seq == 0 and not self._watermarks
+        return self._applied_seq == 0
 
     @property
     def is_promoted(self) -> bool:
@@ -318,19 +317,20 @@ class ReplicaService:
     # Cold bootstrap
     # ------------------------------------------------------------------
     @_single_writer
-    def bootstrap(self, files: dict, segment: int, offset: int = 0) -> None:
+    def bootstrap(self, payload: BootstrapResult) -> None:
         """Install a snapshot payload and position the mirror cursor.
 
-        Only valid on a cold replica (nothing mirrored yet); the files
-        come from :meth:`~repro.replication.hub.ReplicationHub.bootstrap`
-        and land relative to the mirror directory.
+        Only valid on a cold replica (nothing mirrored yet); the payload
+        comes from :meth:`~repro.replication.hub.ReplicationHub.bootstrap`
+        and its files land relative to the mirror directory.  Its epoch
+        stands in for the epoch stamp the snapshot covers.
         """
         self._ensure_live()
         if not self.is_cold:
             raise ReplicationError(
                 "bootstrap is only valid on a cold replica"
             )
-        for relative, data in files.items():
+        for relative, data in payload.files.items():
             target = self._directory / relative
             if not target.resolve().is_relative_to(self._directory.resolve()):
                 raise ReplicationError(
@@ -338,17 +338,18 @@ class ReplicaService:
                 )
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_bytes(data)
-        if files:
+        if payload.files:
             self._restore_snapshot()
-        if int(offset) != 0:
+        if int(payload.offset) != 0:
             raise ReplicationError("bootstrap cursors start at offset 0")
+        self._epoch = int(payload.epoch)
         # Local recovery may have pre-created this segment; its header
         # bytes arrive again in the shipped stream.
-        self._writer.begin_segment(int(segment), header=b"")
+        self._writer.begin_segment(payload.segment, header=b"")
         # The segments it created below the cursor hold no records.  A
         # promoted mirror that kept them would never truncate its WAL
         # again, and a replica of it would walk into the missing ones.
-        remove_segments_below(self._directory, int(segment))
+        remove_segments_below(self._directory, payload.segment)
 
     # ------------------------------------------------------------------
     # Read serving

@@ -283,9 +283,7 @@ class WalShipper:
         payload = self._source.bootstrap(self._replica.node_id)
         self._replica.note_primary_seq(payload.primary_seq)
         if payload.files or payload.segment != self._cursor[0]:
-            self._replica.bootstrap(
-                payload.files, payload.segment, payload.offset
-            )
+            self._replica.bootstrap(payload)
             self._cursor = self._replica.durable_cursor
 
     # ------------------------------------------------------------------

@@ -22,8 +22,9 @@ Execution modes
     this process; buffer sharing via ``share_view`` alone.  The numpy
     kernels release the GIL for their heavy ops, so shards overlap.
 ``"serial"``
-    No executors: operations run inline and come back as resolved
-    futures.  Deterministic single-threaded reference, used by tests
+    No executors: operations run inline on the caller's thread, one at
+    a time per shard (a lock stands in for the single worker), and come
+    back as resolved futures.  Deterministic reference, used by tests
     and as the fallback where ``fork`` is unavailable.
 
 All three modes produce bit-identical per-tenant answers (the monitors
@@ -153,8 +154,8 @@ def _worker_dump(pool_id: str, tenant_id: TenantId) -> tuple[bytes, object]:
     """Pickle one monitor's full state plus its current answer.
 
     Runs on the tenant's shard FIFO, so the blob reflects exactly the
-    batches dispatched before the dump was enqueued — the property the
-    snapshot watermarks rely on.
+    batches dispatched before the dump was enqueued — the property a
+    snapshot's ``wal_seq`` relies on.
     """
     monitor = _worker_monitor(pool_id, tenant_id)
     result = monitor.top_k()
@@ -206,6 +207,9 @@ class _Shard:
         self._pool_id = pool_id
         if mode == "serial":
             self._executor = None
+            # One inline call at a time, like a single worker; worker
+            # functions never call back into the pool, so no deadlock.
+            self._inline = threading.Lock()
             _pool_init(pool_id, base_graph, defaults)
         elif mode == "thread":
             self._executor = ThreadPoolExecutor(
@@ -230,10 +234,11 @@ class _Shard:
         if self._executor is not None:
             return self._executor.submit(fn, *args)
         future: Future = Future()
-        try:
-            future.set_result(fn(*args))
-        except BaseException as error:  # noqa: BLE001 - mirror executor
-            future.set_exception(error)
+        with self._inline:
+            try:
+                future.set_result(fn(*args))
+            except BaseException as error:  # noqa: BLE001 - mirror executor
+                future.set_exception(error)
         return future
 
     def shutdown(self) -> None:

@@ -5,9 +5,10 @@ Every path that rebuilds monitors from disk reads through this module:
 and dead-shard healing, and
 :class:`~repro.replication.replica.ReplicaService` local recovery,
 bootstrap and shipped-WAL ingest.  Callers pass their differences in
-(which tenants, which floor, what to do with each restored blob) and
-keep their own bookkeeping: the service's stale answers and bounds
-mirrors, the replica's epoch fence and applied-seq cursor.
+(which tenants, which floor — a snapshot's ``wal_seq`` or a replica's
+applied seq — what to do with each restored blob) and keep their own
+bookkeeping: the service's stale answers and bounds mirrors, the
+replica's epoch fence and applied-seq cursor.
 """
 
 from __future__ import annotations
@@ -31,26 +32,26 @@ def restore_snapshot(
     *,
     tenants: Collection[TenantId] | None = None,
     on_restore: Callable[[TenantSnapshot, bytes], None] | None = None,
-) -> dict[TenantId, int]:
-    """Install *snapshot*'s monitor blobs into *pool*; return watermarks.
+) -> set[TenantId]:
+    """Install *snapshot*'s monitor blobs into *pool*; return their tenants.
 
     ``tenants`` limits the restore to those tenants (a healed shard's);
     ``on_restore`` sees each installed blob, so a caller that also wants
     the monitor parent-side unpickles the bytes already read.
     """
-    watermarks: dict[TenantId, int] = {}
+    restored: set[TenantId] = set()
     if snapshot is None:
-        return watermarks
+        return restored
     for tenant_snapshot in snapshot.tenants.values():
         tenant_id = tenant_snapshot.tenant_id
         if tenants is not None and tenant_id not in tenants:
             continue
         blob = tenant_snapshot.load_state_blob()
         pool.restore_tenant(tenant_id, blob)
-        watermarks[tenant_id] = tenant_snapshot.watermark
+        restored.add(tenant_id)
         if on_restore is not None:
             on_restore(tenant_snapshot, blob)
-    return watermarks
+    return restored
 
 
 def replay_batch(

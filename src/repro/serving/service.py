@@ -31,7 +31,7 @@ Constructing a :class:`RiskService` with a ``wal_dir`` that already
 holds state *recovers* it: the latest snapshot's monitor blobs are
 restored into the pool, tenants registered after that snapshot are
 rebuilt from their durable registration records, and every WAL batch
-past each tenant's snapshot watermark is replayed in durable order.
+past the snapshot's ``wal_seq`` is replayed in durable order.
 Monitors are deterministic functions of (base graph, seed, ordered
 batch sequence), so the recovered process reaches the *bit-identical*
 state — answers and work counters — the dead process would have had;
@@ -339,7 +339,7 @@ class RiskService:
             self._stale_results[tenant_id] = tenant_snapshot.load_result()
             # The snapshot blob is the pickled monitor itself —
             # unpickling it parent-side gives an exact bounds mirror at
-            # the snapshot watermark (replay advances it below).
+            # the snapshot's wal_seq (replay advances it below).
             # Event-history tokens don't survive a crash, so the tenant
             # rejoins the result cache only after a restart of its token
             # chain; answers stay exact regardless.
@@ -362,18 +362,16 @@ class RiskService:
                         "durable state cannot be replayed onto this network"
                     )
                 self.recovered_extras = dict(snapshot.extras or {})
-            watermarks = restore_snapshot(
+            snapshotted = restore_snapshot(
                 self._pool, snapshot, on_restore=restored
             )
+        floor = 0 if snapshot is None else snapshot.wal_seq
         # Batches replay whichever epoch wrote them: every one was
         # accepted by the then-legitimate primary.
         for batch in self._wal.read_batches():
             tenant_id = batch.tenant_id
-            future = replay_batch(
-                self._pool, batch, watermarks.get(tenant_id, 0),
-                self._registered,
-            )
-            if batch.kind == "register" and tenant_id not in watermarks:
+            future = replay_batch(self._pool, batch, floor, self._registered)
+            if batch.kind == "register" and tenant_id not in snapshotted:
                 # Registered after the snapshot: a fresh mirror and token.
                 self._make_mirror(tenant_id, *self._registered[tenant_id])
                 self._tokens[tenant_id] = self._fingerprint
@@ -578,9 +576,10 @@ class RiskService:
         The write path behind durable acks: the event is admitted,
         drained into a coalesced batch, WAL-appended and fsynced (per
         the service's fsync policy) inside the dispatch critical
-        section, then applied.  Returns the WAL batch sequence the
-        event became durable under — the number replication acks are
-        phrased in — or ``-1`` if the queue shed it.
+        section, then applied.  Returns the :attr:`durable_seq` read in
+        that section — the event's batch seq, or a later one if a pump
+        raced the call; replication acks are phrased in it — or ``-1``
+        if the queue shed it.
 
         Raises :class:`~repro.core.errors.FencedError` on a deposed
         primary: the event stays buffered but is provably never made
@@ -596,7 +595,7 @@ class RiskService:
         return self._drain_tenant(tenant_id)
 
     def _drain_tenant(self, tenant_id: TenantId) -> int:
-        """Apply the tenant's own backlog; return its last durable seq.
+        """Apply the tenant's own backlog; return the durable seq.
 
         Draining, the WAL append and the shard dispatch share the
         dispatch critical section (see ``__init__``); waiting for the
@@ -608,9 +607,7 @@ class RiskService:
             future = (
                 self._apply_after_break(tenant_id, events) if events else None
             )
-            seq = 0 if self._wal is None else self._wal.last_seq_of.get(
-                tenant_id, 0
-            )
+            seq = self.durable_seq
         if events:
             self._result_after_break(tenant_id, future)
         return seq
@@ -691,25 +688,25 @@ class RiskService:
         """Respawn a dead shard and restore its tenants from durable state.
 
         A tenant without a snapshot blob is rebuilt from its
-        registration and replays the whole log.
+        registration; every tenant replays the log past ``wal_seq``.
         """
         assert self._wal is not None and self._snapshots is not None
         self._pool.respawn_shard(index)
         tenants = self._pool.tenants_on_shard(index)
         batches = self._wal.read_batches()
         with self._snapshots.pin_latest() as snapshot:
-            watermarks = restore_snapshot(
+            snapshotted = restore_snapshot(
                 self._pool, snapshot, tenants=tenants
             )
+        floor = 0 if snapshot is None else snapshot.wal_seq
         for tenant_id in tenants:
-            if tenant_id not in watermarks:
+            if tenant_id not in snapshotted:
                 k, kwargs = self._registered[tenant_id]
                 self._pool.rebuild_tenant(tenant_id, k, **kwargs)
         for batch in batches:
             if batch.tenant_id in tenants:
                 future = replay_batch(
-                    self._pool, batch, watermarks.get(batch.tenant_id, 0),
-                    self._registered,
+                    self._pool, batch, floor, self._registered
                 )
                 if future is not None:
                     future.result()
@@ -862,10 +859,12 @@ class RiskService:
         landing in the ingestion queue throughout, and each tenant's
         state dump is just one more task on its shard's FIFO — ordered
         after the applies already dispatched, before those that follow.
-        The WAL is rotated inside the same dispatch critical section
-        that fixes the watermarks, so sealed segments contain exactly
-        the batches the snapshot covers; they are deleted once the
-        snapshot directory is atomically published (temp + rename).
+        Dumps are enqueued and the WAL rotated in the dispatch critical
+        section that reads ``wal_seq``, so each blob folds in exactly
+        the batches through it.  Once the snapshot is atomically
+        published (temp + rename), every sealed segment it covers goes
+        unless the replication retain floor holds it.  A dead shard
+        worker is healed and the snapshot retaken.
 
         Returns the published
         :class:`~repro.persistence.snapshots.Snapshot`.
@@ -876,22 +875,22 @@ class RiskService:
                 "snapshot_to_disk needs a durable service (wal_dir=...)"
             )
         self._await_recovery()
-        with self._dispatch_lock:
-            wal_seq = self._wal.next_seq - 1
-            tenant_ids = self._pool.tenants()
-            watermarks = {
-                tenant_id: self._wal.last_seq_of.get(tenant_id, 0)
-                for tenant_id in tenant_ids
-            }
-            futures = {
-                tenant_id: self._pool.dump_tenant(tenant_id)
-                for tenant_id in tenant_ids
-            }
-            self._wal.rotate()
-        tenants: dict[TenantId, tuple[bytes, object, int]] = {}
-        for tenant_id, future in futures.items():
-            blob, result = self._result_after_break(tenant_id, future)
-            tenants[tenant_id] = (blob, result, watermarks[tenant_id])
+        try:
+            with self._dispatch_lock:
+                wal_seq = self.durable_seq
+                futures = {}
+                for tenant_id in self._pool.tenants():
+                    futures[tenant_id] = self._pool.dump_tenant(tenant_id)
+                self._wal.rotate()
+            tenants = {}
+            for tenant_id, future in futures.items():
+                tenants[tenant_id] = future.result()
+        except BrokenExecutor:
+            # tenant_id's worker is dead.  Healing replays every durable
+            # batch, including any past wal_seq, so dump everyone again.
+            with self._dispatch_lock:
+                self._heal_shard(self._pool.shard_index(tenant_id))
+            return self.snapshot_to_disk()
         extras = {}
         for name, provider in self._extras_providers.items():
             try:
@@ -906,9 +905,7 @@ class RiskService:
             base_fingerprint=self._fingerprint,
             extras=extras or None,
         )
-        self._wal.truncate_upto(
-            min(watermarks.values(), default=wal_seq)
-        )
+        self._wal.truncate_upto(wal_seq)
         return published
 
     # ------------------------------------------------------------------

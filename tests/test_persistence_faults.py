@@ -14,17 +14,22 @@ import signal
 import subprocess
 import sys
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.graph import UncertainGraph
+from repro.datasets.registry import load_dataset
 from repro.persistence.faults import (
     CrashHarness,
     count_durable_batches,
     stream_durably,
 )
+from repro.persistence.snapshots import SnapshotStore
+from repro.persistence.wal import scan_batches
 from repro.serving.service import RiskService
 from repro.streaming.events import SelfRiskUpdate
 
@@ -130,9 +135,17 @@ class TestSigkillRecovery:
                 monitor_defaults=DEFAULTS, pause=0.01, snapshot_every=2,
             )
         ).start()
-        killed = harness.kill_when(
-            lambda: count_durable_batches(wal_dir) >= 6
-        )
+
+        def snapshot_then_two_batches():
+            # Each snapshot deletes the segments it covers, so count the
+            # event batches past the newest one's wal_seq.
+            snapshot = SnapshotStore(wal_dir).latest()
+            return snapshot is not None and sum(
+                batch.kind == "events" and batch.seq > snapshot.wal_seq
+                for batch in scan_batches(wal_dir)
+            ) >= 2
+
+        killed = harness.kill_when(snapshot_then_two_batches)
         assert killed, "workload finished before the kill landed"
 
         recovered = resume_and_answer(graph, workload, 3, wal_dir)
@@ -159,6 +172,23 @@ def never_crashed_answers(graph, events_before, events_after):
         return {t: reference.query_topk(t) for t in ("t1", "t2")}
     finally:
         reference.close()
+
+
+def submit_to_both(service, events):
+    for event in events:
+        service.submit_update("t1", event)
+        service.submit_update("t2", event)
+
+
+def recovered_answers(graph, wal_dir):
+    """t1/t2 answers of a serial service recovering *wal_dir*."""
+    recovered = RiskService(
+        graph, mode="serial", wal_dir=wal_dir, monitor_defaults=DEFAULTS
+    )
+    try:
+        return {t: recovered.query_topk(t) for t in ("t1", "t2")}
+    finally:
+        recovered.close()
 
 
 class TestDeadShardWorker:
@@ -239,6 +269,74 @@ class TestDeadShardWorker:
         for tenant_id in ("t1", "t2"):
             assert answers[tenant_id].same_answer(reference[tenant_id])
 
+    def test_snapshot_heals_a_dead_shard(self, tmp_path):
+        """snapshot_to_disk meets the dead worker first: it heals the
+        shard and snapshots, and close() still takes its final one."""
+        graph = make_graph()
+        events = [SelfRiskUpdate(i % 20, (i % 3) / 3.0) for i in range(24)]
+        wal_dir = tmp_path / "wal"
+        service = RiskService(
+            graph, mode="fork", shards=2,
+            wal_dir=wal_dir, monitor_defaults=DEFAULTS,
+        )
+        try:
+            service.register_tenant("t1", 3)
+            service.register_tenant("t2", 4)
+            submit_to_both(service, events[:12])
+            service.flush()
+            victim = service.pool.shard_index("t1")
+            os.kill(service.pool.worker_pids()[victim], signal.SIGKILL)
+            time.sleep(0.2)
+            assert set(service.snapshot_to_disk().tenants) == {"t1", "t2"}
+            assert service.pool.shard_alive(victim)
+            submit_to_both(service, events[12:])
+        finally:
+            service.close()
+        assert SnapshotStore(wal_dir).latest().index == 2
+
+        answers = recovered_answers(graph, wal_dir)
+        reference = never_crashed_answers(graph, events[:12], events[12:])
+        for tenant_id in ("t1", "t2"):
+            assert answers[tenant_id].same_answer(reference[tenant_id])
+
+    def test_worker_dying_mid_dump_restarts_the_snapshot(self, tmp_path):
+        """A dump whose worker dies is not a monitor blob: the shard is
+        healed and every tenant dumped again."""
+        graph = make_graph()
+        events = [SelfRiskUpdate(i % 20, (i % 3) / 3.0) for i in range(24)]
+        wal_dir = tmp_path / "wal"
+        service = RiskService(
+            graph, mode="serial", wal_dir=wal_dir, monitor_defaults=DEFAULTS
+        )
+        service.register_tenant("t1", 3)
+        service.register_tenant("t2", 4)
+        submit_to_both(service, events[:12])
+        service.flush()
+        dump, dumps = service.pool.dump_tenant, []
+
+        def dump_once_broken(tenant_id):
+            dumps.append(tenant_id)
+            if len(dumps) > 1:
+                return dump(tenant_id)
+            broken = Future()
+            broken.set_exception(BrokenProcessPool("worker died mid-dump"))
+            return broken
+
+        service.pool.dump_tenant = dump_once_broken
+        service.snapshot_to_disk()
+        assert dumps == ["t1", "t2", "t1", "t2"]
+        submit_to_both(service, events[12:])
+        service.flush()
+        # Crash: recovery reads the retaken snapshot plus the suffix.
+        service._wal.close()
+        service._pool.shutdown()
+        service._closed = True
+
+        answers = recovered_answers(graph, wal_dir)
+        reference = never_crashed_answers(graph, events[:12], events[12:])
+        for tenant_id in ("t1", "t2"):
+            assert answers[tenant_id].same_answer(reference[tenant_id])
+
     def test_respawn_without_wal_propagates(self):
         graph = make_graph()
         service = RiskService(graph, mode="fork", shards=1)
@@ -284,7 +382,19 @@ class TestCliGracefulShutdown:
         assert process.returncode == 0, stderr
         assert "serving top-3" in stdout  # reporting path still ran
         # The durable state it left behind is recoverable.
-        assert count_durable_batches(wal_dir) >= 2
+        recovered = RiskService(
+            load_dataset("guarantee", scale=0.02, seed=0).graph,
+            mode="serial", wal_dir=wal_dir,
+            monitor_defaults={"seed": 0, "epsilon": 0.3, "delta": 0.1},
+        )
+        try:
+            assert sorted(recovered.tenants()) == [
+                "portfolio-00", "portfolio-01"
+            ]
+            for tenant_id in recovered.tenants():
+                assert len(recovered.query_topk(tenant_id).nodes) == 3
+        finally:
+            recovered.close()
 
 
 class TestDiskFullAppend:

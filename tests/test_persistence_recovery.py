@@ -3,12 +3,22 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import pickle
+import shutil
+import tempfile
 from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.algorithms.bsr import BoundedSampleReverseDetector
 from repro.core.errors import ProbabilityError
@@ -60,6 +70,11 @@ def abandon(service):
     service._wal.close()
     service._pool.shutdown()
     service._closed = True
+
+
+def wal_segments(directory):
+    """Indices of the segment files in *directory*, oldest first."""
+    return sorted(int(path.stem[4:]) for path in directory.glob("wal-*.log"))
 
 
 @pytest.fixture
@@ -200,6 +215,39 @@ class TestSnapshotRotation:
         assert recovered.query_topk("t1").same_answer(live)
         recovered.close()
 
+    def test_idle_tenant_does_not_hold_the_wal(self, graph, tmp_path):
+        """A tenant that never receives an event leaves every segment a
+        snapshot covers free to go."""
+        service = RiskService(
+            graph, mode="serial", wal_dir=tmp_path, snapshot_on_close=False
+        )
+        service.register_tenant("t1", 3)
+        service.register_tenant("idle", 3)
+        for node in range(5):
+            service.submit_update("t1", SelfRiskUpdate(node, 0.9))
+            service.flush()
+            service.snapshot_to_disk()
+        assert wal_segments(tmp_path) == [6]
+        service.close()
+
+    def test_back_to_back_snapshots_keep_truncating(self, graph, tmp_path):
+        """A snapshot with no write since the last one seals a segment
+        without records; the next truncation deletes it too."""
+        service = RiskService(
+            graph, mode="serial", wal_dir=tmp_path, snapshot_on_close=False
+        )
+        service.register_tenant("t1", 3)
+        service.submit_update("t1", SelfRiskUpdate(0, 0.9))
+        service.flush()
+        service.snapshot_to_disk()
+        service.snapshot_to_disk()
+        for node in range(1, 5):
+            service.submit_update("t1", SelfRiskUpdate(node, 0.9))
+            service.flush()
+            service.snapshot_to_disk()
+        assert wal_segments(tmp_path) == [7]
+        service.close()
+
     def test_snapshot_requires_durable_service(self, graph):
         service = RiskService(graph, mode="serial")
         with pytest.raises(PersistenceError, match="wal_dir"):
@@ -333,7 +381,7 @@ class TestSnapshotRotationRace:
     @staticmethod
     def write_snapshot(store, stamp):
         return store.write(
-            {"t1": (f"blob-{stamp}".encode(), {"stamp": stamp}, stamp)},
+            {"t1": (f"blob-{stamp}".encode(), {"stamp": stamp})},
             wal_seq=stamp,
         )
 
@@ -417,3 +465,136 @@ class TestLegacyMonitorBlob:
             view.defaulted()[:, monitor._sampling_candidates],
             monitor._world_outcomes,
         )
+
+
+class TestWatermarkManifest:
+    """A directory written when manifests carried per-tenant watermarks.
+
+    ``data/durable_dir_watermarks`` was written by the code that still
+    recorded, per tenant, its last event batch at or below ``wal_seq``:
+    ``make_graph()`` and ``DEFAULTS``, tenant ``active`` (k=3) fed
+    ``patch_stream(graph, 20, seed=1)`` five events per flush, tenant
+    ``idle`` (k=4) registered after the first two flushes and never
+    written to, a snapshot (``wal_seq`` 4, watermarks 3 and 0), two more
+    flushes, then a crash.  Neither watermark leaves an event batch
+    between itself and ``wal_seq``, so replaying past ``wal_seq``
+    replays what the watermarks did.
+    """
+
+    DIRECTORY = Path(__file__).parent / "data" / "durable_dir_watermarks"
+
+    def test_recovers_to_the_never_crashed_answers(self, graph, tmp_path):
+        manifest = json.loads(
+            (self.DIRECTORY / "snapshots" / "snap-00000001" / "manifest.json")
+            .read_text("utf-8")
+        )
+        assert [row["watermark"] for row in manifest["tenants"]] == [3, 0]
+        events = patch_stream(graph, 20, seed=1)
+        reference = RiskService(graph, mode="serial", monitor_defaults=DEFAULTS)
+        reference.register_tenant("active", 3)
+        for start in (0, 5):
+            reference.submit_updates("active", events[start:start + 5])
+            reference.flush()
+        reference.register_tenant("idle", 4)
+        for start in (10, 15):
+            reference.submit_updates("active", events[start:start + 5])
+            reference.flush()
+        expected = {t: reference.query_topk(t) for t in ("active", "idle")}
+        stats = reference.snapshot().shards[0]["monitor_stats"]
+        reference.close()
+
+        directory = tmp_path / "durable"
+        shutil.copytree(self.DIRECTORY, directory)
+        recovered = RiskService(
+            graph, mode="serial", wal_dir=directory, monitor_defaults=DEFAULTS
+        )
+        try:
+            assert recovered.tenants() == ["active", "idle"]
+            for tenant_id, answer in expected.items():
+                assert recovered.query_topk(tenant_id).same_answer(answer)
+            recovered_stats = recovered.snapshot().shards[0]["monitor_stats"]
+            assert recovered_stats == stats
+        finally:
+            recovered.close()
+
+
+class DurableServiceMachine(RuleBasedStateMachine):
+    """One serial durable service against an in-memory reference.
+
+    Both services see the same registrations, events and flushes; the
+    durable one also snapshots, crashes and recovers.  Some tenants are
+    registered idle and never receive an event.
+    """
+
+    graph = make_graph()
+
+    def __init__(self):
+        super().__init__()
+        self.directory = Path(tempfile.mkdtemp(prefix="durable-machine-"))
+        self.service = self.open_service()
+        self.reference = RiskService(
+            self.graph, mode="serial", monitor_defaults=DEFAULTS
+        )
+        self.tenants = []
+        self.writable = []
+
+    def open_service(self):
+        return RiskService(
+            self.graph, mode="serial", wal_dir=self.directory,
+            monitor_defaults=DEFAULTS, snapshot_on_close=False,
+        )
+
+    @precondition(lambda self: len(self.tenants) < 4)
+    @rule(k=st.integers(2, 4), idle=st.booleans())
+    def register(self, k, idle):
+        tenant_id = f"t{len(self.tenants)}"
+        self.service.register_tenant(tenant_id, k)
+        self.reference.register_tenant(tenant_id, k)
+        self.tenants.append(tenant_id)
+        if not idle:
+            self.writable.append(tenant_id)
+
+    @precondition(lambda self: self.writable)
+    @rule(
+        data=st.data(),
+        node=st.integers(0, 23),  # make_graph()'s nodes
+        value=st.floats(0.0, 1.0),
+    )
+    def submit(self, data, node, value):
+        tenant_id = data.draw(st.sampled_from(self.writable))
+        event = SelfRiskUpdate(node, value)
+        self.service.submit_update(tenant_id, event)
+        self.reference.submit_update(tenant_id, event)
+
+    @rule()
+    def flush(self):
+        self.service.flush()
+        self.reference.flush()
+
+    @rule()
+    def snapshot(self):
+        self.service.snapshot_to_disk()
+        assert len(wal_segments(self.directory)) == 1
+
+    @precondition(lambda self: self.service.queue.pending() == 0)
+    @rule()
+    def crash_and_recover(self):
+        abandon(self.service)
+        self.service = self.open_service()
+        assert self.service.tenants() == self.tenants
+
+    @invariant()
+    def answers_match_the_reference(self):
+        for tenant_id in self.tenants:
+            answer = self.service.query_topk(tenant_id, flush=False)
+            assert answer.same_answer(
+                self.reference.query_topk(tenant_id, flush=False)
+            )
+
+    def teardown(self):
+        self.service.close()
+        self.reference.close()
+        shutil.rmtree(self.directory, ignore_errors=True)
+
+
+TestDurableServiceMachine = DurableServiceMachine.TestCase

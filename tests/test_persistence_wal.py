@@ -36,7 +36,6 @@ class TestAppendAndReplay:
             assert batches[1].events == tuple(_events("a", "b"))
             assert np.array_equal(batches[2].events[0].values, [0.1, 0.9])
             assert wal.next_seq == 4
-            assert wal.last_seq_of == {"t1": 2, "t2": 3}
 
     def test_fsync_policy_validated(self, tmp_path):
         with pytest.raises(PersistenceError, match="fsync"):
@@ -72,6 +71,24 @@ class TestRotationAndTruncation:
             # The active segment survives even a full-coverage watermark.
             wal.truncate_upto(10**9)
             assert wal.active_segment.exists()
+
+    def test_truncate_deletes_sealed_segments_without_records(
+        self, tmp_path
+    ):
+        with WriteAheadLog(tmp_path) as wal:
+            wal.append_events("t", _events("a"))  # seq 1 in segment 1
+            wal.rotate()
+            wal.rotate()  # segment 2 sealed without a record
+            wal.append_events("t", _events("b"))  # seq 2 in segment 3
+            wal.rotate()
+            assert wal.truncate_upto(1) == 2
+            assert [path.name for path in wal.segment_paths] == [
+                "wal-00000003.log", "wal-00000004.log"
+            ]
+            wal.rotate()  # segment 4 sealed without a record
+            assert wal.truncate_upto(2) == 2
+            assert wal.segment_paths == [wal.active_segment]
+            assert wal.read_batches() == []
 
     def test_rotate_then_truncate_empties_history(self, tmp_path):
         with WriteAheadLog(tmp_path) as wal:

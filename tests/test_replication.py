@@ -301,6 +301,59 @@ class TestWalShipping:
         primary.close()
         replica.close()
 
+    def test_bootstrapped_replica_reports_the_primary_epoch(self, tmp_path):
+        """The snapshot covers the primary's epoch stamp and truncation
+        deletes it, so the replica reads the epoch from the bootstrap."""
+        store = EpochStore(tmp_path / "epoch.json")
+        primary = make_primary(tmp_path, store=store)  # claims epoch 1
+        primary.register_tenant("t1", 5)
+        primary.register_tenant("idle", 3)
+        drive(primary, "t1", 4)
+        primary.snapshot_to_disk()
+        assert wal_segments(tmp_path / "p") == [2]
+        replica = make_replica(tmp_path)
+        shipper = WalShipper(LocalSource(ReplicationHub(primary)), replica)
+        drive(primary, "t1", 2, start=4)
+        shipper.catch_up()
+        try:
+            assert primary.epoch == 1
+            assert replica.epoch == primary.epoch
+            for tenant_id in ("t1", "idle"):
+                assert primary.query_topk(tenant_id).same_answer(
+                    replica.query_topk(tenant_id)
+                )
+        finally:
+            primary.close()
+            replica.close()
+
+    def test_bootstrap_applies_through_the_snapshot_wal_seq(self, tmp_path):
+        """A snapshot whose last covered records are registrations still
+        counts them applied: applied_seq starts at its wal_seq."""
+        primary = make_primary(tmp_path)
+        primary.register_tenant("t1", 5)
+        drive(primary, "t1", 3)
+        primary.register_tenant("t2", 4)
+        primary.register_tenant("t3", 4)
+        snapshot = primary.snapshot_to_disk()
+        assert snapshot.wal_seq == primary.durable_seq == 6
+        hub = ReplicationHub(primary)
+        replica = make_replica(tmp_path)
+        assert replica.is_cold
+        replica.bootstrap(hub.bootstrap("r1"))
+        try:
+            assert not replica.is_cold
+            assert replica.applied_seq == snapshot.wal_seq
+            drive(primary, "t2", 2)
+            WalShipper(LocalSource(hub), replica).catch_up()
+            assert replica.applied_seq == primary.durable_seq
+            for tenant_id in ("t1", "t2", "t3"):
+                assert primary.query_topk(tenant_id).same_answer(
+                    replica.query_topk(tenant_id)
+                )
+        finally:
+            primary.close()
+            replica.close()
+
     def test_fenced_replica_rejects_old_epoch_stream(self, tmp_path):
         store = EpochStore(tmp_path / "epoch.json")
         primary = make_primary(tmp_path, store=store)  # claims epoch 1

@@ -9,7 +9,9 @@ and the RiskService façade plus its RiskControlCenter integration.
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from repro.serving import (
     coalesce_events,
     unique_buffer_bytes,
 )
+from repro.serving import pool as pool_module
 from repro.streaming.events import (
     BulkEdgeProbabilityUpdate,
     BulkSelfRiskUpdate,
@@ -315,6 +318,40 @@ class TestServingPool:
             stats = pool.stats()
             assert stats[0]["tenants"] == 1
             assert stats[0]["graph_bytes"] > 0
+
+    def test_serial_shard_runs_one_call_at_a_time(
+        self, base_graph, monkeypatch
+    ):
+        """A query from a second thread waits for an inline apply of
+        the same tenant instead of reading its monitor mid-refresh."""
+        parked, release = threading.Event(), threading.Event()
+        apply = pool_module._worker_apply
+
+        def parked_apply(*args):
+            parked.set()
+            assert release.wait(30)
+            return apply(*args)
+
+        label = base_graph.labels()[0]
+        with ServingPool(
+            base_graph.copy(), mode="serial", monitor_defaults={"seed": 0},
+        ) as pool:
+            pool.register("a", 3)
+            monkeypatch.setattr(pool_module, "_worker_apply", parked_apply)
+            with ThreadPoolExecutor(max_workers=2) as threads:
+                applying = threads.submit(
+                    lambda: pool.apply("a", [SelfRiskUpdate(label, 0.9)])
+                )
+                assert parked.wait(30)
+                query = threads.submit(lambda: pool.query("a").result())
+                done, _ = wait([query], timeout=0.5)
+                release.set()
+                applying.result(timeout=30).result()
+                answer = query.result(timeout=30)
+            # Unserialised, the query returned beside the parked apply.
+            assert not done
+            # It ran after the apply, so it read the new state.
+            assert answer.same_answer(pool.query("a").result())
 
     def test_bad_mode_and_shards(self, base_graph):
         with pytest.raises(ReproError):
