@@ -16,15 +16,15 @@ Three phases:
 2. **overload** — open-loop arrivals at ``overload_factor`` (default
    2x) times the calibrated saturation, spread over many tenants, with
    a slice of ingestion updates mixed in.  Every response is recorded:
-   full answers, degraded bounds-only answers (predicted and deadline),
+   full answers, degraded bounds-only answers (capacity and deadline),
    429 rate/capacity/backlog rejections.
 3. **reconcile** — the gates.  Zero transport errors (the server never
    crashed a connection), every client request reached a terminal
-   outcome, the server's own counters satisfy
-   ``received == accounted``, the p99 server-side latency of *admitted
-   full answers* meets the SLO, and every degraded answer passes a
-   bounds-consistency check (each reported node's upper bound clears
-   the k-th lower bound).
+   outcome, every query was answered (200, full or degraded), the
+   server's own counters satisfy ``received == accounted``, the p99
+   server-side latency of *admitted full answers* meets the SLO, and
+   every degraded answer passes a bounds-consistency check (each
+   reported node's upper bound clears the k-th lower bound).
 
 Results land in ``BENCH_frontend.json`` at the repo root.
 
@@ -426,6 +426,9 @@ def run(
         "zero_server_errors": summary["server_errors"] == 0,
         "all_requests_terminal": summary["requests"]
         == len(outcomes),
+        "every_query_answered": summary["full_answers"]
+        + summary["degraded_answers"]
+        == summary["queries"],
         "server_ledger_reconciles": stats["accounted"]
         == frontend["received"],
         "admitted_p99_within_slo": summary["admitted_p99_ms"]

@@ -13,7 +13,6 @@ client (jittered exponential backoff, ``Retry-After`` honoured).
 from repro.frontend.admission import (
     AdmissionController,
     AdmissionDecision,
-    EwmaCostModel,
     FrontendStats,
     TokenBucket,
 )
@@ -31,7 +30,6 @@ from repro.frontend.server import FrontendServer
 __all__ = [
     "AdmissionController",
     "AdmissionDecision",
-    "EwmaCostModel",
     "FrontendStats",
     "TokenBucket",
     "ClientResponse",

@@ -1,25 +1,18 @@
 """Admission control for the SLO-enforced front end.
 
-Three cooperating pieces, all transport-agnostic and clock-injectable
+Two cooperating pieces, both transport-agnostic and clock-injectable
 (so the tests run with a fake clock, deterministic to the token):
 
 * :class:`TokenBucket` — per-tenant rate limiting.  Refill is computed
   lazily from the injected monotonic clock; :meth:`TokenBucket.retry_after`
   is the honest wait until the next token exists, which the server
   surfaces as the ``Retry-After`` header of a 429.
-* :class:`EwmaCostModel` — the deadline oracle.  Fed every
-  :class:`~repro.streaming.monitor.RefreshReport` that flows back from
-  the serving layer, it decomposes observed refresh latency into a
-  fixed per-refresh base cost plus a per-repaired-world marginal cost
-  (both EWMAs), and tracks each tenant's expected repair size.  The
-  prediction ``base + per_world · expected_worlds`` is what the server
-  compares against the request's remaining latency budget: predicted
-  blow-through means the query is answered from the always-warm Eq-(1)
-  bounds instead of waiting on a repair that cannot finish in time.
 * :class:`AdmissionController` — the gate itself: per-tenant buckets, a
   global in-flight cap on full (sampling) queries, and an
   ingestion-backlog limit; every rejection carries a machine-readable
-  reason and a retry hint.
+  reason and a retry hint.  A failed :meth:`~AdmissionController.acquire_slot`
+  is the server's one overload signal: it answers a top-k query from
+  the Eq-(1) bounds instead of queueing it.
 
 :class:`FrontendStats` is the single counters struct the overload
 benchmark reconciles against: every request the server receives ends in
@@ -31,13 +24,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Mapping
-
-from repro.streaming.monitor import RefreshReport
+from typing import Callable, Hashable
 
 __all__ = [
     "TokenBucket",
-    "EwmaCostModel",
     "AdmissionController",
     "AdmissionDecision",
     "FrontendStats",
@@ -88,108 +78,6 @@ class TokenBucket:
         return max(0.0, missing / self._rate)
 
 
-class EwmaCostModel:
-    """Predict a tenant's next full-refresh latency from past reports.
-
-    Model: ``cost = base + per_world · expected_worlds`` where
-
-    * ``base`` — EWMA of refresh latencies with zero repaired worlds
-      (bounds + reduction + bookkeeping; the floor every query pays),
-    * ``per_world`` — EWMA of ``(elapsed - base) / worlds_repaired``
-      over refreshes that did repair work (the marginal world cost),
-    * ``expected_worlds`` — per-tenant EWMA of repair sizes, because
-      repair size tracks each tenant's own update pattern while the
-      per-world cost is a property of the shared machine + graph.
-
-    :meth:`predict` returns ``None`` until at least one report has been
-    observed — a cold model must not fabricate admission decisions, so
-    the server treats ``None`` as "attempt the full query".
-    """
-
-    def __init__(self, alpha: float = 0.3) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self._alpha = float(alpha)
-        self._base: float | None = None
-        self._per_world: float | None = None
-        self._expected_worlds: dict[TenantId, float] = {}
-        self._lock = threading.Lock()
-
-    def _fold(self, current: float | None, sample: float) -> float:
-        if current is None:
-            return sample
-        return (1.0 - self._alpha) * current + self._alpha * sample
-
-    def observe(self, tenant_id: TenantId, report: RefreshReport) -> None:
-        """Fold one refresh report into the model."""
-        elapsed = float(report.elapsed_seconds)
-        worlds = int(report.worlds_repaired)
-        with self._lock:
-            if worlds <= 0:
-                self._base = self._fold(self._base, elapsed)
-            else:
-                base = self._base if self._base is not None else 0.0
-                marginal = max(0.0, elapsed - base) / worlds
-                self._per_world = self._fold(self._per_world, marginal)
-            self._expected_worlds[tenant_id] = self._fold(
-                self._expected_worlds.get(tenant_id), float(worlds)
-            )
-
-    def predict(self, tenant_id: TenantId) -> float | None:
-        """Expected seconds for the tenant's next full refresh+query."""
-        with self._lock:
-            if self._base is None and self._per_world is None:
-                return None
-            base = self._base if self._base is not None else 0.0
-            per_world = self._per_world if self._per_world is not None else 0.0
-            worlds = self._expected_worlds.get(tenant_id, 0.0)
-            return base + per_world * worlds
-
-    def snapshot(self) -> dict:
-        """Model internals for the stats endpoint."""
-        with self._lock:
-            return {
-                "base_seconds": self._base,
-                "per_world_seconds": self._per_world,
-                "tenants_tracked": len(self._expected_worlds),
-            }
-
-    def state_dict(self) -> dict:
-        """Full JSON-serialisable model state, for durable snapshots.
-
-        Tenant keys are coerced through ``str`` so the state survives a
-        JSON round-trip; the front end's tenant ids are strings already.
-        """
-        with self._lock:
-            return {
-                "alpha": self._alpha,
-                "base_seconds": self._base,
-                "per_world_seconds": self._per_world,
-                "expected_worlds": {
-                    str(tenant): float(value)
-                    for tenant, value in self._expected_worlds.items()
-                },
-            }
-
-    def load_state_dict(self, state: Mapping) -> None:
-        """Restore :meth:`state_dict` output (missing keys reset cold).
-
-        A restart therefore predicts from the dead process's learned
-        costs immediately instead of re-warming from ``None`` — the
-        first post-recovery queries get real admission decisions.
-        """
-        base = state.get("base_seconds")
-        per_world = state.get("per_world_seconds")
-        worlds = dict(state.get("expected_worlds") or {})
-        with self._lock:
-            self._base = None if base is None else float(base)
-            self._per_world = None if per_world is None else float(per_world)
-            self._expected_worlds = {
-                str(tenant): float(value)
-                for tenant, value in worlds.items()
-            }
-
-
 @dataclass(frozen=True)
 class AdmissionDecision:
     """Outcome of one admission check."""
@@ -208,8 +96,8 @@ class FrontendStats:
     + errors + fenced`` — the reconciliation the overload benchmark
     gates on.
     ``timeouts`` double-counts inside ``degraded`` (a deadline
-    expiry *is* served degraded) and exists to split predicted
-    (pre-emptive) from reactive degradation.
+    expiry *is* served degraded) and exists to split deadline from
+    capacity degradation.
     """
 
     received: int = 0

@@ -10,9 +10,10 @@ malformed request can reject a connection, never crash the server.
 
 This module also fixes the JSON encoding of
 :mod:`~repro.streaming.events` update events
-(:func:`event_to_json` / :func:`event_from_json`) — the same four event
-types the ingestion queue and the WAL carry, so a wire client can drive
-exactly the traffic the in-process API can.
+(:func:`event_to_json` / :func:`event_from_json`): the four
+probability-update types, without provenance.  ``NodeAdd``, ``EdgeAdd``
+and provenance fields are in-process only; the WAL codec stores all
+six types.
 """
 
 from __future__ import annotations

@@ -12,13 +12,13 @@ One :class:`FrontendServer` binds an ``asyncio`` HTTP/JSON endpoint
    rejection is a ``429`` carrying ``Retry-After``.
 3. **Deadlines** — every query carries a latency budget (body
    ``budget_ms``, header ``X-Budget-Ms``, or the server's SLO default).
-   The EWMA cost model predicts the tenant's full refresh+query cost;
-   a predicted blow-through short-circuits to a *degraded* bounds-only
-   answer (:meth:`RiskService.query_degraded`) without ever entering
-   the shard queue, and a full query that overruns its in-flight
-   deadline is answered degraded the moment the budget expires while
-   the real computation finishes (and trains the model) in the
-   background.
+   A top-k query that finds every full-query slot taken is answered
+   *degraded* from the always-warm bounds
+   (:meth:`RiskService.query_degraded`) without entering the shard
+   queue, reason ``capacity``; a full query that overruns its deadline
+   is answered degraded the moment the budget expires, reason
+   ``deadline``, while the real computation finishes in the
+   background.  Every other query runs exact.
 
 The endpoints:
 
@@ -27,7 +27,7 @@ method    path                       body / semantics
 ========  =========================  =====================================
 GET       /healthz                   liveness (no auth)
 GET       /v1/health                 role/epoch/lag report (no auth)
-GET       /v1/stats                  counters: frontend, queue, cache, model
+GET       /v1/stats                  counters: frontend, queue, cache
 POST      /v1/register               ``{tenant, k, kwargs?}``
 POST      /v1/update                 ``{tenant, event, ack?}`` → ``{accepted}``
 POST      /v1/query                  ``{tenant, budget_ms?, allow_degraded?}``
@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import asyncio
 import base64
-import dataclasses
 import hmac
 import logging
 import time
@@ -61,11 +60,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Hashable, Mapping
 
 from repro.core.errors import FencedError, FrontendError, ReproError
-from repro.frontend.admission import (
-    AdmissionController,
-    EwmaCostModel,
-    FrontendStats,
-)
+from repro.frontend.admission import AdmissionController, FrontendStats
 from repro.frontend.protocol import (
     HttpRequest,
     event_from_json,
@@ -75,12 +70,16 @@ from repro.frontend.protocol import (
 from repro.io.jsonio import result_to_dict
 from repro.queries.base import QueryResult
 from repro.serving.service import RiskService
-from repro.streaming.monitor import RefreshReport
 
 __all__ = ["FrontendServer"]
 
 TenantId = Hashable
 _LOG = logging.getLogger(__name__)
+
+#: Fraction of the budget a full query may consume before the degraded
+#: fallback fires; the remainder pays for the bounds evaluation and
+#: serialisation.
+DEADLINE_MARGIN = 0.85
 
 
 class FrontendServer:
@@ -102,10 +101,6 @@ class FrontendServer:
     rate_limit, burst, max_inflight, queue_depth_limit:
         Admission knobs — see
         :class:`~repro.frontend.admission.AdmissionController`.
-    deadline_margin:
-        Fraction of the budget a full query may consume before the
-        degraded fallback fires; the remainder pays for the bounds
-        evaluation and serialisation.
     flush_interval:
         Cadence of the service's background ingestion pump.
     snapshot_interval:
@@ -134,16 +129,11 @@ class FrontendServer:
         burst: float | None = None,
         max_inflight: int = 8,
         queue_depth_limit: int = 4096,
-        deadline_margin: float = 0.85,
         flush_interval: float = 0.02,
         snapshot_interval: float | None = None,
         replication=None,
         cluster_token: str | None = None,
     ) -> None:
-        if not 0.0 < deadline_margin <= 1.0:
-            raise FrontendError(
-                f"deadline_margin must be in (0, 1], got {deadline_margin}"
-            )
         if slo_ms <= 0:
             raise FrontendError(f"slo_ms must be > 0, got {slo_ms}")
         self._service = service
@@ -153,7 +143,6 @@ class FrontendServer:
         self._host = host
         self._requested_port = int(port)
         self._slo_ms = float(slo_ms)
-        self._margin = float(deadline_margin)
         self._flush_interval = float(flush_interval)
         self._snapshot_interval = snapshot_interval
         self.stats = FrontendStats()
@@ -162,19 +151,6 @@ class FrontendServer:
             burst=burst,
             max_inflight=max_inflight,
             queue_depth_limit=queue_depth_limit,
-        )
-        self.cost_model = EwmaCostModel()
-        # Durable services carry the admission model across restarts:
-        # restore whatever the recovered snapshot held, then hand the
-        # model to the service as a snapshot-extras provider so every
-        # future snapshot persists the freshest EWMAs.  A cold restart
-        # therefore predicts from the previous process's learned costs
-        # instead of admitting blind until the model re-warms.
-        recovered = service.recovered_extras.get("ewma_cost_model")
-        if recovered:
-            self.cost_model.load_state_dict(recovered)
-        service.register_extras_provider(
-            "ewma_cost_model", self.cost_model.state_dict
         )
         # Full queries block on shard futures; give them their own
         # threads, capped at the admission in-flight limit so the
@@ -521,10 +497,11 @@ class FrontendServer:
         kwargs = body.get("kwargs", {})
         if not isinstance(kwargs, dict):
             raise FrontendError("kwargs must be a JSON object")
+        # Registration waits on the tenant's shard, so it runs on the
+        # loop's default executor, never on the degraded lane.
         loop = asyncio.get_event_loop()
         await loop.run_in_executor(
-            self._degraded_executor,
-            lambda: self._service.register_tenant(tenant, k, **kwargs),
+            None, lambda: self._service.register_tenant(tenant, k, **kwargs)
         )
         self.stats.bump("completed")
         return 200, {"registered": tenant, "k": k}, {}
@@ -607,59 +584,46 @@ class FrontendServer:
             raise FrontendError("params requires a family")
         loop = asyncio.get_event_loop()
 
-        # 1. Pre-emptive degradation: the model predicts the full path
-        #    cannot finish inside the budget — do not even enter the
-        #    queue, answer from the always-warm bounds.  Only the top-k
-        #    path has a bounds-only twin; family queries always attempt
-        #    the shared-world computation.
-        predicted = self.cost_model.predict(tenant)
-        if (
-            family is None
-            and allow_degraded
-            and predicted is not None
-            and predicted > self._margin * budget
-        ):
-            degraded = await self._degraded_answer(loop, tenant)
-            if degraded is not None:
-                self.stats.bump("degraded")
-                return self._result_response(
-                    degraded, started, degraded_reason="predicted"
-                )
-
-        # 2. Concurrency gate on the full path.
+        # 1. Concurrency gate on the full path.  A saturated lane answers
+        #    a top-k query from the always-warm bounds when the caller
+        #    allows it; only the top-k path has a bounds-only twin.
         if not self.admission.acquire_slot():
+            if allow_degraded and family is None:
+                degraded = await self._degraded(
+                    loop, tenant, started, "capacity"
+                )
+                if degraded is not None:
+                    return degraded
             self.stats.bump("rejected_capacity")
-            retry = max(0.001, predicted or 0.05)
             return (
                 429,
-                {"error": "rejected: capacity", "retry_after": retry},
-                {"Retry-After": f"{retry:.3f}"},
+                {"error": "rejected: capacity", "retry_after": 0.05},
+                {"Retry-After": "0.050"},
             )
 
-        # 3. Full query with an in-flight deadline.  The executor future
+        # 2. Full query with an in-flight deadline.  The executor future
         #    is shielded: on expiry it keeps running (releasing its slot
-        #    and training the cost model on completion) while the
-        #    request is answered degraded immediately.
+        #    on completion) while the request is answered degraded
+        #    immediately.
         future = asyncio.ensure_future(
             loop.run_in_executor(
                 self._query_executor, self._full_query, tenant, family, params
             )
         )
-        remaining = self._margin * budget - (time.perf_counter() - started)
+        remaining = DEADLINE_MARGIN * budget - (time.perf_counter() - started)
         try:
             result = await asyncio.wait_for(
                 asyncio.shield(future), max(0.001, remaining)
             )
         except asyncio.TimeoutError:
             if allow_degraded and family is None:
-                degraded = await self._degraded_answer(loop, tenant)
+                degraded = await self._degraded(
+                    loop, tenant, started, "deadline"
+                )
                 if degraded is not None:
-                    self.stats.bump("degraded")
                     self.stats.bump("timeouts")
                     future.add_done_callback(_swallow)
-                    return self._result_response(
-                        degraded, started, degraded_reason="deadline"
-                    )
+                    return degraded
             result = await future  # no degraded path: overrun honestly
         except Exception:
             future.add_done_callback(_swallow)
@@ -676,50 +640,33 @@ class FrontendServer:
         family: str | None = None,
         params: Mapping | None = None,
     ):
-        """Blocking full query (executor thread); trains the cost model.
+        """Blocking full query (executor thread); releases its slot.
 
         With *family* set, routes to the service's shared-world family
         path (:meth:`RiskService.query_family`) instead of the top-k
-        default; both paths train the same EWMA cost model, since both
-        pay the same per-tenant flush-and-repair cost before answering.
+        default.
         """
-        started = time.perf_counter()
         try:
             if family is None:
-                result = self._service.query_topk(tenant)
-            else:
-                result = self._service.query_family(
-                    tenant, family, params=dict(params or {})
-                )
+                return self._service.query_topk(tenant)
+            return self._service.query_family(
+                tenant, family, params=dict(params or {})
+            )
         finally:
             self.admission.release_slot()
-        elapsed = time.perf_counter() - started
-        report = self._service.last_report(tenant)
-        self.cost_model.observe(
-            tenant,
-            RefreshReport(
-                mode="frontend",
-                reason="observed full query",
-                dirty_nodes=0,
-                dirty_edges=0,
-                bounds_recomputed=0,
-                reduction_reused=True,
-                sampling="observed",
-                worlds_repaired=(
-                    report.worlds_repaired if report is not None else 0
-                ),
-                samples=report.samples if report is not None else 0,
-                elapsed_seconds=elapsed,
-            ),
-        )
-        return result
 
-    async def _degraded_answer(self, loop, tenant: TenantId):
-        """Bounds-only answer on the dedicated lane (None = no mirror)."""
-        return await loop.run_in_executor(
+    async def _degraded(
+        self, loop, tenant: TenantId, started: float, reason: str
+    ) -> tuple[int, object, dict] | None:
+        """A bounds-only response on the dedicated lane (None = no mirror)."""
+        result = await loop.run_in_executor(
             self._degraded_executor,
             lambda: self._service.query_degraded(tenant),
         )
+        if result is None:
+            return None
+        self.stats.bump("degraded")
+        return self._result_response(result, started, degraded_reason=reason)
 
     def _result_response(
         self, result, started: float, *, degraded_reason: str | None = None
@@ -752,7 +699,6 @@ class FrontendServer:
             "queue": dict(self._service.queue.stats.as_dict()),
             "pending": self._service.queue.pending(),
             "cache": dict(self._service.cache_stats),
-            "cost_model": self.cost_model.snapshot(),
             "tenants": len(self._service.tenants()),
         }
 

@@ -95,10 +95,10 @@ class Snapshot:
     wal_seq: int
     base_fingerprint: str | None
     tenants: dict[TenantId, TenantSnapshot]
-    #: JSON-serialisable sidecar state (e.g. the front end's admission
-    #: cost model), keyed by provider name.  Empty for snapshots written
-    #: by older builds — readers must tolerate its absence.
-    extras: dict = None  # type: ignore[assignment]
+    #: Fencing epoch of the writer (0 = fencing disabled, or a manifest
+    #: from a build that did not record it).  The WAL's epoch stamp is
+    #: covered, and may be truncated away, so this is what survives.
+    epoch: int
 
 
 class SnapshotStore:
@@ -203,7 +203,8 @@ class SnapshotStore:
                 f"{manifest.get('version')}, this build reads "
                 f"{SUPPORTED_WAL_VERSIONS}"
             )
-        # Rows from older builds also carry a per-tenant watermark; unread.
+        # Older builds also wrote a per-tenant watermark in each row and
+        # an ``extras`` block in the manifest; both go unread.
         tenants: dict[TenantId, TenantSnapshot] = {}
         for row in manifest["tenants"]:
             tenant_id = row["tenant_id"]
@@ -218,9 +219,7 @@ class SnapshotStore:
             wal_seq=int(manifest["wal_seq"]),
             base_fingerprint=manifest.get("base_fingerprint"),
             tenants=tenants,
-            # Tolerant read: manifests from before the extras field
-            # simply have none.
-            extras=dict(manifest.get("extras") or {}),
+            epoch=int(manifest.get("epoch", 0)),
         )
 
     # ------------------------------------------------------------------
@@ -230,7 +229,7 @@ class SnapshotStore:
         *,
         wal_seq: int,
         base_fingerprint: str | None = None,
-        extras: dict | None = None,
+        epoch: int = 0,
     ) -> Snapshot:
         """Publish one snapshot atomically and rotate old ones out.
 
@@ -241,10 +240,8 @@ class SnapshotStore:
         wal_seq:
             The last WAL batch seq every blob folds in; recovery treats
             batches at or below it as applied.
-        extras:
-            Optional JSON-serialisable sidecar state stored inline in
-            the manifest (must stay small — it is read on every
-            :meth:`latest`).
+        epoch:
+            The writer's fencing epoch, recorded in the manifest.
         """
         dirs = self._snapshot_dirs()
         index = (int(dirs[-1].name[len(_SNAP_PREFIX):]) + 1) if dirs else 1
@@ -274,16 +271,9 @@ class SnapshotStore:
             "version": CODEC_VERSION,
             "wal_seq": int(wal_seq),
             "base_fingerprint": base_fingerprint,
+            "epoch": int(epoch),
             "tenants": rows,
         }
-        if extras:
-            try:
-                json.dumps(extras)
-            except (TypeError, ValueError) as error:
-                raise PersistenceError(
-                    f"snapshot extras must be JSON-serialisable: {error}"
-                ) from None
-            manifest["extras"] = extras
         (tmp / _MANIFEST).write_text(
             json.dumps(manifest, indent=1), encoding="utf-8"
         )

@@ -172,11 +172,16 @@ class ReplicaService:
         self._writer.begin_segment(segment)
 
     def _restore_snapshot(self) -> None:
-        """Install the mirror directory's latest snapshot, if any."""
+        """Install the mirror directory's latest snapshot, if any.
+
+        The snapshot may cover (and truncation delete) the primary's
+        epoch stamp, so the epoch its manifest records counts as seen.
+        """
         with SnapshotStore(self._directory).pin_latest() as snapshot:
             restore_snapshot(self._pool, snapshot)
         if snapshot is not None:
             self._applied_seq = max(self._applied_seq, snapshot.wal_seq)
+            self._epoch = max(self._epoch, snapshot.epoch)
 
     def _replay(self, batch: WalBatch) -> None:
         """Apply one persisted batch to the pool; advance the cursor."""

@@ -210,16 +210,6 @@ class RiskService:
         self._token_lock = threading.Lock()
         self._result_cache: OrderedDict = OrderedDict()
         self.cache_stats = {"hits": 0, "misses": 0}
-        #: tenant -> most recent RefreshReport the parent observed.
-        self._last_reports: dict[TenantId, RefreshReport] = {}
-        #: name -> provider of JSON-serialisable sidecar state; called
-        #: at snapshot time so auxiliary layers (e.g. the front end's
-        #: admission cost model) persist alongside the monitor blobs.
-        self._extras_providers: dict[str, Callable[[], object]] = {}
-        #: Sidecar state carried by the snapshot this service recovered
-        #: from (empty for a fresh or in-memory service).  Consumers
-        #: read their entry back at attach time.
-        self.recovered_extras: dict[str, object] = {}
         #: Fencing epoch this writer holds (0 = fencing disabled).
         self._epoch = 0
         self._epoch_store = epoch_store
@@ -361,7 +351,6 @@ class RiskService:
                         "different base graph (fingerprint mismatch); "
                         "durable state cannot be replayed onto this network"
                     )
-                self.recovered_extras = dict(snapshot.extras or {})
             snapshotted = restore_snapshot(
                 self._pool, snapshot, on_restore=restored
             )
@@ -500,15 +489,6 @@ class RiskService:
         if stale:
             result = dataclasses.replace(result, stale=True)
         return result
-
-    def last_report(self, tenant_id: TenantId) -> RefreshReport | None:
-        """The most recent refresh report observed for *tenant_id*.
-
-        Parent-side cache fed by every resolved flush/query future — the
-        front end's cost model reads it without touching the shard FIFO.
-        ``None`` until the tenant's first flushed batch.
-        """
-        return self._last_reports.get(tenant_id)
 
     # ------------------------------------------------------------------
     # Tenant lifecycle and traffic
@@ -663,7 +643,7 @@ class RiskService:
         """Resolve one shard future, healing a dead worker if durable."""
         if future is not None:
             try:
-                return self._observe(tenant_id, future.result())
+                return future.result()
             except BrokenExecutor:
                 if self._wal is None:
                     raise
@@ -674,15 +654,7 @@ class RiskService:
         # snapshot/replay state includes it) or it never ran (then it
         # was durable and the replay applied it).  Either way the
         # monitor is current; serve its last report.
-        return self._observe(
-            tenant_id, self._pool.last_report(tenant_id).result()
-        )
-
-    def _observe(self, tenant_id: TenantId, outcome):
-        """Cache refresh telemetry as it flows back from the shards."""
-        if isinstance(outcome, RefreshReport):
-            self._last_reports[tenant_id] = outcome
-        return outcome
+        return self._pool.last_report(tenant_id).result()
 
     def _heal_shard(self, index: int) -> None:
         """Respawn a dead shard and restore its tenants from durable state.
@@ -838,20 +810,6 @@ class RiskService:
     # ------------------------------------------------------------------
     # Durable snapshots
     # ------------------------------------------------------------------
-    def register_extras_provider(
-        self, name: str, provider: Callable[[], object]
-    ) -> None:
-        """Persist auxiliary layer state alongside monitor snapshots.
-
-        *provider* is called at :meth:`snapshot_to_disk` time and must
-        return JSON-serialisable state; it lands in the snapshot
-        manifest under *name* and resurfaces in
-        :attr:`recovered_extras` after the next recovery.  Used by the
-        SLO front end to carry its EWMA admission cost model across
-        restarts.  Re-registering a name replaces its provider.
-        """
-        self._extras_providers[str(name)] = provider
-
     def snapshot_to_disk(self):
         """Write one rotated snapshot of every tenant; truncate the WAL.
 
@@ -861,10 +819,12 @@ class RiskService:
         after the applies already dispatched, before those that follow.
         Dumps are enqueued and the WAL rotated in the dispatch critical
         section that reads ``wal_seq``, so each blob folds in exactly
-        the batches through it.  Once the snapshot is atomically
-        published (temp + rename), every sealed segment it covers goes
-        unless the replication retain floor holds it.  A dead shard
-        worker is healed and the snapshot retaken.
+        the batches through it.  The manifest records this writer's
+        epoch, which outlives the epoch stamp the snapshot covers.
+        Once the snapshot is atomically published (temp + rename), every
+        sealed segment it covers goes unless the replication retain
+        floor holds it.  A dead shard worker is healed and the snapshot
+        retaken.
 
         Returns the published
         :class:`~repro.persistence.snapshots.Snapshot`.
@@ -891,19 +851,11 @@ class RiskService:
             with self._dispatch_lock:
                 self._heal_shard(self._pool.shard_index(tenant_id))
             return self.snapshot_to_disk()
-        extras = {}
-        for name, provider in self._extras_providers.items():
-            try:
-                extras[name] = provider()
-            except Exception:
-                # A failing sidecar provider must not block durability
-                # of the monitor state; its entry is simply absent.
-                continue
         published = self._snapshots.write(
             tenants,
             wal_seq=wal_seq,
             base_fingerprint=self._fingerprint,
-            extras=extras or None,
+            epoch=self._epoch,
         )
         self._wal.truncate_upto(wal_seq)
         return published

@@ -1,11 +1,12 @@
 """Tests for the SLO-enforced network front end.
 
 Unit-level: the HTTP slice parser, the update-event wire codec, the
-token bucket and EWMA cost model (fake clocks throughout), the client's
-jittered backoff.  End-to-end: a real :class:`FrontendServer` over a
-real :class:`RiskService` on a loopback socket — auth, exact answers
-over the wire, 429 + ``Retry-After`` shedding, degraded bounds-only
-answers under tight budgets, and the stats reconciliation invariant.
+token bucket (fake clocks throughout), the client's jittered backoff.
+End-to-end: a real :class:`FrontendServer` over a real
+:class:`RiskService` on a loopback socket — auth, exact answers over
+the wire, 429 + ``Retry-After`` shedding, degraded bounds-only answers
+on an overrun deadline or a saturated lane, and the stats
+reconciliation invariant.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import asyncio
 import json
 import random
 import threading
+import time
 
 import pytest
 
@@ -22,7 +24,6 @@ from repro.core.errors import FrontendError
 from repro.datasets.registry import load_dataset
 from repro.frontend import (
     AdmissionController,
-    EwmaCostModel,
     FrontendClient,
     FrontendServer,
     FrontendStats,
@@ -34,13 +35,13 @@ from repro.frontend import (
 from repro.frontend.client import ClientResponse
 from repro.replication import EpochStore, ReplicationHub
 from repro.serving import RiskService
+from repro.serving import pool as pool_module
 from repro.streaming.events import (
     BulkEdgeProbabilityUpdate,
     BulkSelfRiskUpdate,
     EdgeProbabilityUpdate,
     SelfRiskUpdate,
 )
-from repro.streaming.monitor import RefreshReport
 
 
 # ----------------------------------------------------------------------
@@ -174,53 +175,6 @@ class TestTokenBucket:
             TokenBucket(rate=0.0, burst=1.0)
         with pytest.raises(ValueError):
             TokenBucket(rate=1.0, burst=0.5)
-
-
-def report(elapsed: float, worlds: int) -> RefreshReport:
-    return RefreshReport(
-        mode="frontend",
-        reason="test",
-        dirty_nodes=0,
-        dirty_edges=0,
-        bounds_recomputed=0,
-        reduction_reused=True,
-        sampling="observed",
-        worlds_repaired=worlds,
-        samples=worlds,
-        elapsed_seconds=elapsed,
-    )
-
-
-class TestEwmaCostModel:
-    def test_cold_model_predicts_none(self):
-        model = EwmaCostModel()
-        assert model.predict("t") is None
-
-    def test_base_plus_marginal_decomposition(self):
-        model = EwmaCostModel(alpha=1.0)  # no smoothing: last sample wins
-        model.observe("t", report(elapsed=0.010, worlds=0))
-        # Base-only tenant history: expected worlds folded to 0.
-        assert model.predict("t") == pytest.approx(0.010)
-        model.observe("t", report(elapsed=0.110, worlds=100))
-        # marginal = (0.110 - 0.010) / 100 = 1ms/world; expected = 100.
-        assert model.predict("t") == pytest.approx(0.010 + 0.001 * 100)
-        # A tenant the model never saw pays only the shared base cost.
-        assert model.predict("other") == pytest.approx(0.010)
-
-    def test_smoothing_converges(self):
-        model = EwmaCostModel(alpha=0.5)
-        for _ in range(20):
-            model.observe("t", report(elapsed=0.040, worlds=0))
-        assert model.predict("t") == pytest.approx(0.040, rel=1e-3)
-
-    def test_validation_and_snapshot(self):
-        with pytest.raises(ValueError):
-            EwmaCostModel(alpha=0.0)
-        model = EwmaCostModel()
-        model.observe("t", report(elapsed=0.01, worlds=0))
-        snap = model.snapshot()
-        assert snap["base_seconds"] == pytest.approx(0.01)
-        assert snap["tenants_tracked"] == 1
 
 
 class TestAdmissionController:
@@ -567,17 +521,27 @@ class TestEndToEnd:
             assert stats["frontend"]["rejected_rate"] >= 1
             assert stats["accounted"] == stats["frontend"]["received"]
 
-    def test_tight_budget_serves_degraded_bounds(self, service):
+    def test_tight_budget_serves_degraded_bounds(self, service, monkeypatch):
+        # Park the full query so it overruns the budget whatever the
+        # cache holds.
+        release = threading.Event()
+        query_topk = service.query_topk
+
+        def parked(tenant_id, **kwargs):
+            release.wait(30)
+            return query_topk(tenant_id, **kwargs)
+
+        monkeypatch.setattr(service, "query_topk", parked)
         with ServerHarness(service, rate_limit=500.0) as server:
             client = quiet_client(server)
-            # Warm the cost model with observed full queries.
-            for _ in range(3):
-                assert client.query(budget_ms=60_000).ok
-            response = client.query(budget_ms=0.01)
+            try:
+                response = client.query(budget_ms=50)
+            finally:
+                release.set()
             assert response.ok
             payload = response.payload
             assert payload["degraded"]
-            assert payload["degraded_reason"] in ("predicted", "deadline")
+            assert payload["degraded_reason"] == "deadline"
             assert payload["result"]["degraded"]
             assert payload["result"]["details"]["bounds_only"]
             assert len(payload["result"]["nodes"]) == 4
@@ -591,6 +555,144 @@ class TestEndToEnd:
             # Opting out of degradation gets the honest slow answer.
             strict = client.query(budget_ms=0.01, allow_degraded=False)
             assert strict.ok and not strict.payload["degraded"]
+
+    def test_slow_spell_leaves_later_queries_exact(self, service, monkeypatch):
+        slow = [4]
+        query_topk = service.query_topk
+
+        def slow_spell(tenant_id, **kwargs):
+            if slow[0] > 0:
+                slow[0] -= 1
+                time.sleep(0.3)
+            return query_topk(tenant_id, **kwargs)
+
+        monkeypatch.setattr(service, "query_topk", slow_spell)
+        with ServerHarness(service, rate_limit=500.0) as server:
+            for _ in range(4):
+                assert quiet_client(server).query(budget_ms=60_000).ok
+            assert slow == [0]
+            # Once the spell is over, a default-budget query runs the
+            # exact path again, for every tenant.
+            for tenant, token in TOKENS.items():
+                response = quiet_client(
+                    server, token=token, tenant=tenant
+                ).query()
+                assert response.ok
+                assert not response.payload["degraded"]
+                assert "degraded_reason" not in response.payload
+
+    def test_saturated_lane_degrades_topk_and_sheds_families(self, service):
+        with ServerHarness(
+            service, rate_limit=500.0, max_inflight=2
+        ) as server:
+            assert server.admission.acquire_slot()
+            assert server.admission.acquire_slot()
+            client = quiet_client(server, retries=1)
+            try:
+                response = client.query()
+                family = client.query(family="kcore", params={"k": 2})
+            finally:
+                server.admission.release_slot()
+                server.admission.release_slot()
+            assert response.ok
+            payload = response.payload
+            assert payload["degraded"]
+            assert payload["degraded_reason"] == "capacity"
+            assert payload["result"]["details"]["bounds_only"]
+            details = payload["result"]["details"]
+            assert all(
+                upper >= details["threshold_lower"] - 1e-12
+                for upper in details["bounds_upper"]
+            )
+            # A family query has no bounds-only twin: it sheds.
+            assert family.status == 429
+            assert family.payload["error"] == "rejected: capacity"
+            assert family.headers["retry-after"] == "0.050"
+            stats = client.stats()
+            assert stats["frontend"]["degraded"] == 1
+            assert stats["frontend"]["timeouts"] == 0
+            assert stats["frontend"]["rejected_capacity"] == 1
+            assert "cost_model" not in stats
+            assert stats["accounted"] == stats["frontend"]["received"]
+
+    def test_registrations_do_not_hold_the_degraded_lane(
+        self, service, monkeypatch
+    ):
+        # Park alpha's full query inside the only (serial) shard, so
+        # registrations, which wait for the shard, stay in flight.
+        parked = threading.Event()
+        release = threading.Event()
+        worker_query = pool_module._worker_query
+
+        def park(pool_id, tenant_id):
+            parked.set()
+            release.wait(30)
+            return worker_query(pool_id, tenant_id)
+
+        monkeypatch.setattr(pool_module, "_worker_query", park)
+        entered = threading.Semaphore(0)
+        register_tenant = service.register_tenant
+
+        def entering(tenant_id, k, **kwargs):
+            entered.release()
+            return register_tenant(tenant_id, k, **kwargs)
+
+        monkeypatch.setattr(service, "register_tenant", entering)
+        monkeypatch.setitem(TOKENS, "gamma", "gamma-secret")
+        monkeypatch.setitem(TOKENS, "delta", "delta-secret")
+        responses = {}
+
+        def call(name, run):
+            responses[name] = run()
+
+        with ServerHarness(service, rate_limit=500.0) as server:
+            threads = [
+                threading.Thread(
+                    target=call,
+                    args=(
+                        "full",
+                        lambda: quiet_client(server).query(
+                            budget_ms=60_000, allow_degraded=False
+                        ),
+                    ),
+                )
+            ]
+            threads[0].start()
+            assert parked.wait(10)
+            for tenant in ("gamma", "delta"):
+                client = quiet_client(
+                    server, token=f"{tenant}-secret", tenant=tenant
+                )
+                threads.append(
+                    threading.Thread(
+                        target=call,
+                        args=(tenant, lambda c=client: c.register(4)),
+                    )
+                )
+                threads[-1].start()
+            assert entered.acquire(timeout=10)
+            assert entered.acquire(timeout=10)
+            # The park ends after 3 s; the degraded answer must not
+            # wait for it.
+            valve = threading.Timer(3.0, release.set)
+            valve.start()
+            try:
+                response = quiet_client(server).query(budget_ms=50)
+                answered_while_parked = not release.is_set()
+            finally:
+                release.set()
+                valve.cancel()
+                for thread in threads:
+                    thread.join(30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert answered_while_parked
+            assert response.ok
+            assert response.payload["degraded"]
+            assert response.payload["degraded_reason"] == "deadline"
+            assert responses["full"].ok
+            assert not responses["full"].payload["degraded"]
+            assert responses["gamma"].ok and responses["delta"].ok
+        assert {"gamma", "delta"} <= set(service.tenants())
 
     def test_unknown_route_and_bad_json_are_contained(self, service):
         with ServerHarness(service, rate_limit=500.0) as server:

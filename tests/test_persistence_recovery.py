@@ -518,6 +518,55 @@ class TestWatermarkManifest:
             recovered.close()
 
 
+class TestExtrasManifest:
+    """Manifests once carried an ``extras`` block: the front end's cost
+    model, as its ``state_dict`` wrote it.  Recovery ignores it."""
+
+    EXTRAS = {
+        "ewma_cost_model": {
+            "alpha": 0.3,
+            "base_seconds": 0.31,
+            "per_world_seconds": None,
+            "expected_worlds": {"t1": 0.0, "t2": 0.0},
+        }
+    }
+
+    def test_recovers_to_the_never_crashed_answers(
+        self, graph, events, tmp_path
+    ):
+        tenants = {"t1": 3, "t2": 5}
+        service = RiskService(
+            graph, mode="serial", wal_dir=tmp_path, monitor_defaults=DEFAULTS
+        )
+        for tenant_id, k in tenants.items():
+            service.register_tenant(tenant_id, k)
+        drive(service, list(tenants), events, snapshot_at=14)
+        abandon(service)
+        path = SnapshotStore(tmp_path).latest().path / "manifest.json"
+        manifest = json.loads(path.read_text("utf-8"))
+        manifest["extras"] = self.EXTRAS
+        path.write_text(json.dumps(manifest, indent=1), encoding="utf-8")
+
+        baseline, baseline_stats = reference_answers(graph, events, tenants)
+        recovered = RiskService(
+            graph, mode="serial", wal_dir=tmp_path, monitor_defaults=DEFAULTS
+        )
+        try:
+            for tenant_id in tenants:
+                assert recovered.query_topk(tenant_id).same_answer(
+                    baseline[tenant_id]
+                )
+            stats = recovered.snapshot().shards[0]["monitor_stats"]
+            assert stats == baseline_stats
+            published = recovered.snapshot_to_disk()
+            rewritten = json.loads(
+                (published.path / "manifest.json").read_text("utf-8")
+            )
+            assert "extras" not in rewritten
+        finally:
+            recovered.close()
+
+
 class DurableServiceMachine(RuleBasedStateMachine):
     """One serial durable service against an in-memory reference.
 

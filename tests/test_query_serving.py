@@ -1,15 +1,11 @@
-"""Serving-layer tests for query families and carried sidecar state.
+"""Serving-layer tests for query families.
 
-Covers the routes the tentpole threads through the upper layers:
+Covers the routes query families take through the upper layers:
 
 * :meth:`RiskService.query_family` — read-your-writes flushing, the
   family-tagged result cache (hits across tenants with token-equal
   histories, misses across distinct families/params, invalidation on
   update), and lockstep with a direct monitor;
-* snapshot ``extras`` — JSON sidecar state riding the durable snapshot
-  manifest and resurfacing in :attr:`RiskService.recovered_extras`;
-* :class:`EwmaCostModel` persistence — ``state_dict`` round-trips and a
-  restarted front end predicting from the recovered model immediately;
 * the HTTP front end routing ``family``/``params`` bodies end to end;
 * the ``query`` CLI subcommand.
 """
@@ -25,14 +21,13 @@ import pytest
 
 from repro.cli import main, query_main
 from repro.datasets.registry import load_dataset
-from repro.frontend.admission import EwmaCostModel
 from repro.frontend.client import FrontendClient
 from repro.frontend.server import FrontendServer
 from repro.queries import QueryEngine, get_query_family
 from repro.sampling.worldstate import WorldView
 from repro.serving.service import RiskService
 from repro.streaming.events import SelfRiskUpdate
-from repro.streaming.monitor import RefreshReport, TopKMonitor
+from repro.streaming.monitor import TopKMonitor
 
 
 @pytest.fixture(scope="module")
@@ -44,21 +39,6 @@ def make_service(graph, **kwargs):
     kwargs.setdefault("mode", "serial")
     kwargs.setdefault("monitor_defaults", {"seed": 0})
     return RiskService(graph, **kwargs)
-
-
-def make_report(elapsed, worlds):
-    return RefreshReport(
-        mode="test",
-        reason="synthetic",
-        dirty_nodes=0,
-        dirty_edges=0,
-        bounds_recomputed=0,
-        reduction_reused=True,
-        sampling="observed",
-        worlds_repaired=worlds,
-        samples=worlds,
-        elapsed_seconds=elapsed,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -120,82 +100,6 @@ class TestServiceQueryFamily:
             service.register_tenant("a", 4)
             with pytest.raises(ReproError, match="unknown query family"):
                 service.query_family("a", "no-such-family")
-
-
-# ----------------------------------------------------------------------
-# Snapshot extras + EWMA persistence
-# ----------------------------------------------------------------------
-class TestCarriedExtras:
-    def test_extras_round_trip_through_snapshot(
-        self, serving_graph, tmp_path
-    ):
-        wal = tmp_path / "state"
-        with make_service(serving_graph, wal_dir=wal) as service:
-            service.register_tenant("a", 4)
-            service.query_topk("a")
-            service.register_extras_provider(
-                "probe", lambda: {"answer": 42, "nested": {"x": [1, 2]}}
-            )
-            service.snapshot_to_disk()
-        with make_service(serving_graph, wal_dir=wal) as recovered:
-            assert recovered.recovered_extras["probe"] == {
-                "answer": 42, "nested": {"x": [1, 2]}
-            }
-
-    def test_failing_provider_does_not_block_snapshot(
-        self, serving_graph, tmp_path
-    ):
-        with make_service(
-            serving_graph, wal_dir=tmp_path / "state"
-        ) as service:
-            service.register_tenant("a", 4)
-            service.query_topk("a")
-            service.register_extras_provider("good", lambda: {"ok": True})
-
-            def explode():
-                raise RuntimeError("sidecar boom")
-
-            service.register_extras_provider("bad", explode)
-            snapshot = service.snapshot_to_disk()
-            assert snapshot.extras == {"good": {"ok": True}}
-
-    def test_ewma_state_dict_round_trip(self):
-        model = EwmaCostModel(alpha=0.4)
-        model.observe("t", make_report(0.02, 0))
-        model.observe("t", make_report(0.12, 10))
-        model.observe("u", make_report(0.30, 40))
-        clone = EwmaCostModel(alpha=0.4)
-        clone.load_state_dict(
-            json.loads(json.dumps(model.state_dict()))
-        )
-        for tenant in ("t", "u", "never-seen"):
-            assert clone.predict(tenant) == pytest.approx(
-                model.predict(tenant)
-            )
-
-    def test_cold_load_resets(self):
-        model = EwmaCostModel()
-        model.observe("t", make_report(0.5, 5))
-        model.load_state_dict({})
-        assert model.predict("t") is None
-
-    def test_frontend_restores_cost_model_across_restart(
-        self, serving_graph, tmp_path
-    ):
-        wal = tmp_path / "state"
-        with make_service(serving_graph, wal_dir=wal) as service:
-            server = FrontendServer(service, {"a": "tok"})
-            service.register_tenant("a", 4)
-            service.query_topk("a")
-            server.cost_model.observe("a", make_report(0.08, 0))
-            server.cost_model.observe("a", make_report(0.20, 12))
-            expected = server.cost_model.predict("a")
-            service.snapshot_to_disk()
-        with make_service(serving_graph, wal_dir=wal) as recovered:
-            reborn = FrontendServer(recovered, {"a": "tok"})
-            # The restarted front end predicts immediately — no blind
-            # window while the EWMA re-warms from scratch.
-            assert reborn.cost_model.predict("a") == pytest.approx(expected)
 
 
 # ----------------------------------------------------------------------

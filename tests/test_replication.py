@@ -326,6 +326,29 @@ class TestWalShipping:
             primary.close()
             replica.close()
 
+    def test_restarted_replica_keeps_the_primary_epoch(self, tmp_path):
+        """The manifest records the epoch whose stamp its snapshot
+        covers, so a replica reopened on its mirror still reports it."""
+        store = EpochStore(tmp_path / "epoch.json")
+        primary = make_primary(tmp_path, store=store)  # claims epoch 1
+        primary.register_tenant("t1", 5)
+        drive(primary, "t1", 4)
+        primary.snapshot_to_disk()
+        replica = make_replica(tmp_path)
+        WalShipper(LocalSource(ReplicationHub(primary)), replica).catch_up()
+        assert replica.epoch == primary.epoch == 1
+        replica.close()
+        reopened = make_replica(tmp_path)
+        try:
+            assert reopened.epoch == primary.epoch
+            assert reopened.applied_seq == primary.durable_seq
+            assert primary.query_topk("t1").same_answer(
+                reopened.query_topk("t1")
+            )
+        finally:
+            primary.close()
+            reopened.close()
+
     def test_bootstrap_applies_through_the_snapshot_wal_seq(self, tmp_path):
         """A snapshot whose last covered records are registrations still
         counts them applied: applied_seq starts at its wal_seq."""
