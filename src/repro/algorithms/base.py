@@ -49,12 +49,12 @@ class DetectionResult:
     details:
         Free-form per-method diagnostics (thresholds, bound orders, …).
     stale:
-        ``False`` for every freshly computed answer.  The durable
-        serving layer sets ``True`` on an answer served from the last
-        snapshot while its tenant is still replaying the WAL — correct
-        as of the snapshot, possibly behind the durable stream.  Not
-        part of :meth:`same_answer` (staleness is serving metadata, not
-        answer content).
+        ``False`` for every freshly computed answer, and for every
+        answer a primary serves.  A replica sets ``True`` on an answer
+        from its applied state while it knows the primary is ahead —
+        correct as of its applied seq, possibly behind the durable
+        stream.  Not part of :meth:`same_answer` (staleness is serving
+        metadata, not answer content).
     degraded:
         ``False`` for every exact answer.  The SLO-enforced front end
         sets ``True`` on a *bounds-only* answer — a ranking assembled

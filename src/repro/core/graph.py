@@ -151,11 +151,6 @@ class _CowColumn(_GrowableArray):
             self._data = self._data[: self._size].copy()
             self._shared = False
 
-    @property
-    def is_shared(self) -> bool:
-        """Whether the buffer is still the shared (never-written) one."""
-        return self._shared
-
     def append(self, value) -> None:
         self._fork()
         super().append(value)
@@ -207,10 +202,6 @@ class CSRAdjacency:
     def edge_probs(self, index: int) -> np.ndarray:
         """Diffusion probabilities aligned with :meth:`neighbors`."""
         return self.probs[self.indptr[index] : self.indptr[index + 1]]
-
-    def edges_of(self, index: int) -> np.ndarray:
-        """Canonical edge ids aligned with :meth:`neighbors`."""
-        return self.edge_ids[self.indptr[index] : self.indptr[index + 1]]
 
     def degree(self, index: int) -> int:
         """Number of neighbours of the node at internal *index*."""

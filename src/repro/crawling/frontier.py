@@ -128,10 +128,6 @@ class CrawlFrontier:
         """Observed node labels in observation order."""
         return [self._hidden.label(i) for i in self._observed_order]
 
-    def crawled_labels(self) -> list[NodeLabel]:
-        """Crawled node labels in crawl order."""
-        return [self._hidden.label(i) for i in self._crawl_order]
-
     def uncrawled_observed(self) -> list[NodeLabel]:
         """Crawlable targets (observed, not yet crawled), observation
         order — the deterministic tie-break every strategy shares."""

@@ -1,12 +1,12 @@
 """Atomic, rotated snapshots of per-tenant monitor state.
 
-A snapshot is one directory (``snap-00000001/``) holding, per tenant, a
-pickled :class:`~repro.streaming.monitor.TopKMonitor` blob (the exact
-process state — graph view, bound iterates, sampled worlds, counters —
-so replaying the post-snapshot WAL suffix reproduces the interrupted
-run bit for bit) plus the tenant's last served answer (small, loadable
-without unpickling the whole monitor — what stale-mode queries return
-while a tenant is still replaying).
+A snapshot is one directory (``snap-00000001/``) holding a
+``manifest.json`` and, per tenant, one ``tenant-NNNN.state.pkl``: the
+pickled :class:`~repro.streaming.monitor.TopKMonitor` (the exact process
+state — graph view, bound iterates, sampled worlds, counters — so
+replaying the post-snapshot WAL suffix reproduces the interrupted run
+bit for bit).  Snapshots from older builds also hold a
+``tenant-NNNN.result.pkl`` answer file per tenant; it goes unread.
 
 Atomicity is the classic temp + rename dance: every blob is written and
 fsynced inside ``snap-N.tmp/``, the manifest goes in **last**, then one
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import shutil
 import threading
 from collections import Counter
@@ -72,16 +71,10 @@ class TenantSnapshot:
 
     tenant_id: TenantId
     state_path: Path
-    result_path: Path
 
     def load_state_blob(self) -> bytes:
         """The pickled monitor bytes (installed worker-side on restore)."""
         return self.state_path.read_bytes()
-
-    def load_result(self):
-        """The tenant's answer at snapshot time (for stale-mode queries)."""
-        with open(self.result_path, "rb") as handle:
-            return pickle.load(handle)
 
 
 @dataclass(frozen=True)
@@ -203,15 +196,14 @@ class SnapshotStore:
                 f"{manifest.get('version')}, this build reads "
                 f"{SUPPORTED_WAL_VERSIONS}"
             )
-        # Older builds also wrote a per-tenant watermark in each row and
-        # an ``extras`` block in the manifest; both go unread.
+        # Older builds also wrote a per-tenant watermark and answer file
+        # in each row and an ``extras`` block in the manifest; all three
+        # go unread.
         tenants: dict[TenantId, TenantSnapshot] = {}
         for row in manifest["tenants"]:
             tenant_id = row["tenant_id"]
             tenants[tenant_id] = TenantSnapshot(
-                tenant_id=tenant_id,
-                state_path=path / row["state"],
-                result_path=path / row["result"],
+                tenant_id=tenant_id, state_path=path / row["state"]
             )
         return Snapshot(
             path=path,
@@ -225,7 +217,7 @@ class SnapshotStore:
     # ------------------------------------------------------------------
     def write(
         self,
-        tenants: dict[TenantId, tuple[bytes, object]],
+        tenants: dict[TenantId, bytes],
         *,
         wal_seq: int,
         base_fingerprint: str | None = None,
@@ -236,7 +228,8 @@ class SnapshotStore:
         Parameters
         ----------
         tenants:
-            ``tenant_id -> (monitor_blob, last_result)``.
+            ``tenant_id -> monitor_blob``, each written and fsynced as
+            one ``tenant-NNNN.state.pkl`` beside the manifest.
         wal_seq:
             The last WAL batch seq every blob folds in; recovery treats
             batches at or below it as applied.
@@ -251,22 +244,11 @@ class SnapshotStore:
             shutil.rmtree(tmp)
         tmp.mkdir()
         rows = []
-        for position, (tenant_id, payload) in enumerate(tenants.items()):
-            blob, result = payload
+        for position, (tenant_id, blob) in enumerate(tenants.items()):
             state_name = f"tenant-{position:04d}.state.pkl"
-            result_name = f"tenant-{position:04d}.result.pkl"
             (tmp / state_name).write_bytes(blob)
-            with open(tmp / result_name, "wb") as handle:
-                pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
             _fsync_file(tmp / state_name)
-            _fsync_file(tmp / result_name)
-            rows.append(
-                {
-                    "tenant_id": tenant_id,
-                    "state": state_name,
-                    "result": result_name,
-                }
-            )
+            rows.append({"tenant_id": tenant_id, "state": state_name})
         manifest = {
             "version": CODEC_VERSION,
             "wal_seq": int(wal_seq),

@@ -451,6 +451,15 @@ class WriteAheadLog:
         """The sequence number the next appended batch will carry."""
         return self._next_seq
 
+    def resume_after(self, seq: int) -> None:
+        """Number every later batch above *seq*.
+
+        Opening takes the next seq from the records on disk, but a
+        snapshot at *seq* may have truncated all of them; batches
+        numbered at or below it would be skipped by every replay.
+        """
+        self._next_seq = max(self._next_seq, int(seq) + 1)
+
     def _append_payload(self, payload: bytes) -> None:
         record = encode_record(payload)
         if (

@@ -210,10 +210,6 @@ class ReplicaService:
         return self._epoch
 
     @property
-    def fence_epoch(self) -> int:
-        return self._fence_epoch
-
-    @property
     def lag(self) -> int:
         """Batches the primary has made durable that we have not applied."""
         return max(0, self._primary_seq - self._applied_seq)

@@ -150,16 +150,17 @@ def _worker_query_family(
     return _worker_monitor(pool_id, tenant_id).query(family, **params)
 
 
-def _worker_dump(pool_id: str, tenant_id: TenantId) -> tuple[bytes, object]:
-    """Pickle one monitor's full state plus its current answer.
+def _worker_dump(pool_id: str, tenant_id: TenantId) -> bytes:
+    """Pickle one monitor's full state, its answer computed first.
 
     Runs on the tenant's shard FIFO, so the blob reflects exactly the
     batches dispatched before the dump was enqueued — the property a
-    snapshot's ``wal_seq`` relies on.
+    snapshot's ``wal_seq`` relies on.  Answering before pickling means
+    a restored monitor holds its answer, never pending work.
     """
     monitor = _worker_monitor(pool_id, tenant_id)
-    result = monitor.top_k()
-    return pickle.dumps(monitor, protocol=pickle.HIGHEST_PROTOCOL), result
+    monitor.top_k()
+    return pickle.dumps(monitor, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def _worker_restore(pool_id: str, tenant_id: TenantId, blob: bytes) -> TenantId:
@@ -338,11 +339,6 @@ class ServingPool:
         """
         return self._base_graph
 
-    @property
-    def shard_count(self) -> int:
-        """Number of execution lanes."""
-        return len(self._shards)
-
     def tenants(self) -> list[TenantId]:
         """Registered tenant ids, registration-ordered."""
         return list(self._shard_of)
@@ -420,8 +416,8 @@ class ServingPool:
     # ------------------------------------------------------------------
     # Durability hooks (used by RiskService's snapshot/recovery paths)
     # ------------------------------------------------------------------
-    def dump_tenant(self, tenant_id: TenantId) -> "Future[tuple[bytes, object]]":
-        """Pickled monitor state + current answer, shard-FIFO-ordered.
+    def dump_tenant(self, tenant_id: TenantId) -> "Future[bytes]":
+        """Pickled monitor state (answer computed first), shard-FIFO-ordered.
 
         Because the dump runs on the tenant's own execution lane, it
         reflects every apply enqueued before it and none after — the

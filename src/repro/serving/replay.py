@@ -7,7 +7,7 @@ and dead-shard healing, and
 bootstrap and shipped-WAL ingest.  Callers pass their differences in
 (which tenants, which floor — a snapshot's ``wal_seq`` or a replica's
 applied seq — what to do with each restored blob) and keep their own
-bookkeeping: the service's stale answers and bounds mirrors, the
+bookkeeping: the service's bounds mirrors and state tokens, the
 replica's epoch fence and applied-seq cursor.
 """
 
@@ -17,7 +17,7 @@ from concurrent.futures import Future
 from typing import Callable, Collection, Hashable
 
 from repro.persistence.codec import PersistenceError
-from repro.persistence.snapshots import Snapshot, TenantSnapshot
+from repro.persistence.snapshots import Snapshot
 from repro.persistence.wal import WalBatch
 from repro.serving.pool import ServingPool
 
@@ -31,7 +31,7 @@ def restore_snapshot(
     snapshot: Snapshot | None,
     *,
     tenants: Collection[TenantId] | None = None,
-    on_restore: Callable[[TenantSnapshot, bytes], None] | None = None,
+    on_restore: Callable[[TenantId, bytes], None] | None = None,
 ) -> set[TenantId]:
     """Install *snapshot*'s monitor blobs into *pool*; return their tenants.
 
@@ -50,7 +50,7 @@ def restore_snapshot(
         pool.restore_tenant(tenant_id, blob)
         restored.add(tenant_id)
         if on_restore is not None:
-            on_restore(tenant_snapshot, blob)
+            on_restore(tenant_id, blob)
     return restored
 
 

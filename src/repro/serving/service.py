@@ -31,27 +31,28 @@ Constructing a :class:`RiskService` with a ``wal_dir`` that already
 holds state *recovers* it: the latest snapshot's monitor blobs are
 restored into the pool, tenants registered after that snapshot are
 rebuilt from their durable registration records, and every WAL batch
-past the snapshot's ``wal_seq`` is replayed in durable order.
-Monitors are deterministic functions of (base graph, seed, ordered
-batch sequence), so the recovered process reaches the *bit-identical*
-state — answers and work counters — the dead process would have had;
-``tests/test_persistence_faults.py`` SIGKILLs a serving run mid-stream
-to pin exactly that.  A torn WAL tail (a record cut short by the crash)
-is truncated at the first bad checksum; everything before it recovers.
+past the snapshot's ``wal_seq`` is replayed in durable order.  A
+promoted replica's warm pool takes the snapshot's place, with its
+applied seq as the floor.  Either way construction returns only once
+every replayed batch has applied, so the service never answers from
+a half-replayed monitor, and new batches take sequence numbers above
+the floor.  Monitors are deterministic functions of (base graph, seed,
+ordered batch sequence), so the recovered process reaches the
+*bit-identical* state — answers and work counters — the dead process
+would have had; ``tests/test_persistence_faults.py`` SIGKILLs a
+serving run mid-stream to pin exactly that.  A torn WAL tail (a record
+cut short by the crash) is truncated at the first bad checksum;
+everything before it recovers.
 
-While a tenant's replay is still in flight, ``query_topk(...,
-allow_stale=True)`` serves the last snapshot's answer flagged
-``stale=True`` instead of blocking or erroring.  A shard worker that
-dies (e.g. OOM-killed) is respawned with bounded retry/backoff and its
-tenants are restored from snapshot + WAL replay transparently, on
-dispatch and on reads.  Recovery, promotion and healing all read
-durable state through :mod:`repro.serving.replay`.
+A shard worker that dies (e.g. OOM-killed) is respawned with bounded
+retry/backoff and its tenants are restored from snapshot + WAL replay
+transparently, on dispatch and on reads.  Recovery, promotion and
+healing all read durable state through :mod:`repro.serving.replay`.
 """
 
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import hashlib
 import json
 import pickle
@@ -80,12 +81,17 @@ __all__ = ["RiskService", "ServiceSnapshot", "PromotionState"]
 TenantId = Hashable
 
 #: Capacity (entries) of the cross-tenant exact-answer cache.  Tenants
-#: whose monitors share ``(k, kwargs)`` and whose event histories hash
-#: to the same state token share cached answers: monitors are
-#: deterministic functions of (base graph, params, event history), so a
+#: whose state tokens match share cached answers: a token chains the
+#: base graph, the effective monitor parameters and the accepted event
+#: history, monitors are deterministic functions of exactly those, so a
 #: token hit is provably the bit-identical answer, and the frozen result
 #: dataclasses make sharing safe.
 RESULT_CACHE_SIZE = 128
+
+
+def _seed_token(*parts) -> str:
+    """The first link of a tenant's state-token chain."""
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
 @dataclass
@@ -97,7 +103,8 @@ class PromotionState:
     snapshot + full replay.  ``applied_upto`` is the last WAL batch seq
     the pool has folded in — construction replays only the durable
     suffix past it (the un-acked tail a shipper landed but the apply
-    loop never reached) before the service accepts writes.
+    loop never reached), exactly as crash recovery replays past a
+    snapshot, before the service accepts writes.
     """
 
     pool: ServingPool
@@ -124,8 +131,8 @@ class ServiceSnapshot:
         Per-tenant current answers, present when the snapshot was taken
         with ``include_topk=True``.
     durability:
-        WAL / snapshot / recovery telemetry when the service is durable
-        (``wal_dir`` configured), else ``None``.
+        WAL telemetry when the service is durable (``wal_dir``
+        configured), else ``None``.
     """
 
     tenants: tuple[TenantId, ...]
@@ -194,16 +201,15 @@ class RiskService:
         self._snapshots = None
         self._fingerprint = graph_fingerprint(graph)
         self._snapshot_on_close = bool(snapshot_on_close)
-        #: tenant -> last replay future still in flight after recovery.
-        self._recovering: dict[TenantId, Future] = {}
-        #: tenant -> snapshot-time answer, served stale while replaying.
-        self._stale_results: dict[TenantId, object] = {}
         #: tenant -> (k, kwargs) for rebuild-from-scratch healing.
         self._registered: dict[TenantId, tuple[int, dict]] = {}
-        #: tenant -> parent-side bounds mirror (see ``_make_mirror``).
+        #: tenant -> parent-side bounds mirror (see ``_begin_tracking``).
         self._mirrors: dict[TenantId, TopKMonitor] = {}
-        #: tenant -> sha256 state token over the accepted event history
-        #: (``None`` = uncacheable: unknown history or unencodable event).
+        #: tenant -> sha256 state token over the accepted event history,
+        #: seeded at registration from the base graph and parameters, or
+        #: from the tenant's id and the replay floor when its history
+        #: starts in a snapshot or an adopted pool (``None`` = uncacheable
+        #: after an unencodable event).
         self._tokens: dict[TenantId, str | None] = {}
         #: Serialises token advancement + mirror application with queue
         #: submission, so both track exactly the accepted event order.
@@ -219,10 +225,7 @@ class RiskService:
         if wal_dir is not None:
             self._wal = WriteAheadLog(wal_dir, fsync=fsync)
             self._snapshots = SnapshotStore(wal_dir)
-            if adopt is not None:
-                self._adopt_recover(adopt)
-            else:
-                self._recover()
+            self._recover(adopt)
         if epoch_store is not None:
             # Claim a fresh epoch and stamp it into the WAL before the
             # first write: every batch this writer appends from here on
@@ -309,124 +312,95 @@ class RiskService:
         """Registered tenant ids."""
         return self._pool.tenants()
 
-    def recovering_tenants(self) -> list[TenantId]:
-        """Tenants whose WAL replay has not yet completed."""
-        return [
-            tenant_id
-            for tenant_id, future in self._recovering.items()
-            if not future.done()
-        ]
+    # ------------------------------------------------------------------
+    # Start-up (constructor path)
+    # ------------------------------------------------------------------
+    def _recover(self, adopt: PromotionState | None) -> None:
+        """Establish pool state, replay the log past its floor, and wait.
 
-    # ------------------------------------------------------------------
-    # Recovery (constructor path)
-    # ------------------------------------------------------------------
-    def _recover(self) -> None:
-        """Restore snapshot state and enqueue the WAL replay suffix."""
+        The state is the latest snapshot's (crash recovery; the floor is
+        its ``wal_seq``) or the promoted replica's warm pool (the floor
+        is ``adopt.applied_upto``).  Each tenant it holds gets a bounds
+        mirror unpickled from its monitor blob and a state token of its
+        own: its history before the floor is not known here.  Every
+        batch past the floor is then replayed, and construction waits
+        for all of them, so no answer comes from a half-replayed monitor.
+        """
         assert self._wal is not None and self._snapshots is not None
 
-        def restored(tenant_snapshot, blob: bytes) -> None:
-            tenant_id = tenant_snapshot.tenant_id
-            self._stale_results[tenant_id] = tenant_snapshot.load_result()
-            # The snapshot blob is the pickled monitor itself —
-            # unpickling it parent-side gives an exact bounds mirror at
-            # the snapshot's wal_seq (replay advances it below).
-            # Event-history tokens don't survive a crash, so the tenant
-            # rejoins the result cache only after a restart of its token
-            # chain; answers stay exact regardless.
+        def mirror(tenant_id: TenantId, blob: bytes) -> None:
+            # The blob is the pickled monitor itself: an exact bounds
+            # mirror at the floor, which replay advances below.
             self._mirrors[tenant_id] = pickle.loads(blob)
-            self._tokens[tenant_id] = None
 
-        # Read-pin while loading blobs: a concurrent rotation (another
-        # thread's snapshot_to_disk, or an operator process sharing the
-        # directory) cannot sweep this snapshot out from under us.
-        with self._snapshots.pin_latest() as snapshot:
-            if snapshot is not None:
-                if (
-                    snapshot.base_fingerprint is not None
-                    and self._fingerprint is not None
-                    and snapshot.base_fingerprint != self._fingerprint
+        if adopt is None:
+            # Read-pin while loading blobs: a concurrent rotation (another
+            # thread's snapshot_to_disk, or an operator process sharing
+            # the directory) cannot sweep this snapshot out from under us.
+            with self._snapshots.pin_latest() as snapshot:
+                if snapshot is not None and snapshot.base_fingerprint not in (
+                    None, self._fingerprint
                 ):
                     raise PersistenceError(
                         f"snapshot {snapshot.path} was taken against a "
                         "different base graph (fingerprint mismatch); "
                         "durable state cannot be replayed onto this network"
                     )
-            snapshotted = restore_snapshot(
-                self._pool, snapshot, on_restore=restored
-            )
-        floor = 0 if snapshot is None else snapshot.wal_seq
+                restore_snapshot(self._pool, snapshot, on_restore=mirror)
+            floor = 0 if snapshot is None else snapshot.wal_seq
+        else:
+            self._registered = dict(adopt.registered)
+            for tenant_id in self._pool.tenants():
+                mirror(tenant_id, self._pool.dump_tenant(tenant_id).result())
+            floor = adopt.applied_upto
+        established = set(self._pool.tenants())
+        for tenant_id in established:
+            self._tokens[tenant_id] = _seed_token("restored", tenant_id, floor)
+        # The snapshot may have truncated every record through the
+        # floor; a batch numbered at or below it would never replay.
+        self._wal.resume_after(floor)
+        last: dict[TenantId, Future] = {}
         # Batches replay whichever epoch wrote them: every one was
         # accepted by the then-legitimate primary.
         for batch in self._wal.read_batches():
             tenant_id = batch.tenant_id
             future = replay_batch(self._pool, batch, floor, self._registered)
-            if batch.kind == "register" and tenant_id not in snapshotted:
-                # Registered after the snapshot: a fresh mirror and token.
-                self._make_mirror(tenant_id, *self._registered[tenant_id])
-                self._tokens[tenant_id] = self._fingerprint
+            if batch.kind == "register" and tenant_id not in established:
+                # Registered past the floor: the log holds its history.
+                self._begin_tracking(tenant_id, *self._registered[tenant_id])
             if future is not None:
-                self._recovering[tenant_id] = future
+                last[tenant_id] = future
                 for event in batch.events:
                     self._track_event(tenant_id, event)
-
-    def _adopt_recover(self, adopt: PromotionState) -> None:
-        """Promotion: keep the warm pool, replay only the un-acked tail.
-
-        The adopted pool already applied every batch up to
-        ``adopt.applied_upto``; batches past it (durable on the mirror
-        but never handed to the apply loop) are replayed synchronously
-        here, so by the time construction returns the service answers
-        from the complete durable history — the "replays its un-acked
-        WAL suffix before accepting writes" promotion contract.
-        """
-        assert self._wal is not None
-        self._registered = dict(adopt.registered)
-        for batch in self._wal.read_batches():
-            future = replay_batch(
-                self._pool, batch, adopt.applied_upto, self._registered
-            )
-            if future is not None:
-                future.result()
-        # Rebuild parent-side mirrors from the live monitors so the
-        # degraded/bounds path works immediately after promotion; the
-        # token chain restarts (like post-crash recovery), so these
-        # tenants rejoin the result cache on their next quiet period.
-        for tenant_id in self._pool.tenants():
-            self._tokens[tenant_id] = None
-            blob, _ = self._pool.dump_tenant(tenant_id).result()
-            self._mirrors[tenant_id] = pickle.loads(blob)
-
-    def _await_replay(self, tenant_id: TenantId) -> None:
-        """Block until *tenant_id*'s post-recovery replay has applied."""
-        replay = self._recovering.get(tenant_id)
-        if replay is not None:
-            self._result_after_break(tenant_id, replay)
-            self._recovering.pop(tenant_id, None)
-            self._stale_results.pop(tenant_id, None)
-
-    def _await_recovery(self) -> None:
-        """Block until every tenant's replay has been applied."""
-        for tenant_id in list(self._recovering):
-            self._await_replay(tenant_id)
+        # Each shard runs its tenants' work in order, so a tenant's last
+        # replay resolving means every earlier one has.
+        for tenant_id, future in last.items():
+            self._result_after_break(tenant_id, future)
 
     # ------------------------------------------------------------------
     # Bounds mirrors and state tokens (degraded path + result cache)
     # ------------------------------------------------------------------
-    def _make_mirror(
+    def _begin_tracking(
         self, tenant_id: TenantId, k: int, monitor_kwargs: dict
     ) -> None:
-        """Build the tenant's parent-side *bounds mirror*.
+        """Give a new tenant its *bounds mirror* and first state token.
 
-        A :class:`~repro.streaming.monitor.TopKMonitor` over a
-        copy-on-write view of the base snapshot that absorbs every
-        accepted event at submit time, so :meth:`query_degraded` answers
-        from its always-warm Eq-(1) iterates without queueing behind the
-        tenant's shard backlog — the degraded path the SLO front end and
-        ``allow_stale`` fall back to.
+        The mirror is a :class:`~repro.streaming.monitor.TopKMonitor`
+        over a copy-on-write view of the base snapshot that absorbs
+        every accepted event at submit time, so :meth:`query_degraded`
+        answers from its always-warm Eq-(1) iterates without queueing
+        behind the tenant's shard backlog — the degraded path the SLO
+        front end falls back to.  The token is seeded from the base
+        graph and the effective parameters, so equal tenants with equal
+        histories share cached answers.
         """
         merged = {**self._monitor_defaults, **monitor_kwargs}
         self._mirrors[tenant_id] = TopKMonitor(
             self._pool.checkout_base(), k, **merged
+        )
+        params = sorted((str(key), repr(value)) for key, value in merged.items())
+        self._tokens[tenant_id] = _seed_token(
+            "registered", self._fingerprint, int(k), params
         )
 
     def _track_event(self, tenant_id: TenantId, event: UpdateEvent) -> None:
@@ -457,26 +431,15 @@ class RiskService:
                     token.encode("ascii") + payload
                 ).hexdigest()
 
-    def _monitor_key(self, tenant_id: TenantId) -> str | None:
-        """Hashable digest of the tenant's effective monitor parameters."""
-        registered = self._registered.get(tenant_id)
-        if registered is None:
-            return None
-        k, kwargs = registered
-        merged = {**self._monitor_defaults, **kwargs}
-        return repr((int(k), sorted((str(key), repr(value)) for key, value in merged.items())))
-
-    def query_degraded(self, tenant_id: TenantId, *, stale: bool = False):
+    def query_degraded(self, tenant_id: TenantId):
         """A *degraded* bounds-only answer from the tenant's mirror.
 
         Never waits on the tenant's shard: the mirror lives in this
         process and already holds every accepted event, so the answer
         costs one Eq-(1) bound evaluation (cached between updates) no
         matter how deep the shard backlog is.  Flagged
-        ``degraded=True`` (and ``stale=True`` when requested — the
-        recovery path marks replay-lagged answers).  Returns ``None``
-        when the tenant has no usable mirror (it was dropped after an
-        unapplicable event).
+        ``degraded=True``.  Returns ``None`` when the tenant has no
+        usable mirror (it was dropped after an unapplicable event).
         """
         self._ensure_open()
         if not self._pool.has_tenant(tenant_id):
@@ -485,10 +448,7 @@ class RiskService:
             mirror = self._mirrors.get(tenant_id)
             if mirror is None:
                 return None
-            result = mirror.bounds_topk()
-        if stale:
-            result = dataclasses.replace(result, stale=True)
-        return result
+            return mirror.bounds_topk()
 
     # ------------------------------------------------------------------
     # Tenant lifecycle and traffic
@@ -514,8 +474,7 @@ class RiskService:
         self._check_fence()
         self._pool.register(tenant_id, k, **monitor_kwargs)
         self._registered[tenant_id] = (int(k), dict(monitor_kwargs))
-        self._make_mirror(tenant_id, int(k), dict(monitor_kwargs))
-        self._tokens[tenant_id] = self._fingerprint
+        self._begin_tracking(tenant_id, int(k), dict(monitor_kwargs))
         if self._wal is not None:
             self._wal.append_register(tenant_id, int(k), monitor_kwargs)
             self._wal.sync()
@@ -682,16 +641,8 @@ class RiskService:
                 )
                 if future is not None:
                     future.result()
-        for tenant_id in tenants:
-            self._recovering.pop(tenant_id, None)
 
-    def query_topk(
-        self,
-        tenant_id: TenantId,
-        *,
-        flush: bool = True,
-        allow_stale: bool = False,
-    ):
+    def query_topk(self, tenant_id: TenantId, *, flush: bool = True):
         """The tenant's current top-k :class:`DetectionResult`.
 
         With ``flush=True`` (default) the tenant's own pending updates
@@ -699,28 +650,8 @@ class RiskService:
         for it before the call — read-your-writes without paying for
         other tenants' backlogs (their windows flush on their own
         schedule).
-
-        While the tenant is still replaying its WAL after a recovery,
-        ``allow_stale=True`` returns the last snapshot's answer flagged
-        ``stale=True`` immediately instead of waiting for the replay —
-        graceful degradation for latency-bound callers.  A tenant that
-        has *no* snapshot-time answer (registered after the last
-        snapshot, so it recovers from its registration record alone)
-        gets the next-best non-blocking answer instead: the bounds
-        mirror's current ranking, flagged both ``degraded`` and
-        ``stale``.  Only when neither exists does ``allow_stale=True``
-        wait for the replay.
         """
         self._ensure_open()
-        replay = self._recovering.get(tenant_id)
-        if allow_stale and replay is not None and not replay.done():
-            stale = self._stale_results.get(tenant_id)
-            if stale is not None:
-                return dataclasses.replace(stale, stale=True)
-            degraded = self.query_degraded(tenant_id, stale=True)
-            if degraded is not None:
-                return degraded
-        self._await_replay(tenant_id)
         if flush:
             self._drain_tenant(tenant_id)
         # The "topk" tag keeps these cache entries disjoint from
@@ -753,7 +684,6 @@ class RiskService:
         self._ensure_open()
         params = dict(params or {})
         family = str(family)
-        self._await_replay(tenant_id)
         if flush:
             self._drain_tenant(tenant_id)
         return self._answer(
@@ -767,8 +697,8 @@ class RiskService:
     ):
         """Run *query* on the tenant's shard through the result cache.
 
-        Tenants with identical parameters and token-equal accepted
-        histories provably hold bit-identical answers (monitors are
+        Token-equal tenants (same parameters, same accepted history)
+        provably hold bit-identical answers (monitors are
         deterministic), so the second one is a dictionary lookup.
         Eligible only when nothing is pending for the tenant — with
         ``flush=False`` and a backlog, the exact answer deliberately
@@ -777,10 +707,9 @@ class RiskService:
         with self._token_lock:
             token = self._tokens.get(tenant_id)
             pending = self._queue.pending(tenant_id)
-        monitor_key = self._monitor_key(tenant_id)
         cache_key = None
-        if token is not None and monitor_key is not None and not pending:
-            cache_key = (token, *query, monitor_key)
+        if token is not None and not pending:
+            cache_key = (token, query)
             cached = self._result_cache.get(cache_key)
             if cached is not None:
                 self.cache_stats["hits"] += 1
@@ -834,7 +763,6 @@ class RiskService:
             raise PersistenceError(
                 "snapshot_to_disk needs a durable service (wal_dir=...)"
             )
-        self._await_recovery()
         try:
             with self._dispatch_lock:
                 wal_seq = self.durable_seq
@@ -878,7 +806,6 @@ class RiskService:
                 "wal_dir": str(self._wal.directory),
                 "wal_segments": len(self._wal.segment_paths),
                 "next_seq": self._wal.next_seq,
-                "recovering": self.recovering_tenants(),
             }
         return ServiceSnapshot(
             tenants=tenants,
@@ -959,7 +886,6 @@ class RiskService:
             return
         if self._wal is not None:
             try:
-                self._await_recovery()
                 self.flush()
                 if self._snapshot_on_close and self._pool.tenants():
                     self.snapshot_to_disk()

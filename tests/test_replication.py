@@ -377,6 +377,31 @@ class TestWalShipping:
             primary.close()
             replica.close()
 
+    def test_replica_follows_a_gracefully_restarted_primary(self, tmp_path):
+        """The primary's close-time snapshot truncates every record the
+        replica acked; the restarted primary's batches still come after
+        them."""
+        primary = make_primary(tmp_path)
+        primary.register_tenant("t1", 5)
+        replica = make_replica(tmp_path)
+        drive(primary, "t1", 5)
+        WalShipper(LocalSource(ReplicationHub(primary)), replica).catch_up()
+        assert replica.applied_seq == primary.durable_seq
+        primary.close()
+        restarted = make_primary(tmp_path)
+        try:
+            drive(restarted, "t1", 3, start=5)
+            WalShipper(
+                LocalSource(ReplicationHub(restarted)), replica
+            ).catch_up()
+            assert replica.applied_seq == restarted.durable_seq
+            assert restarted.query_topk("t1").same_answer(
+                replica.query_topk("t1")
+            )
+        finally:
+            restarted.close()
+            replica.close()
+
     def test_fenced_replica_rejects_old_epoch_stream(self, tmp_path):
         store = EpochStore(tmp_path / "epoch.json")
         primary = make_primary(tmp_path, store=store)  # claims epoch 1
@@ -610,6 +635,54 @@ class TestPromotion:
             assert expected.same_answer(restarted.query_topk("t1"))
         finally:
             restarted.close()
+
+    def test_promoted_bootstrapped_replica_keeps_its_writes(self, tmp_path):
+        """A replica bootstrapped from a snapshot holds no record at or
+        below its wal_seq; once promoted, its epoch stamp and writes
+        must still be numbered past it, or recovery skips them."""
+        store = EpochStore(tmp_path / "epoch.json")
+        primary = make_primary(tmp_path, name="p1", store=store)
+        primary.register_tenant("t1", 5)
+        drive(primary, "t1", 6)
+        snapshot = primary.snapshot_to_disk()
+        replica = make_replica(tmp_path)
+        WalShipper(LocalSource(ReplicationHub(primary)), replica).catch_up()
+        assert replica.applied_seq == snapshot.wal_seq
+        _, promoted = FailoverCoordinator(store).promote(
+            {"r1": replica}, fsync="always"
+        )
+        seqs = [
+            promoted.submit_and_sync("t1", SelfRiskUpdate(node, 0.9))
+            for node in range(3)
+        ]
+        assert min(seqs) > snapshot.wal_seq
+        expected = promoted.query_topk("t1")
+        promoted.wal.close()  # crash: no final flush or snapshot
+        promoted.pool.shutdown()
+        primary.close()
+        recovered = RiskService(
+            make_graph(), mode="serial", wal_dir=tmp_path / "r1",
+            fsync="always", monitor_defaults=DEFAULTS,
+        )
+        try:
+            assert expected.same_answer(recovered.query_topk("t1"))
+        finally:
+            recovered.close()
+
+    def test_promoted_tenants_rejoin_the_result_cache(self, tmp_path):
+        primary = make_primary(tmp_path)
+        primary.register_tenant("t1", 5)
+        replica = make_replica(tmp_path)
+        drive(primary, "t1", 4)
+        WalShipper(LocalSource(ReplicationHub(primary)), replica).catch_up()
+        promoted = replica.promote(fsync="always")
+        try:
+            first = promoted.query_topk("t1")
+            assert promoted.query_topk("t1") is first
+            assert promoted.cache_stats == {"hits": 1, "misses": 1}
+        finally:
+            promoted.close()
+            primary.close()
 
     def test_promotion_waits_for_an_in_flight_ingest(self, tmp_path):
         """A promotion that lands while the shipper has mirrored a

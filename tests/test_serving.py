@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import asyncio
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -667,48 +666,6 @@ class TestForkFallback:
     def test_unknown_mode_still_raises(self, base_graph):
         with pytest.raises(ReproError):
             ServingPool(base_graph, mode="bogus")
-
-
-class TestStaleQueryNeverBlocks:
-    """Regression: ``allow_stale=True`` with *no* snapshot answer used
-    to fall through to ``replay.result()`` and block on the WAL replay;
-    it must serve the bounds mirror instead."""
-
-    def test_degraded_answer_instead_of_blocking(self, base_graph):
-        from concurrent.futures import Future
-
-        service = RiskService(base_graph, mode="serial")
-        try:
-            service.register_tenant("t", 4, seed=0)
-            stuck = Future()  # a replay that never finishes
-            service._recovering["t"] = stuck
-            assert "t" not in service._stale_results
-            started = time.perf_counter()
-            result = service.query_topk("t", allow_stale=True)
-            assert time.perf_counter() - started < 5.0
-            assert result.degraded and result.stale
-            assert result.details["bounds_only"]
-            assert len(result.nodes) == 4
-        finally:
-            service._recovering.pop("t", None)
-            service.close()
-
-    def test_snapshot_answer_still_preferred(self, base_graph):
-        from concurrent.futures import Future
-
-        service = RiskService(base_graph, mode="serial")
-        try:
-            service.register_tenant("t", 4, seed=0)
-            exact = service.query_topk("t")
-            service._recovering["t"] = Future()
-            service._stale_results["t"] = exact
-            result = service.query_topk("t", allow_stale=True)
-            assert result.stale and not result.degraded
-            assert result.same_answer(exact)
-        finally:
-            service._recovering.pop("t", None)
-            service._stale_results.pop("t", None)
-            service.close()
 
 
 class TestShedOverflowStress:
