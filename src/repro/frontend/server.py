@@ -59,7 +59,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Hashable, Mapping
 
-from repro.core.errors import FencedError, FrontendError, ReproError
+from repro.core.errors import (
+    FencedError,
+    FrontendError,
+    GraphError,
+    ProbabilityError,
+    ReproError,
+)
 from repro.frontend.admission import AdmissionController, FrontendStats
 from repro.frontend.protocol import (
     HttpRequest,
@@ -80,6 +86,18 @@ _LOG = logging.getLogger(__name__)
 #: fallback fires; the remainder pays for the bounds evaluation and
 #: serialisation.
 DEADLINE_MARGIN = 0.85
+
+
+def _submit_valid(submit, tenant: TenantId, event):
+    """Call *submit*; an event the tenant's monitor refuses is a 400.
+
+    The service validates before queueing, so the refused event was
+    never accepted and the client may correct and resend it.
+    """
+    try:
+        return submit(tenant, event)
+    except (GraphError, ProbabilityError) as error:
+        raise FrontendError(f"invalid update: {error}") from None
 
 
 class FrontendServer:
@@ -523,7 +541,9 @@ class FrontendServer:
                 f"ack must be window, durable, or replicated, got {ack!r}"
             )
         if ack == "window":
-            accepted = self._service.submit_update(tenant, event)
+            accepted = _submit_valid(
+                self._service.submit_update, tenant, event
+            )
             self.stats.bump("completed")
             return 202, {"accepted": bool(accepted)}, {}
         if ack == "replicated" and self._replication is None:
@@ -537,7 +557,9 @@ class FrontendServer:
         loop = asyncio.get_event_loop()
         seq = await loop.run_in_executor(
             self._replication_executor,
-            lambda: self._service.submit_and_sync(tenant, event),
+            lambda: _submit_valid(
+                self._service.submit_and_sync, tenant, event
+            ),
         )
         if seq < 0:  # shed at the window — never accepted
             self.stats.bump("completed")

@@ -18,6 +18,13 @@ The skyline is the set a risk officer actually triages: every node that
 is the unique best trade-off somewhere in (self, contagion, exposure)
 space.  Estimate and oracle share the dominance kernel; they differ
 only in where the contagion column comes from.
+
+The kernel, :func:`skyline_mask`, is a sort-first elimination: it sorts
+the rows in descending lexicographic order, then repeatedly takes the
+first surviving row as a skyline row and drops every surviving row it
+dominates.  That costs O(n * |skyline|) comparisons instead of the
+O(n^2) of comparing every pair, and on the calibrated workloads the
+skyline is a few dozen rows out of thousands.
 """
 
 from __future__ import annotations
@@ -42,10 +49,6 @@ from repro.sampling.worldstate import WorldView
 
 __all__ = ["SkylineQuery", "skyline_mask"]
 
-#: Pairwise comparison cells evaluated per chunk (bounds the transient
-#: ``(n, chunk, 3)`` boolean buffers of the dominance test).
-_DOMINANCE_BUDGET = 1 << 24
-
 _DIMENSIONS = ("self_risk", "contagion_risk", "degree")
 
 
@@ -56,19 +59,38 @@ def skyline_mask(coordinates: np.ndarray) -> np.ndarray:
     ``u > v`` on at least one; the skyline is every row no other row
     dominates.  Equal rows dominate nobody, so duplicated profiles all
     stay on the skyline (deterministic, order-independent).
+
+    The rows are visited in descending lexicographic order.  A row that
+    dominates another is lexicographically larger (on the first column
+    where they differ it is the greater), so it sorts first.  Take the
+    first row still standing: each of its dominators sorts before it
+    and is gone, either taken as a skyline row, which would have
+    dropped it, or dropped by a skyline row that, dominance being
+    transitive, would have dropped it too.  So it has no dominator and
+    is a skyline row.  It is taken, every standing row it dominates is
+    dropped, and the next row standing is taken in turn: the exact
+    pairwise mask, at one vectorised pass per skyline row.
     """
     coordinates = np.asarray(coordinates, dtype=np.float64)
-    n, dims = coordinates.shape
-    keep = np.ones(n, dtype=bool)
-    if n == 0:
-        return keep
-    chunk = max(1, _DOMINANCE_BUDGET // max(n * dims, 1))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = coordinates[start:stop]
-        ge = (coordinates[:, None, :] >= block[None, :, :]).all(axis=2)
-        gt = (coordinates[:, None, :] > block[None, :, :]).any(axis=2)
-        keep[start:stop] = ~(ge & gt).any(axis=0)
+    keep = np.zeros(coordinates.shape[0], dtype=bool)
+    # lexsort's last key is its primary one; reversed, the order descends.
+    order = np.lexsort(coordinates.T[::-1])[::-1]
+    # One contiguous array per column, compacted only when a row drops:
+    # on a 5,050-row all-skyline input this took 0.11 s where reducing
+    # across each row's few entries took 1.2 s (2-vCPU VM).
+    columns = coordinates[order].T.copy()
+    while order.size:
+        keep[order[0]] = True
+        top = columns[:, 0]
+        columns, order = columns[:, 1:], order[1:]
+        at_most = columns[0] <= top[0]
+        below = columns[0] < top[0]
+        for column, value in zip(columns[1:], top[1:]):
+            at_most &= column <= value
+            below |= column < value
+        dominated = at_most & below
+        if dominated.any():
+            columns, order = columns[:, ~dominated], order[~dominated]
     return keep
 
 

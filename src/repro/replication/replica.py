@@ -58,7 +58,11 @@ from repro.persistence.wal import (
 )
 from repro.replication.hub import BootstrapResult
 from repro.serving.pool import ServingPool
-from repro.serving.replay import replay_batch, restore_snapshot
+from repro.serving.replay import (
+    finish_replay,
+    replay_batch,
+    restore_snapshot,
+)
 from repro.serving.service import PromotionState, RiskService
 
 __all__ = ["ReplicaService", "CorruptShippedError"]
@@ -188,8 +192,7 @@ class ReplicaService:
         future = replay_batch(
             self._pool, batch, self._applied_seq, self._registered
         )
-        if future is not None:
-            future.result()
+        if finish_replay(future):
             self.stats["batches_applied"] += 1
         self._applied_seq = max(self._applied_seq, batch.seq)
 

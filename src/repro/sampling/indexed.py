@@ -373,7 +373,13 @@ class IndexedReverseSampler:
             dst_parts.append(dst_keys)
             fresh = src_keys[~closure[src_keys]]
             if fresh.size:
-                fresh = np.unique(fresh)
+                # Sorted and de-duplicated, as np.unique would return it.
+                # numpy >= 2.3's np.unique hashes instead of sorting: on
+                # one BSR detection's frontiers (20k nodes, 2-vCPU VM) it
+                # took 13x as long for the same arrays.
+                fresh.sort()
+                first = np.concatenate(([True], fresh[1:] != fresh[:-1]))
+                fresh = fresh[first]
                 closure[fresh] = True
             frontier = fresh
         if seed_parts:

@@ -16,12 +16,13 @@ from __future__ import annotations
 from concurrent.futures import Future
 from typing import Callable, Collection, Hashable
 
+from repro.core.errors import GraphError, ProbabilityError
 from repro.persistence.codec import PersistenceError
 from repro.persistence.snapshots import Snapshot
 from repro.persistence.wal import WalBatch
 from repro.serving.pool import ServingPool
 
-__all__ = ["restore_snapshot", "replay_batch"]
+__all__ = ["restore_snapshot", "replay_batch", "finish_replay"]
 
 TenantId = Hashable
 
@@ -86,3 +87,19 @@ def replay_batch(
             "inconsistent"
         )
     return pool.apply(tenant_id, list(batch.events))
+
+
+def finish_replay(future: Future | None) -> bool:
+    """Wait for one :func:`replay_batch` future; return whether it applied.
+
+    A log written before submits were validated can hold a batch with an
+    event its monitor refuses.  The live apply rejected that batch whole,
+    leaving the monitor as it was, so its replay is the same no-op.
+    """
+    if future is None:
+        return False
+    try:
+        future.result()
+    except (GraphError, ProbabilityError):
+        return False
+    return True

@@ -71,9 +71,17 @@ from repro.persistence.wal import WriteAheadLog
 from repro.queries.base import param_key
 from repro.serving.pool import ServingPool
 from repro.serving.queue import IngestionQueue
-from repro.serving.replay import replay_batch, restore_snapshot
+from repro.serving.replay import (
+    finish_replay,
+    replay_batch,
+    restore_snapshot,
+)
 from repro.serving.store import graph_fingerprint
-from repro.streaming.events import UpdateEvent
+from repro.streaming.events import (
+    UpdateEvent,
+    validate_event,
+    validate_events,
+)
 from repro.streaming.monitor import RefreshReport, TopKMonitor
 
 __all__ = ["RiskService", "ServiceSnapshot", "PromotionState"]
@@ -364,6 +372,19 @@ class RiskService:
         # accepted by the then-legitimate primary.
         for batch in self._wal.read_batches():
             tenant_id = batch.tenant_id
+            mirror = self._mirrors.get(tenant_id)
+            if (
+                batch.kind == "events"
+                and batch.seq > floor
+                and mirror is not None
+            ):
+                try:
+                    validate_events(mirror.graph, batch.events)
+                except ReproError:
+                    # Logged before submits were validated: the live
+                    # monitor refused this batch whole, so replay skips
+                    # it as the no-op it was.
+                    continue
             future = replay_batch(self._pool, batch, floor, self._registered)
             if batch.kind == "register" and tenant_id not in established:
                 # Registered past the floor: the log holds its history.
@@ -408,16 +429,12 @@ class RiskService:
 
         Called with the accepted-order already fixed (under
         ``_token_lock`` on the live path; single-threaded during
-        recovery).  An event the mirror rejects (it validates against
-        its own graph) only disables that mirror — the exact path is
-        untouched, and a half-applied mirror is never served.
+        recovery), and only with events already validated against the
+        mirror, so the mirror applies each one.
         """
         mirror = self._mirrors.get(tenant_id)
         if mirror is not None:
-            try:
-                mirror.apply([event])
-            except ReproError:
-                del self._mirrors[tenant_id]
+            mirror.apply([event])
         token = self._tokens.get(tenant_id)
         if token is not None:
             try:
@@ -439,7 +456,7 @@ class RiskService:
         costs one Eq-(1) bound evaluation (cached between updates) no
         matter how deep the shard backlog is.  Flagged
         ``degraded=True``.  Returns ``None`` when the tenant has no
-        usable mirror (it was dropped after an unapplicable event).
+        mirror.
         """
         self._ensure_open()
         if not self._pool.has_tenant(tenant_id):
@@ -486,14 +503,25 @@ class RiskService:
         under the queue's ``overflow="shed"`` policy with a full
         backlog; the ``"error"`` policy raises
         :class:`~repro.core.errors.BackpressureError` instead.
+
+        An event the tenant's monitor would reject (unknown entity,
+        duplicate node or edge, probability outside [0, 1], wrong bulk
+        shape) raises that monitor's error and queues nothing.  It is
+        checked against the tenant's bounds mirror, which holds every
+        accepted event, so the flush that would have applied it, and
+        the valid events coalesced into the same batch, are unaffected.
         """
         self._ensure_open()
         if not self._pool.has_tenant(tenant_id):
             raise ReproError(f"unknown tenant {tenant_id!r}")
-        # One critical section covers queue admission, mirror
-        # application and token advancement, so all three agree on the
-        # accepted event order (shed events touch none of them).
+        # One critical section covers validation, queue admission,
+        # mirror application and token advancement, so all of them
+        # agree on the accepted event order (refused and shed events
+        # touch none of them).
         with self._token_lock:
+            mirror = self._mirrors.get(tenant_id)
+            if mirror is not None:
+                validate_event(mirror.graph, event)
             accepted = self._queue.submit(tenant_id, event)
             if accepted:
                 self._track_event(tenant_id, event)
@@ -502,7 +530,11 @@ class RiskService:
     def submit_updates(
         self, tenant_id: TenantId, events: Iterable[UpdateEvent]
     ) -> int:
-        """Buffer a batch of updates; returns how many were accepted."""
+        """Buffer a batch of updates; returns how many were accepted.
+
+        An event :meth:`submit_update` refuses raises here too; the
+        events before it stay accepted.
+        """
         count = 0
         for event in events:
             if self.submit_update(tenant_id, event):
@@ -639,8 +671,7 @@ class RiskService:
                 future = replay_batch(
                     self._pool, batch, floor, self._registered
                 )
-                if future is not None:
-                    future.result()
+                finish_replay(future)
 
     def query_topk(self, tenant_id: TenantId, *, flush: bool = True):
         """The tenant's current top-k :class:`DetectionResult`.

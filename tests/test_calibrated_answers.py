@@ -1,0 +1,93 @@
+"""Production answers pinned on a calibrated 2,000-node graph.
+
+The sampler identity tests elsewhere run on graphs of at most a hundred
+or so nodes, whose reverse-exploration frontiers rarely reach one node
+twice.  This graph has perfbench's calibration (power-law topology, edge
+factor 2, self-risk U[0, 0.02], Beta(2, 4) edge strengths), where they
+often do, so frontier de-duplication and the skyline kernel both see
+real work.  ``data/calibrated_2000_answers.json`` holds the answers and
+work counters recorded before either kernel was rewritten; BSR, BSRBK
+and the skyline family must keep giving exactly those.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from dense_skyline import dense_skyline_mask
+
+from repro.algorithms.bsr import BoundedSampleReverseDetector
+from repro.algorithms.bsrbk import BottomKDetector
+from repro.core.graph import UncertainGraph
+from repro.datasets.powerlaw import directed_powerlaw_edges
+from repro.queries.skyline import skyline_mask
+from repro.sampling.worldstate import WorldView
+from repro.streaming.monitor import TopKMonitor
+
+PINNED = json.loads(
+    (Path(__file__).parent / "data" / "calibrated_2000_answers.json")
+    .read_text()
+)
+
+
+@pytest.fixture(scope="module")
+def calibrated_graph() -> UncertainGraph:
+    shape = PINNED["graph"]
+    n = shape["nodes"]
+    rng = np.random.default_rng(shape["seed"])
+    src, dst = directed_powerlaw_edges(
+        n, shape["edge_factor"] * n, seed=rng
+    )
+    return UncertainGraph.from_arrays(
+        self_risks=rng.random(n) * shape["self_risk_max"],
+        edge_src=src,
+        edge_dst=dst,
+        edge_probs=np.clip(rng.beta(2.0, 4.0, src.size), 0.01, 0.95),
+    )
+
+
+@pytest.mark.parametrize(
+    "name,detector",
+    [("BSR", BoundedSampleReverseDetector), ("BSRBK", BottomKDetector)],
+)
+def test_detection_matches_the_pinned_answer(calibrated_graph, name, detector):
+    expected = PINNED[name]
+    result = detector(seed=PINNED["detector_seed"]).detect(
+        calibrated_graph, PINNED["k"]
+    )
+    assert result.nodes == expected["nodes"]
+    assert [result.scores[v] for v in result.nodes] == expected["scores"]
+    assert result.samples_used == expected["samples_used"]
+    assert result.candidate_size == expected["candidate_size"]
+    assert result.k_verified == expected["k_verified"]
+    assert result.details["nodes_touched"] == expected["nodes_touched"]
+    assert result.details["edges_touched"] == expected["edges_touched"]
+
+
+def test_skyline_family_matches_the_pinned_set(calibrated_graph):
+    monitor = TopKMonitor(
+        calibrated_graph, PINNED["k"], seed=PINNED["detector_seed"]
+    )
+    result = monitor.query("skyline")
+    assert sorted(result.nodes.tolist()) == PINNED["skyline"]
+
+
+def test_skyline_mask_matches_the_oracle_on_calibrated_coordinates(
+    calibrated_graph,
+):
+    view = WorldView(calibrated_graph, np.arange(256), seed=1)
+    coordinates = np.stack(
+        (
+            calibrated_graph.self_risk_array,
+            view.contagion().mean(axis=0),
+            calibrated_graph.in_csr().degrees
+            + calibrated_graph.out_csr().degrees,
+        ),
+        axis=1,
+    )
+    mask = skyline_mask(coordinates)
+    assert np.array_equal(mask, dense_skyline_mask(coordinates))
+    assert 0 < mask.sum() < calibrated_graph.num_nodes

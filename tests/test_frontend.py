@@ -694,6 +694,39 @@ class TestEndToEnd:
             assert responses["gamma"].ok and responses["delta"].ok
         assert {"gamma", "delta"} <= set(service.tenants())
 
+    def test_invalid_update_is_a_400_and_queues_nothing(
+        self, service, frontend_graph
+    ):
+        label = frontend_graph.label(0)
+        with ServerHarness(service, rate_limit=500.0) as server:
+            client = quiet_client(server, retries=1)
+            refused = client.update(SelfRiskUpdate(label, 1.7))
+            assert refused.status == 400
+            assert refused.payload["error"].startswith("invalid update")
+            assert service.queue.stats.as_dict()["submitted"] == 0
+            assert client.update(SelfRiskUpdate(label, 0.5)).status == 202
+            assert client.query().ok
+        assert service.query_degraded("alpha") is not None
+
+    def test_invalid_durable_update_is_a_400(self, frontend_graph, tmp_path):
+        service = RiskService(frontend_graph, mode="serial", wal_dir=tmp_path)
+        try:
+            service.register_tenant("alpha", 4, seed=0)
+            with ServerHarness(service, rate_limit=500.0) as server:
+                client = quiet_client(server, retries=1)
+                refused = client.update(
+                    SelfRiskUpdate(frontend_graph.label(0), 1.7),
+                    ack="durable",
+                )
+            assert refused.status == 400
+            assert not [
+                batch
+                for batch in service.wal.read_batches()
+                if batch.kind == "events"
+            ]
+        finally:
+            service.close()
+
     def test_unknown_route_and_bad_json_are_contained(self, service):
         with ServerHarness(service, rate_limit=500.0) as server:
             client = quiet_client(server, retries=1)

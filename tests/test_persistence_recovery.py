@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import pickle
 import shutil
@@ -434,6 +435,67 @@ class TestTransactionalBatches:
         monitor.apply([SelfRiskUpdate(0, 0.9)])
         untouched.apply([SelfRiskUpdate(0, 0.9)])
         assert monitor.top_k().same_answer(untouched.top_k())
+
+
+class TestRefusedUpdatesStayOutOfTheLog:
+    """An invalid update is refused at submit, so no batch holding it is
+    ever logged; a log written before that still opens."""
+
+    def open_service(self, graph, directory):
+        return RiskService(
+            graph, mode="serial", wal_dir=directory, monitor_defaults=DEFAULTS
+        )
+
+    def test_refused_update_never_reaches_the_wal(
+        self, graph, events, tmp_path
+    ):
+        service = self.open_service(graph, tmp_path)
+        service.register_tenant("t1", 3)
+        service.submit_update("t1", events[0])
+        with contextlib.suppress(ProbabilityError):
+            service.submit_update("t1", SelfRiskUpdate(1, 1.7))
+        service.flush()
+        logged = [
+            event
+            for batch in service.wal.read_batches()
+            if batch.kind == "events"
+            for event in batch.events
+        ]
+        abandon(service)
+        assert logged == [events[0]]
+        recovered = self.open_service(graph, tmp_path)
+        baseline, _ = reference_answers(graph, events[:1], {"t1": 3})
+        assert recovered.query_topk("t1").same_answer(baseline["t1"])
+        recovered.close()
+
+    @pytest.mark.parametrize("then_valid", [False, True])
+    def test_a_log_holding_a_rejected_batch_still_opens(
+        self, graph, events, tmp_path, then_valid
+    ):
+        accepted = events[:10] + (events[10:15] if then_valid else [])
+        service = self.open_service(graph, tmp_path)
+        service.register_tenant("t1", 3)
+        drive(service, ["t1"], events[:10])
+        # What a flush logged before submits were validated: a coalesced
+        # batch the monitor rejected whole, valid event and all.
+        service.wal.append_events(
+            "t1", [SelfRiskUpdate(0, 0.9), SelfRiskUpdate(1, 1.7)]
+        )
+        if then_valid:
+            drive(service, ["t1"], events[10:15])
+        abandon(service)
+
+        recovered = self.open_service(graph, tmp_path)
+        baseline, _ = reference_answers(graph, accepted, {"t1": 3})
+        assert recovered.query_topk("t1").same_answer(baseline["t1"])
+        shadow = graph.copy()
+        apply_events(shadow, accepted)
+        expected = TopKMonitor(shadow, 3, **DEFAULTS).bounds_topk()
+        assert recovered.query_degraded("t1").same_answer(expected)
+        # Healing a shard replays the same suffix onto the same state.
+        recovered._heal_shard(recovered.pool.shard_index("t1"))
+        assert recovered.query_topk("t1").same_answer(baseline["t1"])
+        recovered.close()
 
 
 class TestSnapshotRotationRace:

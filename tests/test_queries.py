@@ -23,6 +23,9 @@ import json
 
 import numpy as np
 import pytest
+from dense_skyline import dense_skyline_mask
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bounds.iterative import bound_pair, certified_topk_mask
 from repro.core.errors import QueryError, SamplingError
@@ -36,6 +39,7 @@ from repro.queries import (
     register_query_family,
 )
 from repro.queries.kernels import connected_component_labels, kcore_membership
+from repro.queries.skyline import skyline_mask
 from repro.sampling.worldstate import WorldView
 from repro.streaming.events import (
     EdgeProbabilityUpdate,
@@ -214,6 +218,43 @@ class TestKernels:
             kcore_membership(
                 2, np.array([0]), np.array([1]), np.ones((1, 1), bool), 0
             )
+
+
+@st.composite
+def tied_coordinates(draw) -> np.ndarray:
+    """0-60 rows of 1-4 small-integer columns, some rows repeated."""
+    dims = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, 3), min_size=dims, max_size=dims)
+    rows = draw(st.lists(row, max_size=40))
+    if rows:
+        picks = st.integers(0, len(rows) - 1)
+        rows += [rows[i] for i in draw(st.lists(picks, max_size=20))]
+    return np.array(rows, dtype=np.float64).reshape(len(rows), dims)
+
+
+class TestSkylineKernel:
+    """The sort-first skyline against the pairwise oracle."""
+
+    @settings(max_examples=300)
+    @given(tied_coordinates())
+    def test_matches_the_oracle_on_tied_rows(self, coordinates):
+        assert np.array_equal(
+            skyline_mask(coordinates), dense_skyline_mask(coordinates)
+        )
+
+    @given(st.integers(0, 30), st.randoms(use_true_random=False))
+    def test_keeps_every_point_of_a_plane(self, total, random):
+        """On x + y + z = c no point dominates another."""
+        points = [
+            (x, y, total - x - y)
+            for x in range(total + 1)
+            for y in range(total + 1 - x)
+        ]
+        random.shuffle(points)
+        coordinates = np.array(points, dtype=np.float64)
+        mask = skyline_mask(coordinates)
+        assert mask.all()
+        assert np.array_equal(mask, dense_skyline_mask(coordinates))
 
 
 # ----------------------------------------------------------------------

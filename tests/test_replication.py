@@ -218,6 +218,31 @@ class TestWalShipping:
         primary.close()
         replica.close()
 
+    def test_a_legacy_rejected_batch_replays_as_a_no_op(self, tmp_path):
+        primary = make_primary(tmp_path)
+        primary.register_tenant("t1", 5)
+        hub = ReplicationHub(primary)
+        replica = make_replica(tmp_path)
+        shipper = WalShipper(LocalSource(hub), replica)
+        drive(primary, "t1", 4)
+        # What a flush logged before submits were validated: a batch the
+        # primary's monitor refused whole, valid event and all.
+        primary.wal.append_events(
+            "t1", [SelfRiskUpdate(0, 0.9), SelfRiskUpdate(1, 1.7)]
+        )
+        primary.wal.sync()
+        drive(primary, "t1", 4, start=1)
+        shipper.catch_up()
+        assert replica.applied_seq == primary.durable_seq
+        expected = primary.query_topk("t1")
+        assert replica.query_topk("t1").same_answer(expected)
+        replica.close()
+        # Local recovery replays the mirrored batch the same way.
+        reopened = make_replica(tmp_path)
+        assert reopened.query_topk("t1").same_answer(expected)
+        reopened.close()
+        primary.close()
+
     def test_live_tail_follows_new_writes(self, tmp_path):
         primary = make_primary(tmp_path)
         primary.register_tenant("t1", 5)

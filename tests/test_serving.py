@@ -9,6 +9,7 @@ and the RiskService façade plus its RiskControlCenter integration.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.bsr import BoundedSampleReverseDetector
-from repro.core.errors import GraphError, ReproError
+from repro.core.errors import GraphError, ProbabilityError, ReproError
 from repro.core.graph import UncertainGraph
 from repro.datasets.registry import load_dataset
 from repro.serving import (
@@ -436,6 +437,79 @@ class TestRiskService:
                 assert result.same_answer(fresh)
 
         asyncio.run(scenario())
+
+
+class TestRefusedUpdates:
+    """An update the tenant's monitor would reject is refused at submit."""
+
+    @staticmethod
+    def outsider(graph, k=5):
+        """A node outside the fresh top-k, and that answer."""
+        fresh = BoundedSampleReverseDetector(
+            seed=0, engine="indexed"
+        ).detect(graph, k)
+        label = next(
+            graph.label(i)
+            for i in range(graph.num_nodes)
+            if graph.label(i) not in fresh.nodes
+        )
+        return label, fresh
+
+    @pytest.mark.parametrize(
+        "make_event",
+        [
+            lambda graph: SelfRiskUpdate(graph.label(1), 1.7),
+            lambda graph: SelfRiskUpdate(graph.label(1), float("nan")),
+            lambda graph: SelfRiskUpdate("no-such-node", 0.5),
+            lambda graph: BulkSelfRiskUpdate(
+                values=np.zeros(graph.num_nodes + 1)
+            ),
+        ],
+        ids=["above-one", "nan", "unknown-node", "bulk-shape"],
+    )
+    def test_raises_and_queues_nothing(self, base_graph, make_event):
+        with RiskService(
+            base_graph.copy(), mode="serial", monitor_defaults={"seed": 0}
+        ) as service:
+            service.register_tenant("p", 5)
+            with pytest.raises((GraphError, ProbabilityError)):
+                service.submit_update("p", make_event(base_graph))
+            assert service.queue.pending("p") == 0
+
+    def test_valid_events_beside_a_refused_one_still_apply(self, base_graph):
+        target, before = self.outsider(base_graph)
+        shadow = base_graph.copy()
+        shadow.set_self_risk(target, 0.99)
+        with RiskService(
+            base_graph.copy(), mode="serial", monitor_defaults={"seed": 0}
+        ) as service:
+            service.register_tenant("p", 5)
+            assert service.submit_update("p", SelfRiskUpdate(target, 0.99))
+            with contextlib.suppress(ProbabilityError):
+                service.submit_update(
+                    "p", SelfRiskUpdate(base_graph.label(2), 1.7)
+                )
+            service.flush()
+            answer = service.query_topk("p")
+        fresh = BoundedSampleReverseDetector(
+            seed=0, engine="indexed"
+        ).detect(shadow, 5)
+        assert answer.same_answer(fresh)
+        assert not answer.same_answer(before)
+
+    def test_refused_update_keeps_the_degraded_answer(self, base_graph):
+        with RiskService(
+            base_graph.copy(), mode="serial", monitor_defaults={"seed": 0}
+        ) as service:
+            service.register_tenant("p", 5)
+            with contextlib.suppress(ProbabilityError):
+                service.submit_update(
+                    "p", SelfRiskUpdate(base_graph.label(1), 1.7)
+                )
+            degraded = service.query_degraded("p")
+        assert degraded is not None
+        expected = TopKMonitor(base_graph.copy(), 5, seed=0).bounds_topk()
+        assert degraded.same_answer(expected)
 
 
 class TestPipelineIntegration:
