@@ -15,7 +15,7 @@ from repro.algorithms.bsr import BoundedSampleReverseDetector
 from repro.algorithms.bsrbk import BottomKDetector
 from repro.datasets.registry import load_dataset
 from repro.sampling.forward import ForwardSampler, forward_sample_reference
-from repro.sampling.reverse import ReverseSampler
+from repro.sampling.indexed import IndexedReverseSampler
 from repro.sampling.rng import make_rng
 
 
@@ -45,7 +45,9 @@ class TestSamplerEngineAblation:
 class TestCandidateReductionAblation:
     def test_reverse_all_nodes(self, benchmark, citation):
         graph = citation.graph
-        sampler = ReverseSampler(graph, np.arange(graph.num_nodes), seed=1)
+        sampler = IndexedReverseSampler(
+            graph, np.arange(graph.num_nodes), seed=1
+        )
         benchmark.pedantic(lambda: sampler.run(100), rounds=1, iterations=1)
 
     def test_reverse_pruned_candidates(self, benchmark, citation):
@@ -61,7 +63,7 @@ class TestCandidateReductionAblation:
             if reduction.candidate_size
             else np.arange(graph.num_nodes)
         )
-        sampler = ReverseSampler(graph, candidates, seed=1)
+        sampler = IndexedReverseSampler(graph, candidates, seed=1)
         benchmark.pedantic(lambda: sampler.run(100), rounds=1, iterations=1)
 
 

@@ -50,7 +50,6 @@ from repro.metrics import precision_at_k, roc_auc
 from repro.sampling import (
     ForwardSampler,
     IndexedReverseSampler,
-    ReverseSampler,
     basic_sample_size,
     reduced_sample_size,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "upper_bounds",
     "reduce_candidates",
     "ForwardSampler",
-    "ReverseSampler",
     "IndexedReverseSampler",
     "TopKMonitor",
     "basic_sample_size",

@@ -18,7 +18,7 @@ from repro.bounds.iterative import bound_pair
 from repro.core.errors import SamplingError
 from repro.core.graph import NodeLabel, UncertainGraph
 from repro.core.topk import top_k_indices
-from repro.sampling.reverse import reverse_engine
+from repro.sampling.indexed import IndexedReverseSampler
 from repro.sampling.rng import SeedLike
 from repro.sampling.sample_size import reduced_sample_size, validate_epsilon_delta
 
@@ -72,11 +72,6 @@ class BoundedSampleReverseDetector(VulnerableNodeDetector):
         these; the paper fixes both to 2).
     seed:
         Randomness control.
-    engine:
-        Reverse-sampling engine: ``"indexed"`` (counter-PRF worlds,
-        individually re-evaluable — the default, shared with the
-        streaming monitor) or ``"reference"`` (the per-candidate
-        Algorithm-5 BFS).
     """
 
     name = "BSR"
@@ -88,13 +83,11 @@ class BoundedSampleReverseDetector(VulnerableNodeDetector):
         lower_order: int = 2,
         upper_order: int = 2,
         seed: SeedLike = None,
-        engine: str = "indexed",
     ) -> None:
         super().__init__(seed)
         self._epsilon, self._delta = validate_epsilon_delta(epsilon, delta)
         self._lower_order = int(lower_order)
         self._upper_order = int(upper_order)
-        self._engine = reverse_engine(engine)
 
     def _detect(self, graph: UncertainGraph, k: int) -> DetectionResult:
         lower, upper = bound_pair(graph, self._lower_order, self._upper_order)
@@ -109,7 +102,9 @@ class BoundedSampleReverseDetector(VulnerableNodeDetector):
                 self._epsilon,
                 self._delta,
             )
-            sampler = self._engine(graph, reduction.candidates, seed=self._seed)
+            sampler = IndexedReverseSampler(
+                graph, reduction.candidates, seed=self._seed
+            )
             probabilities = sampler.run(samples).probabilities
             nodes_touched = sampler.nodes_touched
             edges_touched = sampler.edges_touched

@@ -9,21 +9,18 @@ If the stopping condition never fires, the method degrades gracefully
 into BSR: all samples are consumed and plain frequency estimates are
 used.
 
-Two equivalent executions, selected by the engine:
-
-* ``"reference"``: sample hashes come from the detector's generator,
-  worlds are consumed one at a time in hash order through
-  :class:`~repro.sketch.bottom_k.BottomKStopper`;
-* ``"indexed"`` (default): every world carries a fixed PRF *sample
-  hash* (:meth:`~repro.sampling.indexed.IndexedReverseSampler.
-  world_hashes`), worlds are materialised in ascending hash order in
-  geometrically growing chunks, and the stopping rule is the pure
-  prefix scan :func:`~repro.sketch.bottom_k.bottom_k_scan`.  Because
-  both the hash order and each world's outcome are pure functions of
-  ``(seed, world, graph)``, the stopping point is chunk-schedule
-  independent — the property that lets the streaming
-  :class:`~repro.streaming.monitor.TopKMonitor` maintain BSRBK
-  incrementally, bit-identical to this one-shot path.
+Every world carries a fixed PRF *sample hash*
+(:meth:`~repro.sampling.indexed.IndexedReverseSampler.world_hashes`),
+worlds are materialised in ascending hash order in geometrically growing
+chunks, and the stopping rule is the pure prefix scan
+:func:`~repro.sketch.bottom_k.bottom_k_scan`.  Because both the hash
+order and each world's outcome are pure functions of
+``(seed, world, graph)``, the stopping point is chunk-schedule
+independent — the property that lets the streaming
+:class:`~repro.streaming.monitor.TopKMonitor` maintain BSRBK
+incrementally, bit-identical to this one-shot path.
+:func:`bottom_k_early_stop` is that early stop; the Table-3 scorer
+(:func:`~repro.experiments.scoring.bsrbk_scores`) runs it too.
 """
 
 from __future__ import annotations
@@ -32,16 +29,69 @@ import numpy as np
 
 from repro.algorithms.base import DetectionResult, VulnerableNodeDetector
 from repro.algorithms.bsr import assemble_answer
-from repro.bounds.candidates import reduce_candidates
+from repro.bounds.candidates import CandidateReduction, reduce_candidates
 from repro.bounds.iterative import bound_pair
 from repro.core.errors import SamplingError
 from repro.core.graph import UncertainGraph
-from repro.sampling.reverse import reverse_engine
-from repro.sampling.rng import SeedLike, make_rng
+from repro.sampling.indexed import IndexedReverseSampler
+from repro.sampling.rng import SeedLike
 from repro.sampling.sample_size import reduced_sample_size, validate_epsilon_delta
-from repro.sketch.bottom_k import BottomKStopper, bottom_k_scan
+from repro.sketch.bottom_k import bottom_k_scan
 
-__all__ = ["BottomKDetector"]
+__all__ = ["BottomKDetector", "bottom_k_early_stop"]
+
+
+def bottom_k_early_stop(
+    graph: UncertainGraph,
+    reduction: CandidateReduction,
+    budget: int,
+    bk: int,
+    seed: SeedLike,
+) -> tuple[int, bool, int, int, np.ndarray]:
+    """Hash-ordered early stop over the candidates of *reduction*.
+
+    Returns ``(processed, stopped_early, nodes_touched, edges_touched,
+    estimates)``: the worlds the stopping rule consumed out of *budget*,
+    whether it fired, the draws of exactly those worlds (a chunk's
+    worlds past the stopping point are not charged), and the candidates'
+    default-probability estimates clipped to ``[0, 1]``.
+    """
+    sampler = IndexedReverseSampler(graph, reduction.candidates, seed=seed)
+    hashes = sampler.world_hashes(np.arange(budget, dtype=np.int64))
+    order = np.argsort(hashes, kind="stable")
+    sorted_hashes = hashes[order]
+    outcome_parts: list[np.ndarray] = []
+    node_parts: list[np.ndarray] = []
+    edge_parts: list[np.ndarray] = []
+    evaluated = 0
+    chunk = max(64, sampler.world_batch)
+    scan = None
+    while evaluated < budget:
+        take = min(chunk, budget - evaluated)
+        chunk *= 2
+        block = sampler.outcomes_for_worlds(order[evaluated : evaluated + take])
+        outcome_parts.append(block.outcomes)
+        node_parts.append(block.node_draws)
+        edge_parts.append(block.edge_draws)
+        evaluated += take
+        scan = bottom_k_scan(
+            np.concatenate(outcome_parts),
+            sorted_hashes[:evaluated],
+            bk,
+            reduction.k_remaining,
+            budget,
+        )
+        if scan.stopped_early:
+            break
+    node_draws = np.concatenate(node_parts)
+    edge_draws = np.concatenate(edge_parts)
+    return (
+        scan.processed,
+        scan.stopped_early,
+        int(node_draws[: scan.processed].sum()),
+        int(edge_draws[: scan.processed].sum()),
+        np.clip(scan.estimates, 0.0, 1.0),
+    )
 
 
 class BottomKDetector(VulnerableNodeDetector):
@@ -59,11 +109,6 @@ class BottomKDetector(VulnerableNodeDetector):
         Bound iteration counts for Algorithms 2/3.
     seed:
         Randomness control (drives both the sample hashes and the worlds).
-    engine:
-        Reverse-sampling engine: ``"indexed"`` (counter-PRF worlds with
-        fixed sample hashes, early stop chunk-schedule independent —
-        the default) or ``"reference"`` (the per-candidate Algorithm-5
-        BFS, consumed one world at a time).
     """
 
     name = "BSRBK"
@@ -76,7 +121,6 @@ class BottomKDetector(VulnerableNodeDetector):
         lower_order: int = 2,
         upper_order: int = 2,
         seed: SeedLike = None,
-        engine: str = "indexed",
     ) -> None:
         super().__init__(seed)
         if bk < 2:
@@ -85,82 +129,8 @@ class BottomKDetector(VulnerableNodeDetector):
         self._epsilon, self._delta = validate_epsilon_delta(epsilon, delta)
         self._lower_order = int(lower_order)
         self._upper_order = int(upper_order)
-        self._engine_name = str(engine)
-        self._engine = reverse_engine(engine)
-
-    def _run_indexed(self, graph, reduction, budget):
-        """Hash-ordered early stop over order-independent indexed worlds."""
-        sampler = self._engine(graph, reduction.candidates, seed=self._seed)
-        hashes = sampler.world_hashes(np.arange(budget, dtype=np.int64))
-        order = np.argsort(hashes, kind="stable")
-        sorted_hashes = hashes[order]
-        outcome_parts: list[np.ndarray] = []
-        node_parts: list[np.ndarray] = []
-        edge_parts: list[np.ndarray] = []
-        evaluated = 0
-        chunk = max(64, sampler.world_batch)
-        scan = None
-        while evaluated < budget:
-            take = min(chunk, budget - evaluated)
-            chunk *= 2
-            block = sampler.outcomes_for_worlds(
-                order[evaluated : evaluated + take]
-            )
-            outcome_parts.append(block.outcomes)
-            node_parts.append(block.node_draws)
-            edge_parts.append(block.edge_draws)
-            evaluated += take
-            scan = bottom_k_scan(
-                np.concatenate(outcome_parts),
-                sorted_hashes[:evaluated],
-                self._bk,
-                reduction.k_remaining,
-                budget,
-            )
-            if scan.stopped_early:
-                break
-        node_draws = np.concatenate(node_parts)
-        edge_draws = np.concatenate(edge_parts)
-        return (
-            scan.processed,
-            scan.stopped_early,
-            int(node_draws[: scan.processed].sum()),
-            int(edge_draws[: scan.processed].sum()),
-            np.clip(scan.estimates, 0.0, 1.0),
-        )
-
-    def _run_stream(self, graph, reduction, budget, rng):
-        """Reference-engine early stop through the scalar stopper."""
-        # Hash every sample id; since sample contents are i.i.d. and
-        # independent of the hashes, materialising them in ascending
-        # hash order is distributionally identical to materialising
-        # them in id order and sorting afterwards — but lets us stop.
-        hashes = np.sort(rng.random(budget))
-        stopper = BottomKStopper(
-            num_candidates=reduction.candidate_size,
-            bk=self._bk,
-            total_samples=budget,
-            stop_after=reduction.k_remaining,
-        )
-        stopped_early = False
-        sampler = self._engine(graph, reduction.candidates, seed=rng)
-        for sample_hash, outcome in zip(
-            hashes, sampler.iter_samples(budget)
-        ):
-            stopper.offer(float(sample_hash), outcome)
-            if stopper.should_stop:
-                stopped_early = True
-                break
-        return (
-            stopper.processed,
-            stopped_early,
-            sampler.nodes_touched,
-            sampler.edges_touched,
-            np.clip(stopper.estimates(), 0.0, 1.0),
-        )
 
     def _detect(self, graph: UncertainGraph, k: int) -> DetectionResult:
-        rng = make_rng(self._seed)
         lower, upper = bound_pair(graph, self._lower_order, self._upper_order)
         reduction = reduce_candidates(graph, lower, upper, k)
         processed = 0
@@ -174,17 +144,15 @@ class BottomKDetector(VulnerableNodeDetector):
                 self._epsilon,
                 self._delta,
             )
-            if self._engine_name == "indexed":
-                runner = self._run_indexed(graph, reduction, budget)
-            else:
-                runner = self._run_stream(graph, reduction, budget, rng)
             (
                 processed,
                 stopped_early,
                 nodes_touched,
                 edges_touched,
                 probabilities,
-            ) = runner
+            ) = bottom_k_early_stop(
+                graph, reduction, budget, self._bk, self._seed
+            )
         else:
             probabilities = None
         nodes, scores = assemble_answer(graph, reduction, lower, probabilities, k)

@@ -34,12 +34,10 @@ _REGISTRY: dict[str, Callable[..., VulnerableNodeDetector]] = {
 _ACCEPTED_KEYWORDS: dict[str, frozenset[str]] = {
     "N": frozenset({"samples", "seed", "batch_size"}),
     "SN": frozenset({"epsilon", "delta", "seed", "batch_size"}),
-    "SR": frozenset({"epsilon", "delta", "bound_order", "seed", "engine"}),
-    "BSR": frozenset(
-        {"epsilon", "delta", "lower_order", "upper_order", "seed", "engine"}
-    ),
+    "SR": frozenset({"epsilon", "delta", "bound_order", "seed"}),
+    "BSR": frozenset({"epsilon", "delta", "lower_order", "upper_order", "seed"}),
     "BSRBK": frozenset(
-        {"bk", "epsilon", "delta", "lower_order", "upper_order", "seed", "engine"}
+        {"bk", "epsilon", "delta", "lower_order", "upper_order", "seed"}
     ),
 }
 

@@ -15,7 +15,7 @@ from repro.algorithms.base import DetectionResult, VulnerableNodeDetector
 from repro.bounds.iterative import bound_pair
 from repro.core.graph import UncertainGraph
 from repro.core.topk import kth_largest, top_k_indices
-from repro.sampling.reverse import reverse_engine
+from repro.sampling.indexed import IndexedReverseSampler
 from repro.sampling.rng import SeedLike
 from repro.sampling.sample_size import basic_sample_size, validate_epsilon_delta
 
@@ -34,9 +34,6 @@ class SampleReverseDetector(VulnerableNodeDetector):
         (the paper settles on 2 after the Figure 5 sweep).
     seed:
         Randomness control.
-    engine:
-        Reverse-sampling engine: ``"indexed"`` (counter-PRF worlds —
-        the default) or ``"reference"``.
     """
 
     name = "SR"
@@ -47,12 +44,10 @@ class SampleReverseDetector(VulnerableNodeDetector):
         delta: float = 0.1,
         bound_order: int = 2,
         seed: SeedLike = None,
-        engine: str = "indexed",
     ) -> None:
         super().__init__(seed)
         self._epsilon, self._delta = validate_epsilon_delta(epsilon, delta)
         self._bound_order = int(bound_order)
-        self._engine = reverse_engine(engine)
 
     def _detect(self, graph: UncertainGraph, k: int) -> DetectionResult:
         lower, upper = bound_pair(graph, self._bound_order, self._bound_order)
@@ -61,7 +56,7 @@ class SampleReverseDetector(VulnerableNodeDetector):
         samples = basic_sample_size(
             int(candidates.size), k, self._epsilon, self._delta
         )
-        sampler = self._engine(graph, candidates, seed=self._seed)
+        sampler = IndexedReverseSampler(graph, candidates, seed=self._seed)
         probabilities = sampler.run(samples).probabilities
         top_positions = top_k_indices(probabilities, k)
         top_indices = candidates[top_positions]

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms.bsrbk import bottom_k_early_stop
 from repro.bounds.candidates import reduce_candidates
 from repro.bounds.iterative import bound_pair
 from repro.core.errors import ExperimentError
 from repro.core.graph import UncertainGraph
-from repro.sampling.reverse import ReverseSampler
-from repro.sampling.rng import SeedLike, make_rng
+from repro.sampling.indexed import IndexedReverseSampler
+from repro.sampling.rng import SeedLike
 from repro.sampling.sample_size import reduced_sample_size
-from repro.sketch.bottom_k import BottomKStopper
 
 __all__ = ["bsr_scores", "bsrbk_scores"]
 
@@ -65,7 +65,7 @@ def bsr_scores(
         samples = reduced_sample_size(
             reduction.candidate_size, k, reduction.k_verified, epsilon, delta
         )
-        sampler = ReverseSampler(graph, reduction.candidates, seed=seed)
+        sampler = IndexedReverseSampler(graph, reduction.candidates, seed=seed)
         estimates = sampler.run(samples).probabilities
         scores[reduction.candidates] = estimates
     scores[reduction.verified] = np.maximum(
@@ -86,26 +86,14 @@ def bsrbk_scores(
     """Full-node score vector using the BSRBK pipeline (early stop)."""
     if not 1 <= k <= graph.num_nodes:
         raise ExperimentError(f"k must be in [1, {graph.num_nodes}], got {k}")
-    rng = make_rng(seed)
     lower, _, reduction = _prepare(graph, k, bound_order)
     scores = lower.astype(np.float64).copy()
     if reduction.k_remaining > 0 and reduction.candidate_size > 0:
         budget = reduced_sample_size(
             reduction.candidate_size, k, reduction.k_verified, epsilon, delta
         )
-        hashes = np.sort(rng.random(budget))
-        stopper = BottomKStopper(
-            num_candidates=reduction.candidate_size,
-            bk=bk,
-            total_samples=budget,
-            stop_after=reduction.k_remaining,
-        )
-        sampler = ReverseSampler(graph, reduction.candidates, seed=rng)
-        for sample_hash, outcome in zip(hashes, sampler.iter_samples(budget)):
-            stopper.offer(float(sample_hash), outcome)
-            if stopper.should_stop:
-                break
-        scores[reduction.candidates] = np.clip(stopper.estimates(), 0.0, 1.0)
+        *_, estimates = bottom_k_early_stop(graph, reduction, budget, bk, seed)
+        scores[reduction.candidates] = estimates
     scores[reduction.verified] = np.maximum(
         scores[reduction.verified], lower[reduction.verified]
     )

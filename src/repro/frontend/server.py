@@ -611,11 +611,7 @@ class FrontendServer:
         #    allows it; only the top-k path has a bounds-only twin.
         if not self.admission.acquire_slot():
             if allow_degraded and family is None:
-                degraded = await self._degraded(
-                    loop, tenant, started, "capacity"
-                )
-                if degraded is not None:
-                    return degraded
+                return await self._degraded(loop, tenant, started, "capacity")
             self.stats.bump("rejected_capacity")
             return (
                 429,
@@ -642,10 +638,9 @@ class FrontendServer:
                 degraded = await self._degraded(
                     loop, tenant, started, "deadline"
                 )
-                if degraded is not None:
-                    self.stats.bump("timeouts")
-                    future.add_done_callback(_swallow)
-                    return degraded
+                self.stats.bump("timeouts")
+                future.add_done_callback(_swallow)
+                return degraded
             result = await future  # no degraded path: overrun honestly
         except Exception:
             future.add_done_callback(_swallow)
@@ -679,14 +674,12 @@ class FrontendServer:
 
     async def _degraded(
         self, loop, tenant: TenantId, started: float, reason: str
-    ) -> tuple[int, object, dict] | None:
-        """A bounds-only response on the dedicated lane (None = no mirror)."""
+    ) -> tuple[int, object, dict]:
+        """A bounds-only response on the dedicated lane."""
         result = await loop.run_in_executor(
             self._degraded_executor,
             lambda: self._service.query_degraded(tenant),
         )
-        if result is None:
-            return None
         self.stats.bump("degraded")
         return self._result_response(result, started, degraded_reason=reason)
 

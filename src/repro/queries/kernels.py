@@ -127,7 +127,9 @@ def kcore_membership(
     if alive_init is None:
         alive = np.ones((worlds, n), dtype=bool)
     else:
-        alive = np.array(alive_init, dtype=bool)
+        # C order, so ``alive.reshape(-1)`` below is a view the peel
+        # updates in place, whatever the seed's layout.
+        alive = np.array(alive_init, dtype=bool, order="C")
         if alive.shape != (worlds, n):
             raise QueryError(
                 f"alive_init must be ({worlds}, {n}), got {alive.shape}"

@@ -12,12 +12,6 @@ from repro.sampling.indexed import (
     derive_stream_key,
     hashed_uniforms,
 )
-from repro.sampling.reverse import (
-    ReverseSampler,
-    ReverseWorld,
-    WorldArena,
-    reverse_engine,
-)
 from repro.sampling.rng import RandomBlock, SeedLike, make_rng, spawn_rngs
 from repro.sampling.sample_size import (
     basic_sample_size,
@@ -38,11 +32,7 @@ __all__ = [
     "WorldBlock",
     "derive_stream_key",
     "hashed_uniforms",
-    "ReverseSampler",
-    "ReverseWorld",
-    "WorldArena",
     "RandomBlock",
-    "reverse_engine",
     "SeedLike",
     "make_rng",
     "spawn_rngs",

@@ -121,7 +121,8 @@ class ForwardSampler:
         self._rng = make_rng(seed)
         self._batch_size = int(batch_size)
         self._ps = graph.self_risk_array
-        #: Work counters comparable with :class:`ReverseSampler`'s: how
+        #: Work counters comparable with
+        #: :class:`~repro.sampling.indexed.IndexedReverseSampler`'s: how
         #: many per-world node draws and edge examinations Algorithm 1
         #: performs (engine-neutral cost of the sampling, used by the
         #: Figure-6 efficiency experiment).

@@ -36,10 +36,12 @@ Consequences:
 The exploration has two passes — a flat multi-world backward closure
 followed by forward labelling through
 :func:`repro.core.propagation.propagate_edge_list` — and it reports
-``nodes_touched`` / ``edges_touched`` as distinct per-world entity draws,
-the reference sampler's unit too.  Under entity-indexed uniforms the
-per-world outcomes equal the reference :class:`ReverseWorld` fed the same
-uniform arrays (see ``tests/test_streaming.py``).
+``nodes_touched`` / ``edges_touched`` as distinct per-world entity draws.
+Its union closure explores past Algorithm 5's per-candidate early exits,
+so it may draw more than the paper's per-candidate BFS on the same world,
+but the outcomes agree: under entity-indexed uniforms every world equals
+that BFS fed the same uniform arrays (the oracle in
+``tests/reference_sampler.py``; ``tests/test_streaming.py`` checks it).
 
 Two work-count identities the compressed world state
 (:mod:`repro.sampling.worldstate`) relies on, both direct consequences
@@ -63,7 +65,6 @@ from repro.core.errors import SamplingError
 from repro.core.graph import UncertainGraph
 from repro.core.propagation import propagate_edge_list, ragged_positions
 from repro.sampling.forward import ForwardEstimate
-from repro.sampling.reverse import _validate_candidates
 from repro.sampling.rng import (
     SeedLike,
     derive_stream_key,
@@ -93,6 +94,18 @@ _HASH_SALT = _U64(0xD1B54A32D192ED03)
 _LANE = _U64(2**33)
 _EDGE_OFFSET = _U64(2**32)
 _MAX_WORLD = 2**31
+
+
+def _validate_candidates(
+    graph: UncertainGraph, candidates: Sequence[int] | np.ndarray
+) -> np.ndarray:
+    """The candidate indices as ``int64``; raises if empty or out of range."""
+    array = np.asarray(candidates, dtype=np.int64)
+    if array.size == 0:
+        raise SamplingError("candidate set must not be empty")
+    if array.min() < 0 or array.max() >= graph.num_nodes:
+        raise SamplingError("candidate index out of range")
+    return array
 
 
 def counter_lanes(
@@ -136,8 +149,8 @@ class WorldBlock:
         Boolean ``(W, |B|)`` matrix; row ``i`` answers "does each
         candidate default in world ``world_indices[i]``".
     node_draws, edge_draws:
-        Per-world counts of distinct node / edge draws (the work unit
-        shared with the reference sampler).
+        Per-world counts of distinct node / edge draws (the work unit the
+        detectors report as ``nodes_touched`` / ``edges_touched``).
     touched_nodes, touched_edges, expanded_nodes:
         Present when requested: boolean ``(W, n)`` / ``(W, m)`` masks of
         the entities each world actually drew.  An entity outside a
@@ -174,18 +187,24 @@ def _coerce_collect(collect_touched: bool | str | None) -> str | None:
 class IndexedReverseSampler:
     """Reverse sampling with counter-based per-(world, entity) randomness.
 
-    The engine of the SR/BSR/BSRBK detectors (``engine="indexed"``) and
-    of the streaming monitor.  :meth:`outcomes_for_worlds` evaluates an
-    arbitrary set of world indices — including re-evaluating old ones —
-    bit-identically to a sequential :meth:`run`.  Sequential consumption
-    through :meth:`run` / :meth:`iter_samples` uses worlds ``0, 1, 2, …``
-    so repeated calls never reuse a world.
+    The one reverse-sampling engine: SR, BSR, BSRBK, the streaming
+    monitor and the Table-3 scorer all run it.  :meth:`outcomes_for_worlds`
+    evaluates an arbitrary set of world indices — including re-evaluating
+    old ones — bit-identically to a sequential :meth:`run`.  Sequential
+    consumption through :meth:`run` uses worlds ``0, 1, 2, …`` so
+    repeated calls never reuse a world.
 
     Parameters
     ----------
-    graph, candidates, seed:
-        As for :class:`~repro.sampling.reverse.ReverseSampler`; the seed
-        is folded into a 64-bit stream key (:func:`derive_stream_key`).
+    graph:
+        The uncertain graph (the *original* direction; the sampler walks
+        its in-edges, which is equivalent to walking ``Gt`` forward).
+    candidates:
+        Internal node indices whose default probability must be estimated
+        (the candidate set ``B`` of Algorithm 4).
+    seed:
+        Seed, generator, or ``None``, folded into a 64-bit stream key
+        (:func:`derive_stream_key`).
     world_batch:
         Worlds explored per flat batch (memory/speed trade-off only —
         outcomes are independent of it).
@@ -471,27 +490,6 @@ class IndexedReverseSampler:
             touched_edges=_cat("touched_edges"),
             expanded_nodes=_cat("expanded_nodes"),
         )
-
-    def iter_samples(self, samples: int) -> Iterator[np.ndarray]:
-        """Yield per-world candidate default vectors for the next worlds.
-
-        Consumes world indices sequentially from the cursor; work
-        counters are attributed per consumed world, so consumers that
-        stop early are never charged for the rest of a batch.
-        """
-        if samples <= 0:
-            raise SamplingError(f"samples must be positive, got {samples}")
-        start = self._cursor
-        self._cursor += int(samples)
-        for lo in range(start, start + int(samples), self._world_batch):
-            hi = min(lo + self._world_batch, start + int(samples))
-            block = self._explore(
-                np.arange(lo, hi, dtype=np.int64), collect=None
-            )
-            for index in range(hi - lo):
-                self.nodes_touched += int(block.node_draws[index])
-                self.edges_touched += int(block.edge_draws[index])
-                yield block.outcomes[index]
 
     def run(self, samples: int) -> ForwardEstimate:
         """Run *samples* sequential worlds; counts align with ``candidates``."""

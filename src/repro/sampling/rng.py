@@ -10,7 +10,7 @@ Two families of randomness live here:
 
 * **stream randomness** — :func:`make_rng` / :class:`RandomBlock`: one
   sequential double stream, consumed in pre-drawn chunks (the forward
-  and reference reverse samplers);
+  sampler; the Algorithm-5 test oracle draws through a block);
 * **counter randomness** — :func:`hashed_uniforms` /
   :func:`hashed_uniform_tile`: the SplitMix64 output function evaluated
   at explicit 64-bit counters, so the uniform at counter ``c`` under

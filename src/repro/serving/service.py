@@ -372,6 +372,8 @@ class RiskService:
         # accepted by the then-legitimate primary.
         for batch in self._wal.read_batches():
             tenant_id = batch.tenant_id
+            # A tenant without a mirror has neither a snapshot nor a
+            # registration record: replay_batch refuses its batches.
             mirror = self._mirrors.get(tenant_id)
             if (
                 batch.kind == "events"
@@ -432,9 +434,7 @@ class RiskService:
         recovery), and only with events already validated against the
         mirror, so the mirror applies each one.
         """
-        mirror = self._mirrors.get(tenant_id)
-        if mirror is not None:
-            mirror.apply([event])
+        self._mirrors[tenant_id].apply([event])
         token = self._tokens.get(tenant_id)
         if token is not None:
             try:
@@ -455,17 +455,24 @@ class RiskService:
         process and already holds every accepted event, so the answer
         costs one Eq-(1) bound evaluation (cached between updates) no
         matter how deep the shard backlog is.  Flagged
-        ``degraded=True``.  Returns ``None`` when the tenant has no
-        mirror.
+        ``degraded=True``.
         """
         self._ensure_open()
-        if not self._pool.has_tenant(tenant_id):
-            raise ReproError(f"unknown tenant {tenant_id!r}")
         with self._token_lock:
-            mirror = self._mirrors.get(tenant_id)
-            if mirror is None:
-                return None
-            return mirror.bounds_topk()
+            return self._mirror(tenant_id).bounds_topk()
+
+    def _mirror(self, tenant_id: TenantId) -> TopKMonitor:
+        """The tenant's bounds mirror (caller holds ``_token_lock``).
+
+        Every registered, restored, replayed or adopted tenant gets one,
+        and nothing removes it.  Registration installs it once the pool
+        holds the tenant, so a request racing a registration finds an
+        unknown tenant rather than a tenant without a mirror.
+        """
+        try:
+            return self._mirrors[tenant_id]
+        except KeyError:
+            raise ReproError(f"unknown tenant {tenant_id!r}") from None
 
     # ------------------------------------------------------------------
     # Tenant lifecycle and traffic
@@ -512,16 +519,12 @@ class RiskService:
         the valid events coalesced into the same batch, are unaffected.
         """
         self._ensure_open()
-        if not self._pool.has_tenant(tenant_id):
-            raise ReproError(f"unknown tenant {tenant_id!r}")
         # One critical section covers validation, queue admission,
         # mirror application and token advancement, so all of them
         # agree on the accepted event order (refused and shed events
         # touch none of them).
         with self._token_lock:
-            mirror = self._mirrors.get(tenant_id)
-            if mirror is not None:
-                validate_event(mirror.graph, event)
+            validate_event(self._mirror(tenant_id).graph, event)
             accepted = self._queue.submit(tenant_id, event)
             if accepted:
                 self._track_event(tenant_id, event)

@@ -2,14 +2,12 @@
 
 from repro.sketch.bottom_k import (
     BottomKSketch,
-    BottomKStopper,
     coefficient_of_variation,
     expected_relative_error,
 )
 
 __all__ = [
     "BottomKSketch",
-    "BottomKStopper",
     "coefficient_of_variation",
     "expected_relative_error",
 ]

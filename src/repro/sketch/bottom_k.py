@@ -12,7 +12,8 @@ uniform hash, process samples in ascending hash order, and count for each
 candidate the samples in which it defaults.  The first candidate whose
 counter reaches ``bk`` has, provably, the largest estimated default
 probability (Theorem 6); for top-k, stop when ``k - k'`` candidates have
-reached ``bk``.  :class:`BottomKStopper` implements that bookkeeping.
+reached ``bk``.  :func:`bottom_k_scan` replays that rule over a whole
+outcome matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from repro.core.errors import SamplingError
 
 __all__ = [
     "BottomKSketch",
-    "BottomKStopper",
     "BottomKScan",
     "bottom_k_scan",
     "expected_relative_error",
@@ -136,7 +136,8 @@ class BottomKScan:
     """Result of one vectorised bottom-k stopping scan.
 
     Field-for-field equivalent to feeding the scanned rows, in order,
-    through a :class:`BottomKStopper` (the tests pin the equivalence):
+    through a scalar per-sample stopper (the tests pin the equivalence
+    against one, ``tests/bottom_k_stopper.py``):
 
     Attributes
     ----------
@@ -156,7 +157,7 @@ class BottomKScan:
     estimates:
         Per-candidate default-probability estimates: sketch estimates
         for finished candidates, empirical frequencies over the
-        processed prefix otherwise (``BottomKStopper.estimates``).
+        processed prefix otherwise.
     """
 
     processed: int
@@ -177,7 +178,7 @@ def bottom_k_scan(
 
     *outcomes* is the boolean ``(rows, candidates)`` default matrix in
     **ascending hash order**, *hashes* the matching sample hashes.  One
-    cumulative-sum pass replaces the stopper's per-sample Python loop —
+    cumulative-sum pass replaces a per-sample Python loop —
     and because the result is a pure function of the prefix (a longer
     prefix can only append later finishes, never move earlier ones), the
     scan gives the same stopping point no matter how incrementally the
@@ -231,112 +232,3 @@ def bottom_k_scan(
         estimates=estimates,
     )
 
-
-class BottomKStopper:
-    """Early-stopping bookkeeping for BSRBK (Section 3.3).
-
-    Samples must be fed in **ascending hash order**.  For each sample the
-    caller reports which candidates defaulted; the stopper counts per
-    candidate and freezes a candidate once its counter reaches ``bk``,
-    recording the hash at which it finished (its ``L(A, bk)``).
-
-    Parameters
-    ----------
-    num_candidates:
-        Size of the candidate set being tracked.
-    bk:
-        Counter threshold (the bottom-k parameter).
-    total_samples:
-        The full sample budget ``t`` the hashes were drawn over; needed to
-        turn distinct-count estimates into probabilities.
-    stop_after:
-        Stop once this many candidates have finished (``k - k'``).
-    """
-
-    def __init__(
-        self, num_candidates: int, bk: int, total_samples: int, stop_after: int
-    ) -> None:
-        if num_candidates <= 0:
-            raise SamplingError("num_candidates must be positive")
-        if total_samples <= 0:
-            raise SamplingError("total_samples must be positive")
-        if stop_after <= 0:
-            raise SamplingError("stop_after must be positive")
-        self._bk = _validate_bk(bk)
-        self._total_samples = int(total_samples)
-        self._stop_after = int(stop_after)
-        self._counts = np.zeros(num_candidates, dtype=np.int64)
-        self._finish_hash = np.full(num_candidates, np.nan)
-        self._finished_order: list[int] = []
-        self._processed = 0
-        self._last_hash = 0.0
-
-    @property
-    def processed(self) -> int:
-        """Number of samples consumed so far."""
-        return self._processed
-
-    @property
-    def counts(self) -> np.ndarray:
-        """Per-candidate default counters (read-only view)."""
-        return self._counts
-
-    @property
-    def finished(self) -> list[int]:
-        """Candidate positions that reached ``bk``, in finishing order."""
-        return list(self._finished_order)
-
-    @property
-    def should_stop(self) -> bool:
-        """Whether ``stop_after`` candidates have finished."""
-        return len(self._finished_order) >= self._stop_after
-
-    def offer(self, sample_hash: float, outcome: np.ndarray) -> list[int]:
-        """Consume one sample; return candidates that finished on it.
-
-        Parameters
-        ----------
-        sample_hash:
-            The sample's hash; must be non-decreasing across calls.
-        outcome:
-            Boolean vector over candidates ("defaulted in this world").
-        """
-        if sample_hash < self._last_hash:
-            raise SamplingError(
-                "samples must be offered in ascending hash order: "
-                f"{sample_hash} < {self._last_hash}"
-            )
-        self._last_hash = float(sample_hash)
-        self._processed += 1
-        outcome = np.asarray(outcome, dtype=bool)
-        if outcome.shape != self._counts.shape:
-            raise SamplingError(
-                f"outcome has shape {outcome.shape}, "
-                f"expected {self._counts.shape}"
-            )
-        newly_finished: list[int] = []
-        active = outcome & np.isnan(self._finish_hash)
-        hits = np.flatnonzero(active)
-        self._counts[hits] += 1
-        for position in hits:
-            if self._counts[position] >= self._bk:
-                self._finish_hash[position] = sample_hash
-                self._finished_order.append(int(position))
-                newly_finished.append(int(position))
-        return newly_finished
-
-    def estimates(self) -> np.ndarray:
-        """Per-candidate default-probability estimates.
-
-        Finished candidates use the sketch estimate
-        ``(bk - 1) / (L(A, bk) * t)`` (Theorem 6); unfinished candidates
-        fall back to the empirical frequency over the processed prefix.
-        Finished estimates dominate unfinished ones by construction of the
-        ascending-hash processing order.
-        """
-        if self._processed == 0:
-            raise SamplingError("no samples processed yet")
-        empirical = self._counts / float(self._processed)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sketched = (self._bk - 1) / (self._finish_hash * self._total_samples)
-        return np.where(np.isnan(self._finish_hash), empirical, sketched)

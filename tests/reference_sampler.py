@@ -1,4 +1,4 @@
-"""Reverse sampling — Algorithm 5 of the paper, the reference engine.
+"""Algorithm 5 of the paper, kept as the test oracle.
 
 Instead of materialising a whole possible world and propagating forward,
 reverse sampling answers, for each *candidate* node ``v``, the question
@@ -20,22 +20,19 @@ The module is organised around three pieces:
   worlds.  Randomness comes from a shared
   :class:`~repro.sampling.rng.RandomBlock`, which serves uniforms from a
   pre-drawn chunk instead of one ``rng.random()`` round-trip per draw.
-* :class:`ReverseWorld` — the executable reference: a line-by-line
-  transcription of Algorithm 5's per-candidate BFS, running on arena
-  state.  A world can also be driven by *entity-indexed* uniforms
-  (``node_uniforms`` / ``edge_uniforms``), which makes its outcomes a
-  pure function of those arrays — the draw policy the tests share with
-  the production engine.
+* :class:`ReverseWorld` — a line-by-line transcription of Algorithm 5's
+  per-candidate BFS, running on arena state.  A world can also be driven
+  by *entity-indexed* uniforms (``node_uniforms`` / ``edge_uniforms``),
+  which makes its outcomes a pure function of those arrays — the draw
+  policy the tests share with the production engine.
 * :class:`ReverseSampler` — one :class:`ReverseWorld` per sample.
 
-Production detection runs the *indexed* engine
-(:class:`~repro.sampling.indexed.IndexedReverseSampler`): one flat
-multi-world closure per batch with counter-PRF randomness, bit-identical
-to :class:`ReverseWorld` fed the same entity-indexed uniforms.  Its union
-closure does not replicate Algorithm 5's per-candidate early-exit
-truncation (it may draw somewhat more than the reference on the same
-world), which is why the Figure-6 work-count experiment pins
-``engine="reference"`` — the executable specification.
+Detection runs :class:`~repro.sampling.indexed.IndexedReverseSampler`:
+one flat multi-world closure per batch with counter-PRF randomness.
+``test_streaming.py`` checks it world by world against
+:class:`ReverseWorld` fed the same entity-indexed uniforms, and
+``test_reverse_sampling.py`` checks this oracle against the exact
+enumeration and the forward sampler.
 
 The searches run directly on the in-CSR of the original graph, which is
 the out-adjacency of the reversed graph ``Gt`` the paper feeds to
@@ -52,26 +49,8 @@ import numpy as np
 from repro.core.errors import SamplingError
 from repro.core.graph import UncertainGraph
 from repro.sampling.forward import ForwardEstimate
+from repro.sampling.indexed import _validate_candidates
 from repro.sampling.rng import RandomBlock, SeedLike, make_rng
-
-__all__ = [
-    "WorldArena",
-    "ReverseWorld",
-    "ReverseSampler",
-    "reverse_engine",
-]
-
-
-def _validate_candidates(
-    graph: UncertainGraph, candidates: Sequence[int] | np.ndarray
-) -> np.ndarray:
-    """Shared candidate validation of the reverse engines."""
-    array = np.asarray(candidates, dtype=np.int64)
-    if array.size == 0:
-        raise SamplingError("candidate set must not be empty")
-    if array.min() < 0 or array.max() >= graph.num_nodes:
-        raise SamplingError("candidate index out of range")
-    return array
 
 
 class WorldArena:
@@ -275,9 +254,8 @@ class ReverseSampler:
 
     Runs one :class:`ReverseWorld` per sample on a shared
     :class:`WorldArena` (no per-world allocations).  The per-candidate BFS
-    is pure Python — the indexed engine is the fast production path; this
-    class remains as the executable specification and for per-world
-    introspection.
+    is pure Python; it is the executable specification the indexed engine
+    is checked against.
 
     Parameters
     ----------
@@ -312,8 +290,7 @@ class ReverseSampler:
         """Yield, per world, the boolean default vector of the candidates.
 
         Element ``j`` of each yielded array answers "does candidate ``j``
-        default in this world".  BSRBK consumes this stream one world at a
-        time so it can stop early.
+        default in this world".
         """
         if samples <= 0:
             raise SamplingError(f"samples must be positive, got {samples}")
@@ -339,24 +316,3 @@ class ReverseSampler:
         """Estimated ``p(v)`` for each candidate, aligned with input order."""
         return self.run(samples).probabilities
 
-
-def reverse_engine(name: str):
-    """Resolve ``"indexed"`` / ``"reference"`` to a sampler class.
-
-    Both report ``nodes_touched`` / ``edges_touched`` in the same unit
-    (distinct per-world draws), but the indexed union closure explores
-    past Algorithm 5's per-candidate early exits, so its counts can run
-    higher; experiments that *compare* work counts (Figure 6) pin
-    ``"reference"``, the executable specification.  ``"indexed"`` is
-    resolved lazily to avoid an import cycle.
-    """
-    if name == "indexed":
-        from repro.sampling.indexed import IndexedReverseSampler
-
-        return IndexedReverseSampler
-    if name == "reference":
-        return ReverseSampler
-    raise SamplingError(
-        f"unknown reverse engine {name!r}; "
-        "choose from ['indexed', 'reference']"
-    )

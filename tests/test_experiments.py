@@ -159,6 +159,14 @@ class TestFigureRuns:
         for row in rows:
             assert row["seconds"] >= 0
             assert row["samples"] >= 0
+        # The paper's ordering on the work metric, as bench_fig6 gates
+        # it: N > SN > SR > BSR >= BSRBK in the mean over the grid.
+        work: dict[str, list[int]] = {}
+        for row in rows:
+            work.setdefault(row["method"], []).append(row["work"])
+        mean = {method: sum(v) / len(v) for method, v in work.items()}
+        assert mean["N"] > mean["SN"] > mean["SR"] > mean["BSR"]
+        assert mean["BSR"] >= mean["BSRBK"]
 
     def test_fig6_speedup_summary(self):
         rows = fig6_efficiency.run(MICRO)

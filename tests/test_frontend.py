@@ -462,9 +462,9 @@ class TestEndToEnd:
             # The served answer is bit-identical to a fresh detection.
             response = client.query()
             assert response.ok and not response.payload["degraded"]
-            fresh = BoundedSampleReverseDetector(
-                seed=0, engine="indexed"
-            ).detect(frontend_graph, 4)
+            fresh = BoundedSampleReverseDetector(seed=0).detect(
+                frontend_graph, 4
+            )
             assert response.payload["result"]["nodes"] == fresh.nodes
             assert "x-elapsed-ms" in response.headers
 
@@ -479,9 +479,7 @@ class TestEndToEnd:
             assert accepted.status == 202 and accepted.payload["accepted"]
             shadow = frontend_graph.copy()
             shadow.set_self_risk(outsider, 0.99)
-            patched = BoundedSampleReverseDetector(
-                seed=0, engine="indexed"
-            ).detect(shadow, 4)
+            patched = BoundedSampleReverseDetector(seed=0).detect(shadow, 4)
             changed = client.query()
             assert changed.ok
             assert changed.payload["result"]["nodes"] == patched.nodes

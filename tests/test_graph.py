@@ -652,7 +652,7 @@ class TestShareView:
             rng.random(n) * 0.3, src, dst, rng.random(src.size)
         )
         view = graph.share_view()
-        detector = BoundedSampleReverseDetector(seed=3, engine="indexed")
+        detector = BoundedSampleReverseDetector(seed=3)
         a = detector.detect(graph, 5)
         b = detector.detect(view, 5)
         assert a.nodes == b.nodes

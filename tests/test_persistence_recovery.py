@@ -186,6 +186,24 @@ class TestRecovery:
                 monitor_defaults=DEFAULTS,
             )
 
+    def test_events_for_an_unknown_tenant_refuse_to_open(
+        self, graph, tmp_path
+    ):
+        """A batch whose tenant has neither a snapshot nor a registration
+        record cannot be replayed: recovery reports an inconsistent log
+        instead of failing on the missing tenant's state."""
+        service = RiskService(
+            graph, mode="serial", wal_dir=tmp_path, monitor_defaults=DEFAULTS
+        )
+        service.register_tenant("t1", 3)
+        service.wal.append_events("ghost", [SelfRiskUpdate(0, 0.9)])
+        abandon(service)
+        with pytest.raises(PersistenceError, match="inconsistent"):
+            RiskService(
+                graph, mode="serial", wal_dir=tmp_path,
+                monitor_defaults=DEFAULTS,
+            )
+
 
 class TestRestartAfterSnapshot:
     """A reopened directory whose snapshot truncated every WAL record."""

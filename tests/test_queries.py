@@ -213,6 +213,23 @@ class TestKernels:
             alive, brute_kcore(graph.num_nodes, src, dst, survives, core_k)
         )
 
+    @pytest.mark.parametrize("layout", ["fortran", "broadcast"])
+    def test_kcore_seed_in_any_memory_layout(self, layout):
+        """A seed that is not C-ordered is peeled all the same: an
+        all-true seed in any memory layout gives the unseeded matrix."""
+        rng = np.random.default_rng(3)
+        src = rng.integers(0, 30, 60)
+        dst = (src + rng.integers(1, 30, 60)) % 30
+        survives = rng.random((8, 60)) < 0.6
+        unseeded = kcore_membership(30, src, dst, survives, 2)
+        assert not unseeded.all()
+        if layout == "fortran":
+            seed = np.asfortranarray(np.ones((8, 30), dtype=bool))
+        else:
+            seed = np.broadcast_to(np.ones(30, dtype=bool), (8, 30))
+        seeded = kcore_membership(30, src, dst, survives, 2, alive_init=seed)
+        assert np.array_equal(seeded, unseeded)
+
     def test_kcore_rejects_bad_order(self):
         with pytest.raises(QueryError):
             kcore_membership(

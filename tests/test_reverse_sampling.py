@@ -1,15 +1,15 @@
-"""Tests for repro.sampling.reverse — Algorithm 5."""
+"""Tests for the Algorithm-5 oracle in ``reference_sampler.py``."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference_sampler import ReverseSampler, ReverseWorld, WorldArena
 
 from repro.core.errors import SamplingError
 from repro.core.exact import exact_default_probabilities
 from repro.core.graph import UncertainGraph
 from repro.sampling.forward import ForwardSampler
-from repro.sampling.reverse import ReverseSampler, ReverseWorld, WorldArena
 from repro.sampling.rng import make_rng
 
 

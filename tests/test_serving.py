@@ -374,9 +374,7 @@ class TestRiskService:
             assert service.queue.pending("p") == len(events)
             result = service.query_topk("p")  # flushes first
             assert service.queue.pending("p") == 0
-            fresh = BoundedSampleReverseDetector(
-                seed=0, engine="indexed"
-            ).detect(shadow, 5)
+            fresh = BoundedSampleReverseDetector(seed=0).detect(shadow, 5)
             assert result.same_answer(fresh)
 
     def test_unknown_tenant_and_closed_service(self, base_graph):
@@ -431,9 +429,7 @@ class TestRiskService:
                 await pump
                 assert service.queue.pending() == 0
                 result = service.query_topk("p", flush=False)
-                fresh = BoundedSampleReverseDetector(
-                    seed=0, engine="indexed"
-                ).detect(shadow, 4)
+                fresh = BoundedSampleReverseDetector(seed=0).detect(shadow, 4)
                 assert result.same_answer(fresh)
 
         asyncio.run(scenario())
@@ -445,9 +441,7 @@ class TestRefusedUpdates:
     @staticmethod
     def outsider(graph, k=5):
         """A node outside the fresh top-k, and that answer."""
-        fresh = BoundedSampleReverseDetector(
-            seed=0, engine="indexed"
-        ).detect(graph, k)
+        fresh = BoundedSampleReverseDetector(seed=0).detect(graph, k)
         label = next(
             graph.label(i)
             for i in range(graph.num_nodes)
@@ -491,9 +485,7 @@ class TestRefusedUpdates:
                 )
             service.flush()
             answer = service.query_topk("p")
-        fresh = BoundedSampleReverseDetector(
-            seed=0, engine="indexed"
-        ).detect(shadow, 5)
+        fresh = BoundedSampleReverseDetector(seed=0).detect(shadow, 5)
         assert answer.same_answer(fresh)
         assert not answer.same_answer(before)
 
@@ -535,9 +527,9 @@ class TestPipelineIntegration:
             with pytest.raises(ReproError):
                 center.attach_serving(service)
             assessment = center.apply_market_update(events)
-            fresh = BoundedSampleReverseDetector(
-                seed=0, engine="indexed"
-            ).detect(shadow, center.watch_k)
+            fresh = BoundedSampleReverseDetector(seed=0).detect(
+                shadow, center.watch_k
+            )
             assert assessment.watch_list == tuple(
                 str(node) for node in fresh.nodes
             )
@@ -671,9 +663,7 @@ class TestCrossTenantResultCache:
             # The hit IS the cached object — bit-identity is trivial —
             # and it matches what the shard would have computed.
             assert second is first
-            fresh = BoundedSampleReverseDetector(
-                seed=0, engine="indexed"
-            ).detect(base_graph, 4)
+            fresh = BoundedSampleReverseDetector(seed=0).detect(base_graph, 4)
             assert second.same_answer(fresh)
         finally:
             service.close()

@@ -1,4 +1,5 @@
-"""Tests for repro.sketch.bottom_k — sketches and the BSRBK stopper."""
+"""Tests for repro.sketch.bottom_k — sketches and the BSRBK stopping
+scan, checked against the scalar stopper oracle."""
 
 from __future__ import annotations
 
@@ -6,13 +7,13 @@ import math
 
 import numpy as np
 import pytest
+from bottom_k_stopper import BottomKStopper
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.errors import SamplingError
 from repro.sketch.bottom_k import (
     BottomKSketch,
-    BottomKStopper,
     bottom_k_scan,
     coefficient_of_variation,
     expected_relative_error,
@@ -184,8 +185,8 @@ class TestBottomKStopper:
 
 
 def _replay_stopper(outcomes, hashes, bk, stop_after, total_samples):
-    """Feed the rows through a scalar BottomKStopper exactly as BSRBK's
-    stream loop does, returning the fields the scan mirrors."""
+    """Feed the rows through the scalar BottomKStopper one sample at a
+    time, returning the fields the scan mirrors."""
     stopper = BottomKStopper(
         num_candidates=outcomes.shape[1],
         bk=bk,

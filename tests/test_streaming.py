@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from dense_worldstate import DenseWorldState
+from reference_sampler import ReverseSampler, WorldArena
 
+import repro.algorithms.bsrbk as bsrbk_module
 import repro.streaming.monitor as monitor_module
 from repro.algorithms.bsr import BoundedSampleReverseDetector
 from repro.algorithms.bsrbk import BottomKDetector
+from repro.bounds.candidates import reduce_candidates
 from repro.bounds.incremental import IncrementalBoundPair, eq1_values_at
 from repro.bounds.iterative import bound_pair
 from repro.core.eq1 import apply_eq1
@@ -25,7 +28,7 @@ from repro.sampling.indexed import (
     derive_stream_key,
     hashed_uniforms,
 )
-from repro.sampling.reverse import ReverseSampler, WorldArena, reverse_engine
+from repro.sampling.sample_size import reduced_sample_size
 from repro.streaming.events import (
     BulkEdgeProbabilityUpdate,
     BulkSelfRiskUpdate,
@@ -72,13 +75,6 @@ class TestHashedUniforms:
 
 
 class TestIndexedReverseSampler:
-    def test_registered_as_engine(self):
-        assert reverse_engine("indexed") is IndexedReverseSampler
-        assert reverse_engine("reference") is ReverseSampler
-        for retired in ("nope", "batched"):
-            with pytest.raises(SamplingError):
-                reverse_engine(retired)
-
     def test_matches_reference_world_per_world(self):
         graph = powerlaw_graph(80, seed=4)
         # A spread of candidates, then duplicate and subset slots.
@@ -131,26 +127,6 @@ class TestIndexedReverseSampler:
         sigma = np.sqrt(exact * (1 - exact) / t)
         assert np.all(np.abs(estimate - exact) < 4 * sigma + 1e-9)
 
-    def test_counters_attributed_per_consumed_world(self):
-        """Early-stopping consumers must not be charged for unconsumed
-        worlds of a block, whatever the world_batch size."""
-        graph = UncertainGraph()
-        graph.add_node("a", 0.5)
-        graph.add_node("b", 0.2)
-        graph.add_node("c", 0.1)
-        for consumed in (1, 3, 5):
-            for world_batch in (1, 4, 32):
-                sampler = IndexedReverseSampler(
-                    graph, [0, 1, 2], seed=0, world_batch=world_batch
-                )
-                stream = sampler.iter_samples(100)
-                for _ in range(consumed):
-                    next(stream)
-                # Edgeless graph: every consumed world draws exactly one
-                # uniform per candidate, so the count is exact.
-                assert sampler.nodes_touched == consumed * 3
-                assert sampler.edges_touched == 0
-
     def test_touch_counters_identical_on_edgeless_graph(self):
         """The indexed counters are in the reference sampler's unit."""
         graph = UncertainGraph()
@@ -189,19 +165,6 @@ class TestIndexedReverseSampler:
         assert np.array_equal(
             again.outcomes[np.argsort(shuffled)], block.outcomes
         )
-
-    def test_iter_samples_matches_run_and_counters(self):
-        graph = powerlaw_graph(90, seed=7)
-        candidates = np.arange(15)
-        runner = IndexedReverseSampler(graph, candidates, seed=2)
-        estimate = runner.run(25)
-        iterator = IndexedReverseSampler(graph, candidates, seed=2)
-        counts = np.zeros(candidates.size, dtype=np.int64)
-        for outcome in iterator.iter_samples(25):
-            counts += outcome
-        assert np.array_equal(counts, estimate.counts)
-        assert iterator.nodes_touched == runner.nodes_touched
-        assert iterator.edges_touched == runner.edges_touched
 
     def test_sequential_runs_use_fresh_worlds(self):
         graph = powerlaw_graph(60, seed=8)
@@ -254,37 +217,15 @@ class TestIndexedReverseSampler:
         with pytest.raises(SamplingError):
             sampler.run(0)
         with pytest.raises(SamplingError):
-            list(sampler.iter_samples(-1))
+            sampler.run(-1)
 
     def test_usable_by_bsr_detector(self):
         graph = powerlaw_graph(150, seed=11)
-        result = BoundedSampleReverseDetector(seed=3, engine="indexed").detect(
-            graph, 5
-        )
+        result = BoundedSampleReverseDetector(seed=3).detect(graph, 5)
         assert len(result.nodes) == 5
-        again = BoundedSampleReverseDetector(seed=3, engine="indexed").detect(
-            graph, 5
-        )
+        again = BoundedSampleReverseDetector(seed=3).detect(graph, 5)
         assert result.nodes == again.nodes and result.scores == again.scores
 
-
-    @pytest.mark.parametrize(
-        "dataset,percent", [("guarantee", 2.0), ("p2p", 2.0)]
-    )
-    def test_engines_share_the_deterministic_stages(self, dataset, percent):
-        """Bounds, Algorithm 4 and Theorem 5 do not depend on the engine:
-        only the sampled estimates and work counts may differ."""
-        loaded = load_dataset(dataset, scale=0.02, seed=7)
-        k = loaded.k_for_percent(percent)
-        indexed, reference = (
-            BoundedSampleReverseDetector(seed=7, engine=engine).detect(
-                loaded.graph, k
-            )
-            for engine in ("indexed", "reference")
-        )
-        assert indexed.samples_used == reference.samples_used > 0
-        assert indexed.candidate_size == reference.candidate_size
-        assert indexed.k_verified == reference.k_verified
 
 
 class TestEq1ValuesAt:
@@ -414,9 +355,7 @@ class TestTopKMonitorOracle:
         monitor = TopKMonitor(graph, 5, seed=8)
         for event in random_patch_stream(graph, 20, seed=2, drift=None):
             monitor.apply([event])
-            fresh = BoundedSampleReverseDetector(
-                seed=8, engine="indexed"
-            ).detect(graph, 5)
+            fresh = BoundedSampleReverseDetector(seed=8).detect(graph, 5)
             assert_equivalent(monitor.top_k(), fresh)
 
     @pytest.mark.slow
@@ -426,9 +365,7 @@ class TestTopKMonitorOracle:
         monitor = TopKMonitor(graph, 8, seed=13)
         for year, events in panel.update_stream():
             monitor.apply(events)
-            fresh = BoundedSampleReverseDetector(
-                seed=13, engine="indexed"
-            ).detect(graph, 8)
+            fresh = BoundedSampleReverseDetector(seed=13).detect(graph, 8)
             assert_equivalent(monitor.top_k(), fresh)
 
     def test_bulk_updates_route_through_full_fallback(self):
@@ -442,9 +379,7 @@ class TestTopKMonitorOracle:
         assert monitor.last_report.reason == "dirty region above threshold"
         assert_equivalent(
             result,
-            BoundedSampleReverseDetector(seed=3, engine="indexed").detect(
-                graph, 4
-            ),
+            BoundedSampleReverseDetector(seed=3).detect(graph, 4),
         )
         _, _, probs = graph.edge_array
         monitor.apply(
@@ -452,9 +387,7 @@ class TestTopKMonitorOracle:
         )
         assert_equivalent(
             monitor.top_k(),
-            BoundedSampleReverseDetector(seed=3, engine="indexed").detect(
-                graph, 4
-            ),
+            BoundedSampleReverseDetector(seed=3).detect(graph, 4),
         )
 
     def test_direct_topology_mutation_without_events_is_detected(self):
@@ -470,9 +403,7 @@ class TestTopKMonitorOracle:
         assert monitor.last_report.reason == "graph topology changed"
         assert_equivalent(
             result,
-            BoundedSampleReverseDetector(seed=2, engine="indexed").detect(
-                graph, 4
-            ),
+            BoundedSampleReverseDetector(seed=2).detect(graph, 4),
         )
 
     def test_structural_mutation_falls_back_to_full(self):
@@ -487,9 +418,7 @@ class TestTopKMonitorOracle:
         assert monitor.last_report.reason == "graph topology changed"
         assert_equivalent(
             result,
-            BoundedSampleReverseDetector(seed=5, engine="indexed").detect(
-                graph, 4
-            ),
+            BoundedSampleReverseDetector(seed=5).detect(graph, 4),
         )
 
 
@@ -579,9 +508,7 @@ class TestTopKMonitorBehaviour:
         monitor = TopKMonitor(graph, 4, seed=9)
         for event in random_patch_stream(graph, 8, seed=5, drift=0.1):
             monitor.apply([event])
-            fresh = BoundedSampleReverseDetector(
-                seed=9, engine="indexed"
-            ).detect(graph, 4)
+            fresh = BoundedSampleReverseDetector(seed=9).detect(graph, 4)
             assert_equivalent(monitor.top_k(), fresh)
 
 
@@ -712,9 +639,7 @@ class TestCoalescedIngestion:
         # ...identical answers, bit for bit...
         assert_equivalent(coalesced_result, serial_result)
         # ...and both equal to fresh detection on the patched graph.
-        fresh = BoundedSampleReverseDetector(seed=2, engine="indexed").detect(
-            coalesced_graph, 5
-        )
+        fresh = BoundedSampleReverseDetector(seed=2).detect(coalesced_graph, 5)
         assert_equivalent(coalesced_result, fresh)
         assert report.dirty_nodes + report.dirty_edges <= len(batch)
 
@@ -777,7 +702,7 @@ class TestTopKMonitorBSRBK:
     def test_random_patches_match_fresh_bsrbk(self, bk):
         graph = powerlaw_graph(200, seed=18)
         monitor = TopKMonitor(graph, 6, seed=21, algorithm="bsrbk", bk=bk)
-        fresh_args = dict(bk=bk, seed=21, engine="indexed")
+        fresh_args = dict(bk=bk, seed=21)
         assert_bsrbk_equivalent(
             monitor.top_k(),
             BottomKDetector(**fresh_args).detect(graph, 6),
@@ -800,9 +725,7 @@ class TestTopKMonitorBSRBK:
         monitor = TopKMonitor(graph, 5, seed=8, algorithm="bsrbk")
         for event in random_patch_stream(graph, 12, seed=2, drift=None):
             monitor.apply([event])
-            fresh = BottomKDetector(bk=16, seed=8, engine="indexed").detect(
-                graph, 5
-            )
+            fresh = BottomKDetector(bk=16, seed=8).detect(graph, 5)
             assert_bsrbk_equivalent(monitor.top_k(), fresh)
 
     def test_budget_zero_world_state_still_exact(self, monkeypatch):
@@ -811,9 +734,7 @@ class TestTopKMonitorBSRBK:
         monitor = TopKMonitor(graph, 4, seed=9, algorithm="bsrbk")
         for event in random_patch_stream(graph, 8, seed=5, drift=0.1):
             monitor.apply([event])
-            fresh = BottomKDetector(bk=16, seed=9, engine="indexed").detect(
-                graph, 4
-            )
+            fresh = BottomKDetector(bk=16, seed=9).detect(graph, 4)
             assert_bsrbk_equivalent(monitor.top_k(), fresh)
 
     def test_validates_algorithm_and_bk(self):
@@ -829,7 +750,9 @@ class TestTopKMonitorBSRBK:
                 TopKMonitor(graph, 3, algorithm="bsrbk", bk=bk)
         TopKMonitor(graph, 3, algorithm="bsrbk", bk=2)
 
-    def test_fresh_bsrbk_indexed_is_chunk_schedule_independent(self):
+    def test_fresh_bsrbk_indexed_is_chunk_schedule_independent(
+        self, monkeypatch
+    ):
         """The one-shot indexed BSRBK result must not depend on the
         sampler's world_batch (and hence the chunk schedule the early
         stop evaluates in) — worlds and hashes are order-independent."""
@@ -845,16 +768,43 @@ class TestTopKMonitorBSRBK:
 
         results = []
         for world_batch in (None, 3, 70, 100_000):
-            detector = BottomKDetector(bk=8, seed=3, engine="indexed")
             if world_batch is not None:
                 # chunk = max(64, world_batch) and grows geometrically,
                 # so these pins produce genuinely different evaluation
                 # schedules (including all-at-once).
-                detector._engine = pinned_engine(world_batch)
-            results.append(detector.detect(graph, 4))
+                monkeypatch.setattr(
+                    bsrbk_module,
+                    "IndexedReverseSampler",
+                    pinned_engine(world_batch),
+                )
+            results.append(BottomKDetector(bk=8, seed=3).detect(graph, 4))
         for other in results[1:]:
             assert results[0].same_answer(other)
             assert results[0].details == other.details
+
+    def test_fresh_bsrbk_charges_only_processed_worlds(self):
+        """BSRBK evaluates worlds a chunk at a time, but its draw
+        counters charge only the worlds the stopping rule consumed."""
+        graph = powerlaw_graph(100, seed=25)
+        result = BottomKDetector(bk=8, seed=3).detect(graph, 4)
+        processed = result.samples_used
+        # The first chunk holds at least 64 worlds, so stopping inside
+        # it leaves evaluated worlds that must not be charged.
+        assert result.details["stopped_early"] and processed < 64
+        lower, upper = bound_pair(graph, 2, 2)
+        reduction = reduce_candidates(graph, lower, upper, 4)
+        budget = reduced_sample_size(
+            reduction.candidate_size, 4, reduction.k_verified, 0.3, 0.1
+        )
+        sampler = IndexedReverseSampler(graph, reduction.candidates, seed=3)
+        order = np.argsort(
+            sampler.world_hashes(np.arange(budget)), kind="stable"
+        )
+        charged = sampler.outcomes_for_worlds(order[:processed])
+        assert result.details["nodes_touched"] == charged.node_draws.sum()
+        assert result.details["edges_touched"] == charged.edge_draws.sum()
+        first_chunk = sampler.outcomes_for_worlds(order[:64])
+        assert first_chunk.node_draws.sum() > charged.node_draws.sum()
 
 
 class TestCandidateColumnRepair:
@@ -878,9 +828,7 @@ class TestCandidateColumnRepair:
             # re-runs and the candidate set grows -> the columned path.
             monitor.set_self_risk(node, min(0.95, current + 0.15))
             result = monitor.top_k()
-            fresh = BoundedSampleReverseDetector(
-                seed=21, engine="indexed"
-            ).detect(graph, 6)
+            fresh = BoundedSampleReverseDetector(seed=21).detect(graph, 6)
             assert_equivalent(result, fresh)
             report = monitor.last_report
             modes[report.sampling] = modes.get(report.sampling, 0) + 1
@@ -935,9 +883,7 @@ class TestCandidateColumnRepair:
             # Dropping risks back pulls candidates out of the set.
             monitor.set_self_risk(node, 0.01)
             result = monitor.top_k()
-            fresh = BoundedSampleReverseDetector(
-                seed=11, engine="indexed"
-            ).detect(graph, 5)
+            fresh = BoundedSampleReverseDetector(seed=11).detect(graph, 5)
             assert_equivalent(result, fresh)
             if monitor.last_report.sampling == "resampled":
                 saw_resample = True
@@ -997,9 +943,7 @@ class TestBoundsOnlyAnswers:
         exact = monitor.top_k()
         assert_equivalent(
             exact,
-            BoundedSampleReverseDetector(seed=6, engine="indexed").detect(
-                graph, 5
-            ),
+            BoundedSampleReverseDetector(seed=6).detect(graph, 5),
         )
         # top_k() doesn't advance the mutation counter, so the one-slot
         # cache still serves the cold-path result.
@@ -1024,9 +968,7 @@ class TestBoundsOnlyAnswers:
         # And the exact path is still bit-identical after all of it.
         assert_equivalent(
             monitor.top_k(),
-            BoundedSampleReverseDetector(seed=6, engine="indexed").detect(
-                graph, 5
-            ),
+            BoundedSampleReverseDetector(seed=6).detect(graph, 5),
         )
 
     def test_interleaved_with_event_stream_stays_exact(self):
@@ -1038,7 +980,5 @@ class TestBoundsOnlyAnswers:
             assert degraded.degraded and len(degraded.nodes) == 4
             assert_equivalent(
                 monitor.top_k(),
-                BoundedSampleReverseDetector(
-                    seed=9, engine="indexed"
-                ).detect(graph, 4),
+                BoundedSampleReverseDetector(seed=9).detect(graph, 4),
             )

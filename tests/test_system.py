@@ -318,9 +318,7 @@ class TestStreamingIntegration:
         for event in random_patch_stream(graph, 5, seed=2, drift=0.1):
             service.apply_updates([event])
             assessment = service.assess_portfolio(8)
-            fresh = BoundedSampleReverseDetector(
-                seed=4, engine="indexed"
-            ).detect(graph, 8)
+            fresh = BoundedSampleReverseDetector(seed=4).detect(graph, 8)
             assert assessment.detection.nodes == fresh.nodes
             assert assessment.detection.scores == fresh.scores
         # Other sizes still run the configured (non-streaming) detector.

@@ -8,7 +8,8 @@ import pytest
 
 from repro.algorithms.bsr import BoundedSampleReverseDetector
 from repro.algorithms.bsrbk import BottomKDetector
-from repro.core.errors import DuplicateEdgeError, GraphError, SamplingError
+from repro.algorithms.sr import SampleReverseDetector
+from repro.core.errors import DuplicateEdgeError, GraphError
 from repro.core.graph import UncertainGraph
 from repro.crawling import ObservedGraphSession
 from repro.datasets.powerlaw import directed_powerlaw_edges
@@ -260,14 +261,19 @@ class TestInterleavedLockstep:
             assert monitor.stats["full"] == fulls_after_build
 
     def test_engine_option_is_retired(self):
-        """Growth needs no engine choice: the monitor has no engine
-        option, and the detectors it is checked against no longer
-        accept the deleted batched engine."""
+        """Growth needs no engine choice: neither the monitor nor the
+        reverse-sampling detectors it is checked against take an engine
+        option, since all of them run the one indexed engine."""
         with pytest.raises(TypeError):
             TopKMonitor(powerlaw_graph(30, seed=1), 3, engine="indexed")
-        for detector in (BoundedSampleReverseDetector, BottomKDetector):
-            with pytest.raises(SamplingError):
-                detector(engine="batched")
+        for detector in (
+            SampleReverseDetector,
+            BoundedSampleReverseDetector,
+            BottomKDetector,
+        ):
+            for engine in ("indexed", "reference"):
+                with pytest.raises(TypeError):
+                    detector(engine=engine)
 
     def test_counter_layout_option_is_retired(self):
         """Every world sits on the growth-stable counter lanes, so no
