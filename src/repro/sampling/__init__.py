@@ -12,7 +12,7 @@ from repro.sampling.indexed import (
     derive_stream_key,
     hashed_uniforms,
 )
-from repro.sampling.rng import RandomBlock, SeedLike, make_rng, spawn_rngs
+from repro.sampling.rng import SeedLike, make_rng, spawn_rngs
 from repro.sampling.sample_size import (
     basic_sample_size,
     epsilon_for_sample_size,
@@ -32,7 +32,6 @@ __all__ = [
     "WorldBlock",
     "derive_stream_key",
     "hashed_uniforms",
-    "RandomBlock",
     "SeedLike",
     "make_rng",
     "spawn_rngs",

@@ -43,6 +43,18 @@ but the outcomes agree: under entity-indexed uniforms every world equals
 that BFS fed the same uniform arrays (the oracle in
 ``tests/reference_sampler.py``; ``tests/test_streaming.py`` checks it).
 
+A call explores its worlds in blocks of ``world_batch``.  Since the
+blocks are independent, a call with more than one explores them on a
+thread pool created for that call, one thread per CPU the process may
+run on; numpy releases the GIL in the hashing, gathering and sorting
+the exploration spends its time in.  Blocks still come back in world
+order and each is explored exactly as it would be alone, so outcomes,
+draw counts and touched masks do not depend on the CPU count.  A call
+with one block, or a process with one CPU, explores inline.  The pool
+is shut down when the call ends (for ``iter_world_blocks``, when its
+iteration ends or is abandoned), so no thread outlives a call and
+forked workers inherit none.
+
 Two work-count identities the compressed world state
 (:mod:`repro.sampling.worldstate`) relies on, both direct consequences
 of the closure drawing every entity at most once per world:
@@ -56,6 +68,9 @@ of the closure drawing every entity at most once per world:
 
 from __future__ import annotations
 
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -94,6 +109,14 @@ _HASH_SALT = _U64(0xD1B54A32D192ED03)
 _LANE = _U64(2**33)
 _EDGE_OFFSET = _U64(2**32)
 _MAX_WORLD = 2**31
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: the widest a call's block pool gets."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 def _validate_candidates(
@@ -207,7 +230,9 @@ class IndexedReverseSampler:
         (:func:`derive_stream_key`).
     world_batch:
         Worlds explored per flat batch (memory/speed trade-off only —
-        outcomes are independent of it).
+        outcomes are independent of it).  A call explores up to one
+        batch per CPU at once, so its peak memory is up to that many
+        batches' exploration state.
     """
 
     __slots__ = (
@@ -432,6 +457,43 @@ class IndexedReverseSampler:
             ),
         )
 
+    def _blocks(
+        self, world_indices: np.ndarray, collect: str | None
+    ) -> Iterator[tuple[np.ndarray, WorldBlock]]:
+        """Explore *world_indices* ``world_batch`` at a time, in order.
+
+        Yields ``(positions, WorldBlock)`` per block, ``positions``
+        indexing into *world_indices*.  Several blocks run on this
+        call's own pool (see the module docstring), at most one per
+        thread alive, counting the one the consumer holds; the pool is
+        shut down when the generator ends or is closed.
+        """
+        batch = self._world_batch
+        starts = range(0, world_indices.size, batch)
+
+        def explore(start: int) -> tuple[np.ndarray, WorldBlock]:
+            stop = min(start + batch, world_indices.size)
+            return (
+                np.arange(start, stop, dtype=np.int64),
+                self._explore(world_indices[start:stop], collect),
+            )
+
+        workers = min(_cpu_count(), len(starts))
+        if workers <= 1:
+            yield from map(explore, starts)
+            return
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            pending = deque()
+            for start in starts:
+                pending.append(pool.submit(explore, start))
+                if len(pending) == workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+
     def iter_world_blocks(
         self,
         world_indices: Sequence[int] | np.ndarray,
@@ -441,20 +503,17 @@ class IndexedReverseSampler:
 
         ``positions`` indexes into *world_indices* for each yielded
         block, so consumers can stream arbitrarily many worlds without
-        the dense concatenated masks ever existing at once — the surface
-        the compressed world state is built through.  Does not advance
-        the sequential cursor or the work counters.
+        the dense concatenated masks ever existing at once (at most one
+        block per CPU is alive) — the surface the compressed world state
+        is built through.  Blocks come in world order however many
+        threads explore them.  Does not advance the sequential cursor or
+        the work counters.
         """
         collect = _coerce_collect(collect_touched)
         world_indices = np.asarray(world_indices, dtype=np.int64)
         if world_indices.ndim != 1 or world_indices.size == 0:
             raise SamplingError("world_indices must be a non-empty 1-d array")
-        for start in range(0, world_indices.size, self._world_batch):
-            stop = min(start + self._world_batch, world_indices.size)
-            yield (
-                np.arange(start, stop, dtype=np.int64),
-                self._explore(world_indices[start:stop], collect),
-            )
+        yield from self._blocks(world_indices, collect)
 
     def outcomes_for_worlds(
         self,
@@ -498,11 +557,8 @@ class IndexedReverseSampler:
         start = self._cursor
         self._cursor += int(samples)
         counts = np.zeros(self._candidates.size, dtype=np.int64)
-        for lo in range(start, start + int(samples), self._world_batch):
-            hi = min(lo + self._world_batch, start + int(samples))
-            block = self._explore(
-                np.arange(lo, hi, dtype=np.int64), collect=None
-            )
+        worlds = np.arange(start, start + int(samples), dtype=np.int64)
+        for _, block in self._blocks(worlds, None):
             counts += block.outcomes.sum(axis=0)
             self.nodes_touched += int(block.node_draws.sum())
             self.edges_touched += int(block.edge_draws.sum())

@@ -8,9 +8,8 @@ consistent across the package.
 
 Two families of randomness live here:
 
-* **stream randomness** — :func:`make_rng` / :class:`RandomBlock`: one
-  sequential double stream, consumed in pre-drawn chunks (the forward
-  sampler; the Algorithm-5 test oracle draws through a block);
+* **stream randomness** — :func:`make_rng`: one sequential double
+  stream (the forward sampler);
 * **counter randomness** — :func:`hashed_uniforms` /
   :func:`hashed_uniform_tile`: the SplitMix64 output function evaluated
   at explicit 64-bit counters, so the uniform at counter ``c`` under
@@ -28,7 +27,6 @@ import numpy as np
 __all__ = [
     "make_rng",
     "spawn_rngs",
-    "RandomBlock",
     "SeedLike",
     "splitmix64_mix",
     "hashed_mantissas",
@@ -158,70 +156,6 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-class RandomBlock:
-    """Uniform draws served from a pre-drawn block, refilled in chunks.
-
-    Scalar ``Generator.random()`` calls cost a full Python round-trip into
-    the bit generator per draw; the hot sampling loops instead pull their
-    uniforms from this buffer, which is refilled ``chunk`` doubles at a
-    time with one vectorised call.  Because numpy generators produce the
-    same double stream whether consumed one at a time or in blocks,
-    draining a :class:`RandomBlock` yields *bit-identical* values to the
-    equivalent sequence of scalar ``rng.random()`` calls — seeded runs are
-    unchanged by the optimisation.
-
-    Parameters
-    ----------
-    rng:
-        The generator that backs the block.
-    chunk:
-        Doubles drawn per refill.  Requests larger than *chunk* are served
-        with a single dedicated draw, so any ``take`` size is legal.
-    """
-
-    __slots__ = ("_rng", "_chunk", "_buffer", "_pos")
-
-    def __init__(self, rng: np.random.Generator, chunk: int = 1 << 14) -> None:
-        if chunk <= 0:
-            raise ValueError(f"chunk must be positive, got {chunk}")
-        self._rng = rng
-        self._chunk = int(chunk)
-        self._buffer = np.empty(0, dtype=np.float64)
-        self._pos = 0
-
-    @property
-    def remaining(self) -> int:
-        """Uniforms currently buffered and not yet consumed."""
-        return self._buffer.size - self._pos
-
-    def next(self) -> float:
-        """One uniform in ``[0, 1)`` (scalar fast path)."""
-        if self._pos >= self._buffer.size:
-            self._buffer = self._rng.random(self._chunk)
-            self._pos = 0
-        value = self._buffer[self._pos]
-        self._pos += 1
-        return float(value)
-
-    def take(self, count: int) -> np.ndarray:
-        """*count* uniforms in ``[0, 1)`` as a fresh array.
-
-        Consumes buffered values first, then tops up with one vectorised
-        draw, preserving the exact stream order of scalar consumption.
-        """
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        available = self._buffer.size - self._pos
-        if count <= available:
-            out = self._buffer[self._pos : self._pos + count].copy()
-            self._pos += count
-            return out
-        head = self._buffer[self._pos :]
-        self._pos = self._buffer.size
-        tail = self._rng.random(count - head.size)
-        return np.concatenate((head, tail))
 
 
 def spawn_rngs(seed: SeedLike, count: int) -> list[np.random.Generator]:

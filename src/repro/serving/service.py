@@ -466,8 +466,9 @@ class RiskService:
 
         Every registered, restored, replayed or adopted tenant gets one,
         and nothing removes it.  Registration installs it once the pool
-        holds the tenant, so a request racing a registration finds an
-        unknown tenant rather than a tenant without a mirror.
+        holds the tenant and the registration record is durable, so a
+        request racing a registration finds an unknown tenant rather
+        than a tenant without a mirror.
         """
         try:
             return self._mirrors[tenant_id]
@@ -484,7 +485,10 @@ class RiskService:
 
         On a durable service the registration itself is WAL-logged (and
         its arguments must be JSON-serialisable), so a tenant created
-        after the last snapshot still recovers.
+        after the last snapshot still recovers.  The record is durable
+        before the bounds mirror that admits writes exists, so no write
+        can be logged ahead of its tenant's registration; one racing
+        the registration is refused as an unknown tenant.
         """
         self._ensure_open()
         if self._wal is not None:
@@ -496,12 +500,13 @@ class RiskService:
                     f"kwargs: {error}"
                 ) from None
         self._check_fence()
+        # The pool refuses a duplicate before anything is logged.
         self._pool.register(tenant_id, k, **monitor_kwargs)
-        self._registered[tenant_id] = (int(k), dict(monitor_kwargs))
-        self._begin_tracking(tenant_id, int(k), dict(monitor_kwargs))
         if self._wal is not None:
             self._wal.append_register(tenant_id, int(k), monitor_kwargs)
             self._wal.sync()
+        self._registered[tenant_id] = (int(k), dict(monitor_kwargs))
+        self._begin_tracking(tenant_id, int(k), dict(monitor_kwargs))
 
     def submit_update(self, tenant_id: TenantId, event: UpdateEvent) -> bool:
         """Buffer one update for *tenant_id* (applied at the next flush).

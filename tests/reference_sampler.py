@@ -17,9 +17,9 @@ The module is organised around three pieces:
   the lifetime of a sampling run.  Worlds are "reset" by bumping an epoch
   counter in O(1); a memo entry is valid only if its stamp matches the
   current epoch, so no buffer is ever reallocated or cleared between
-  worlds.  Randomness comes from a shared
-  :class:`~repro.sampling.rng.RandomBlock`, which serves uniforms from a
-  pre-drawn chunk instead of one ``rng.random()`` round-trip per draw.
+  worlds.  Randomness comes from a shared :class:`RandomBlock`, which
+  serves uniforms from a pre-drawn chunk instead of one ``rng.random()``
+  round-trip per draw.
 * :class:`ReverseWorld` — a line-by-line transcription of Algorithm 5's
   per-candidate BFS, running on arena state.  A world can also be driven
   by *entity-indexed* uniforms (``node_uniforms`` / ``edge_uniforms``),
@@ -50,7 +50,71 @@ from repro.core.errors import SamplingError
 from repro.core.graph import UncertainGraph
 from repro.sampling.forward import ForwardEstimate
 from repro.sampling.indexed import _validate_candidates
-from repro.sampling.rng import RandomBlock, SeedLike, make_rng
+from repro.sampling.rng import SeedLike, make_rng
+
+
+class RandomBlock:
+    """Uniform draws served from a pre-drawn block, refilled in chunks.
+
+    Scalar ``Generator.random()`` calls cost a full Python round-trip into
+    the bit generator per draw; the hot sampling loops instead pull their
+    uniforms from this buffer, which is refilled ``chunk`` doubles at a
+    time with one vectorised call.  Because numpy generators produce the
+    same double stream whether consumed one at a time or in blocks,
+    draining a :class:`RandomBlock` yields *bit-identical* values to the
+    equivalent sequence of scalar ``rng.random()`` calls — seeded runs are
+    unchanged by the optimisation.
+
+    Parameters
+    ----------
+    rng:
+        The generator that backs the block.
+    chunk:
+        Doubles drawn per refill.  Requests larger than *chunk* are served
+        with a single dedicated draw, so any ``take`` size is legal.
+    """
+
+    __slots__ = ("_rng", "_chunk", "_buffer", "_pos")
+
+    def __init__(self, rng: np.random.Generator, chunk: int = 1 << 14) -> None:
+        if chunk <= 0:
+            raise ValueError(f"chunk must be positive, got {chunk}")
+        self._rng = rng
+        self._chunk = int(chunk)
+        self._buffer = np.empty(0, dtype=np.float64)
+        self._pos = 0
+
+    @property
+    def remaining(self) -> int:
+        """Uniforms currently buffered and not yet consumed."""
+        return self._buffer.size - self._pos
+
+    def next(self) -> float:
+        """One uniform in ``[0, 1)`` (scalar fast path)."""
+        if self._pos >= self._buffer.size:
+            self._buffer = self._rng.random(self._chunk)
+            self._pos = 0
+        value = self._buffer[self._pos]
+        self._pos += 1
+        return float(value)
+
+    def take(self, count: int) -> np.ndarray:
+        """*count* uniforms in ``[0, 1)`` as a fresh array.
+
+        Consumes buffered values first, then tops up with one vectorised
+        draw, preserving the exact stream order of scalar consumption.
+        """
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
+        available = self._buffer.size - self._pos
+        if count <= available:
+            out = self._buffer[self._pos : self._pos + count].copy()
+            self._pos += count
+            return out
+        head = self._buffer[self._pos :]
+        self._pos = self._buffer.size
+        tail = self._rng.random(count - head.size)
+        return np.concatenate((head, tail))
 
 
 class WorldArena:
@@ -68,7 +132,7 @@ class WorldArena:
         The uncertain graph being sampled.
     rng:
         Seed, generator, or ``None``; feeds the arena's
-        :class:`~repro.sampling.rng.RandomBlock`.
+        :class:`RandomBlock`.
     chunk:
         Uniforms pre-drawn per block refill.
     """

@@ -20,7 +20,7 @@ from hypothesis.stateful import (
 )
 
 from repro.algorithms.bsr import BoundedSampleReverseDetector
-from repro.core.errors import ProbabilityError
+from repro.core.errors import ProbabilityError, ReproError
 from repro.core.graph import UncertainGraph
 from repro.persistence.codec import PersistenceError
 from repro.persistence.snapshots import SnapshotStore
@@ -203,6 +203,38 @@ class TestRecovery:
                 graph, mode="serial", wal_dir=tmp_path,
                 monitor_defaults=DEFAULTS,
             )
+
+    def test_a_write_racing_registration_is_not_logged_first(
+        self, graph, tmp_path
+    ):
+        """A durable write that lands while the tenant is registering is
+        refused as an unknown tenant, never logged ahead of the
+        registration record (which would leave a directory that no
+        longer opens)."""
+        service = RiskService(
+            graph, mode="serial", wal_dir=tmp_path, monitor_defaults=DEFAULTS
+        )
+        append_register = service.wal.append_register
+        refused = []
+
+        def racing_append(tenant_id, k, monitor_kwargs):
+            try:
+                service.submit_and_sync(tenant_id, SelfRiskUpdate(0, 0.9))
+            except ReproError as error:
+                refused.append(str(error))
+            return append_register(tenant_id, k, monitor_kwargs)
+
+        service.wal.append_register = racing_append
+        service.register_tenant("t1", 3)
+        assert len(refused) == 1 and "unknown tenant" in refused[0]
+        abandon(service)
+        recovered = RiskService(
+            graph, mode="serial", wal_dir=tmp_path, monitor_defaults=DEFAULTS
+        )
+        assert recovered.tenants() == ["t1"]
+        fresh = TopKMonitor(graph.share_view(), 3, **DEFAULTS).top_k()
+        assert recovered.query_topk("t1").same_answer(fresh)
+        recovered.close()
 
 
 class TestRestartAfterSnapshot:

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference_sampler import RandomBlock
 
-from repro.sampling.rng import RandomBlock, make_rng, spawn_rngs
+from repro.sampling.rng import make_rng, spawn_rngs
 
 
 class TestMakeRng:
@@ -55,6 +56,8 @@ class TestSpawnRngs:
 
 
 class TestRandomBlock:
+    """The chunked stream the Algorithm-5 oracle draws through."""
+
     def test_scalar_draws_match_generator_stream(self):
         """Block consumption is bit-identical to scalar rng.random() calls."""
         block = RandomBlock(make_rng(0), chunk=8)
