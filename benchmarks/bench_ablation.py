@@ -1,6 +1,7 @@
 """Ablation benches for the design choices DESIGN.md calls out.
 
-1. Reference (pseudocode-faithful) vs vectorised forward sampler.
+1. Reference (pseudocode-faithful, the test oracle in
+   ``tests/reference_worlds.py``) vs vectorised forward sampler.
 2. Reverse sampling with vs without candidate reduction (SR's premise).
 3. Bottom-k early stop vs full-budget reverse sampling (BSRBK's premise).
 4. Bound order 1 vs 2 vs 3 end-to-end in BSR.
@@ -14,9 +15,10 @@ import pytest
 from repro.algorithms.bsr import BoundedSampleReverseDetector
 from repro.algorithms.bsrbk import BottomKDetector
 from repro.datasets.registry import load_dataset
-from repro.sampling.forward import ForwardSampler, forward_sample_reference
+from repro.sampling.forward import ForwardSampler
 from repro.sampling.indexed import IndexedReverseSampler
 from repro.sampling.rng import make_rng
+from tests.reference_worlds import forward_sample_reference
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,11 @@
 """Wall-clock benchmark: scalar vs bit-parallel exact possible-world oracle.
 
-Times ``exact_default_probabilities`` with ``engine="reference"`` (the
-scalar per-world generator of the seed implementation) against
-``engine="block"`` (the Gray-code block engine backed by the shared
-multi-world propagation kernel) on random uncertain graphs of growing
-*free choice* count — a ``c``-choice graph enumerates ``2^c`` worlds.
+Times the scalar specification ``scalar_default_probabilities`` (one
+enumerated world at a time with a Python BFS, the test oracle in
+``tests/reference_worlds.py``) against ``exact_default_probabilities``
+(the Gray-code block engine backed by the shared multi-world
+propagation kernel) on random uncertain graphs of growing *free choice*
+count — a ``c``-choice graph enumerates ``2^c`` worlds.
 Writes the measurements to ``BENCH_exact.json`` at the repo root and
 asserts the two engines agree on every graph before trusting a timing.
 Every PR that touches the enumeration hot path should re-run this and
@@ -32,6 +33,7 @@ import numpy as np
 from benchmarks.common import REPO_ROOT
 from repro.core.exact import exact_default_probabilities
 from repro.core.graph import UncertainGraph
+from tests.reference_worlds import scalar_default_probabilities
 
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_exact.json"
 
@@ -74,25 +76,17 @@ def bench_one_size(choices: int, repeats: int, seed: int) -> dict:
     """Benchmark both engines on one free-choice count."""
     graph = build_choice_graph(choices, seed)
     cap = max(choices, 28)
-    block = exact_default_probabilities(graph, max_choices=cap, engine="block")
-    reference = exact_default_probabilities(
-        graph, max_choices=cap, engine="reference"
-    )
+    block = exact_default_probabilities(graph, max_choices=cap)
+    reference = scalar_default_probabilities(graph, max_choices=cap)
     if not np.allclose(block, reference, rtol=0.0, atol=1e-10):
         raise AssertionError(
             f"engines disagree at {choices} choices: {block - reference}"
         )
     reference_seconds = _time(
-        lambda: exact_default_probabilities(
-            graph, max_choices=cap, engine="reference"
-        ),
-        repeats,
+        lambda: scalar_default_probabilities(graph, max_choices=cap), repeats
     )
     block_seconds = _time(
-        lambda: exact_default_probabilities(
-            graph, max_choices=cap, engine="block"
-        ),
-        repeats,
+        lambda: exact_default_probabilities(graph, max_choices=cap), repeats
     )
     return {
         "choices": choices,

@@ -34,12 +34,8 @@ from repro.core.topk import kth_largest, top_k_indices, top_k_labels, validate_k
 from repro.core.worlds import (
     DEFAULT_BLOCK_WORLDS,
     DEFAULT_MAX_CHOICES,
-    PossibleWorld,
     WorldBlock,
     enumerate_world_blocks,
-    enumerate_worlds,
-    propagate_defaults,
-    world_probability,
 )
 
 __all__ = [
@@ -51,15 +47,11 @@ __all__ = [
     "GraphStats",
     "UncertainGraph",
     "graph_from_mapping",
-    "PossibleWorld",
     "WorldBlock",
-    "enumerate_worlds",
     "enumerate_world_blocks",
-    "propagate_defaults",
     "propagate_defaults_block",
     "propagate_edge_list",
     "ragged_positions",
-    "world_probability",
     "DEFAULT_BLOCK_WORLDS",
     "DEFAULT_MAX_CHOICES",
     "exact_default_probabilities",

@@ -8,40 +8,26 @@ used as ground truth in unit tests and for validating the samplers:
 
 where ``I_W(v)`` indicates that ``v`` defaults in ``W``.
 
-Two engines compute the sum:
-
-* ``engine="block"`` (the default) — the bit-parallel engine: worlds are
-  streamed in Gray-code blocks through
-  :func:`repro.core.worlds.enumerate_world_blocks` and the contagion of a
-  whole block is resolved at once by the shared propagation engine
-  (:func:`repro.core.propagation.propagate_defaults_block`).  Memory is
-  bounded by the block size, so the default ``max_choices`` cap is 28
-  (``2^28`` worlds) instead of the former 24.
-* ``engine="reference"`` — the scalar generator
-  (:func:`repro.core.worlds.enumerate_worlds` plus a per-world Python
-  BFS).  It is kept as the executable specification; the test suite
-  enforces that the block engine reproduces its per-world defaults and
-  masses exactly.
-
-``benchmarks/bench_exact_oracle.py`` tracks the speed gap between the two
-(the block engine is two orders of magnitude faster at 20 choices).
+Worlds are streamed in Gray-code blocks through
+:func:`repro.core.worlds.enumerate_world_blocks` and the contagion of a
+whole block is resolved at once by the shared propagation kernel
+(:func:`repro.core.propagation.propagate_defaults_block`).  Memory is
+bounded by the block size, so the default ``max_choices`` cap is 28
+(``2^28`` worlds).  The per-world sum it is tested against — a Python
+BFS per enumerated world — is the test oracle
+``tests/reference_worlds.py``; ``benchmarks/bench_exact_oracle.py``
+tracks the speed gap between the two (two orders of magnitude at 20
+choices).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.errors import GraphError
 from repro.core.graph import UncertainGraph
 from repro.core.propagation import propagate_defaults_block
 from repro.core.topk import top_k_labels
-from repro.core.worlds import (
-    DEFAULT_BLOCK_WORLDS,
-    DEFAULT_MAX_CHOICES,
-    enumerate_world_blocks,
-    enumerate_worlds,
-    propagate_defaults,
-)
+from repro.core.worlds import DEFAULT_MAX_CHOICES, enumerate_world_blocks
 
 __all__ = ["exact_default_probabilities", "exact_top_k"]
 
@@ -65,8 +51,8 @@ def _block_node_sums(
     pair carries the block sum to ~eps^2.  This makes the oracle's output
     independent of accumulation order at double precision: nodes whose
     exact probabilities are mathematically equal (symmetric positions in
-    the graph) come out bit-for-bit equal, as the scalar reference's
-    tie-breaking tests require.
+    the graph) come out bit-for-bit equal, as the tie-breaking tests
+    require.
     """
     values = masses[:, None] * defaulted
     residuals = np.zeros_like(values)
@@ -82,13 +68,14 @@ def _block_node_sums(
 
 
 def exact_default_probabilities(
-    graph: UncertainGraph,
-    max_choices: int = DEFAULT_MAX_CHOICES,
-    *,
-    engine: str = "block",
-    block_worlds: int = DEFAULT_BLOCK_WORLDS,
+    graph: UncertainGraph, max_choices: int = DEFAULT_MAX_CHOICES
 ) -> np.ndarray:
     """Exact ``p(v)`` for every node by enumerating all possible worlds.
+
+    Per-world masses and defaults agree bit for bit with the scalar
+    specification, and the compensated accumulation is at least as
+    accurate as its sequential one, so totals agree to a few ulps
+    (exactly, when the masses are exactly representable).
 
     Parameters
     ----------
@@ -96,17 +83,7 @@ def exact_default_probabilities(
         A small uncertain graph (at most *max_choices* non-deterministic
         node/edge choices).
     max_choices:
-        Enumeration safety cap, forwarded to the world enumerators.
-    engine:
-        ``"block"`` (bit-parallel, default) or ``"reference"`` (scalar
-        specification).  Both compute the same sum; per-world masses and
-        defaults agree bit-for-bit, and the block engine's compensated
-        accumulation is at least as accurate as the reference's
-        sequential one, so totals agree to a few ulps (exactly, when the
-        masses are exactly representable).
-    block_worlds:
-        Worlds materialised per block by the block engine; bounds its
-        memory use.  Ignored by the reference engine.
+        Enumeration safety cap, forwarded to the world enumerator.
 
     Returns
     -------
@@ -115,46 +92,27 @@ def exact_default_probabilities(
         exact default probability of the node at index ``i``.
     """
     probabilities = np.zeros(graph.num_nodes, dtype=np.float64)
-    if engine == "block":
-        residual = np.zeros(graph.num_nodes, dtype=np.float64)
-        for block in enumerate_world_blocks(
-            graph, max_choices=max_choices, block_worlds=block_worlds
-        ):
-            defaulted = propagate_defaults_block(
-                graph, block.self_default, block.edge_survives
-            )
-            value, block_residual = _block_node_sums(block.masses, defaulted)
-            probabilities, err = _two_sum(probabilities, value)
-            residual += block_residual + err
-        probabilities += residual
-    elif engine == "reference":
-        for world, mass in enumerate_worlds(graph, max_choices=max_choices):
-            if mass == 0.0:
-                continue
-            defaulted = propagate_defaults(graph, world)
-            probabilities[defaulted] += mass
-    else:
-        raise GraphError(
-            f"unknown exact engine {engine!r}; choose from ['block', 'reference']"
+    residual = np.zeros(graph.num_nodes, dtype=np.float64)
+    for block in enumerate_world_blocks(graph, max_choices=max_choices):
+        defaulted = propagate_defaults_block(
+            graph, block.self_default, block.edge_survives
         )
+        value, block_residual = _block_node_sums(block.masses, defaulted)
+        probabilities, err = _two_sum(probabilities, value)
+        residual += block_residual + err
+    probabilities += residual
     # Accumulating many world masses can overshoot 1.0 by a few ulps,
     # which breaks downstream sqrt(p * (1 - p)) variance formulas.
     return np.clip(probabilities, 0.0, 1.0)
 
 
 def exact_top_k(
-    graph: UncertainGraph,
-    k: int,
-    max_choices: int = DEFAULT_MAX_CHOICES,
-    *,
-    engine: str = "block",
+    graph: UncertainGraph, k: int, max_choices: int = DEFAULT_MAX_CHOICES
 ) -> list:
     """Exact top-k most vulnerable node labels (ties broken by index).
 
     This is the ground-truth ordering used by the correctness tests for the
     five detection algorithms.
     """
-    probabilities = exact_default_probabilities(
-        graph, max_choices=max_choices, engine=engine
-    )
+    probabilities = exact_default_probabilities(graph, max_choices=max_choices)
     return top_k_labels(graph, probabilities, k)

@@ -20,15 +20,12 @@ no per-world Python BFS, no ``deque``, no scalar casts.
 
 Contract of the kernel (:func:`propagate_edge_list`)
 ----------------------------------------------------
-The kernel receives a flat *defaulted* array plus the endpoints of every
-*surviving* edge (flat keys) and marks, in place, every key reachable
-from an already-marked key.  It is deliberately agnostic about what the
-marks are: a boolean array with ``epoch=True`` (every production caller)
-and an ``int64`` stamp array with an integer ``epoch`` (arena-style
-reusable buffers) run the exact same code.  Each fixpoint iteration
-drops edges whose destination is already marked and crosses edges whose
-source is marked, so the work per iteration shrinks monotonically and the
-loop terminates after at most ``longest contagion chain`` iterations.
+The kernel receives a flat boolean *defaulted* array plus the endpoints
+of every *surviving* edge (flat keys) and marks, in place, every key
+reachable from an already-marked key.  Each fixpoint iteration drops
+edges whose destination is already marked and crosses edges whose source
+is marked, so the work per iteration shrinks monotonically and the loop
+terminates after at most ``longest contagion chain`` iterations.
 """
 
 from __future__ import annotations
@@ -74,41 +71,33 @@ def ragged_positions(
 
 
 def propagate_edge_list(
-    defaulted: np.ndarray,
-    edge_src: np.ndarray,
-    edge_dst: np.ndarray,
-    epoch=True,
+    defaulted: np.ndarray, edge_src: np.ndarray, edge_dst: np.ndarray
 ) -> None:
     """Mark every key reachable from a marked key along the given edges.
 
     In-place fixpoint over a flat (multi-world) key space: wherever
-    ``defaulted[edge_src[i]] == epoch``, the kernel sets
-    ``defaulted[edge_dst[i]] = epoch``, transitively, until no edge can
-    fire any more.
+    ``defaulted[edge_src[i]]`` is set, the kernel sets
+    ``defaulted[edge_dst[i]]``, transitively, until no edge can fire any
+    more.
 
     Parameters
     ----------
     defaulted:
-        Flat mark array.  Either boolean (pass ``epoch=True``) or an
-        ``int64`` epoch-stamp buffer (pass the current epoch) for
-        arena-style reusable buffers.
+        Flat boolean mark array.
     edge_src, edge_dst:
         Flat keys of the surviving edges.  Within one call the arrays
         are filtered down monotonically; the caller's arrays are never
         modified.
-    epoch:
-        The value that means "marked" in *defaulted*.
     """
     while edge_src.size:
-        pending = defaulted[edge_dst] != epoch
+        pending = ~defaulted[edge_dst]
         if not pending.all():
             edge_src = edge_src[pending]
             edge_dst = edge_dst[pending]
-        carrying = defaulted[edge_src] == epoch
-        reached = edge_dst[carrying]
+        reached = edge_dst[defaulted[edge_src]]
         if not reached.size:
             break
-        defaulted[reached] = epoch
+        defaulted[reached] = True
 
 
 def propagate_defaults_block(
@@ -118,10 +107,10 @@ def propagate_defaults_block(
 ) -> np.ndarray:
     """Forward contagion for a whole block of worlds at once.
 
-    The vectorised counterpart of
-    :func:`repro.core.worlds.propagate_defaults`: row ``w`` of the
-    result is exactly what the scalar BFS computes for world ``w`` (the
-    equivalence tests assert this bit for bit).
+    Row ``w`` of the result is exactly what a forward BFS from world
+    ``w``'s self-defaulting nodes along its surviving edges reaches (the
+    tests assert this bit for bit against the scalar BFS of
+    ``tests/reference_worlds.py``).
 
     Parameters
     ----------

@@ -1,4 +1,4 @@
-"""Possible-world semantics for uncertain graphs.
+"""Possible-world enumeration for uncertain graphs.
 
 A *possible world* of an uncertain graph fixes, for every node, whether it
 defaults by itself, and for every edge, whether the contagion along it
@@ -6,16 +6,14 @@ survives.  A node **defaults in a world** when it self-defaults or is
 reachable from a self-defaulting node through surviving edges (Section 2.1
 and Figure 3 of the paper).
 
-This module provides two enumeration engines over the ``2^(n+m)`` worlds:
-
-* :func:`enumerate_worlds` — the scalar reference: one
-  :class:`PossibleWorld` at a time, in plain binary-counting order.  It is
-  the executable specification the bit-parallel engine is tested against.
-* :func:`enumerate_world_blocks` — the bit-parallel production engine:
-  worlds are materialised in blocks of ``W`` as ``(W, n)`` self-default
-  and ``(W, m)`` edge-survival boolean matrices plus a ``(W,)`` mass
-  vector, ready for :func:`repro.core.propagation.propagate_defaults_block`.
-  Memory is bounded by the block size, never by ``2^choices``.
+:func:`enumerate_world_blocks` walks all ``2^(n+m)`` worlds a block of
+``W`` at a time, as ``(W, n)`` self-default and ``(W, m)`` edge-survival
+boolean matrices plus a ``(W,)`` mass vector, ready for
+:func:`repro.core.propagation.propagate_defaults_block`.  Memory is
+bounded by the block size, never by ``2^choices``.  The scalar
+specification it is tested against — one explicit world at a time, in
+plain binary-counting order — is the test oracle
+``tests/reference_worlds.py``.
 
 Block scheme and Gray-code masses
 ---------------------------------
@@ -34,19 +32,13 @@ flip patches a single choice's term and the sequential suffix product
 after it (:class:`_ExactSuffixProduct`, amortised O(1) multiplies per
 block).  The low part is a handful of vectorised column multiplies per
 block.  Both are *sequential* products in the canonical choice order, so
-every mass is **bit-identical** to what :func:`world_probability`
-computes from scratch for the same realisation — the equivalence tests
+every mass is **bit-identical** to the from-scratch product of the
+node terms times the product of the edge terms — the equivalence tests
 assert exact equality, not approximate.
-
-Scalar helpers (:class:`PossibleWorld`, :func:`propagate_defaults`,
-:func:`world_probability`) are unchanged reference semantics used by the
-tests and by per-world consumers such as the temporal dataset builder.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -56,11 +48,7 @@ from repro.core.errors import GraphError
 from repro.core.graph import UncertainGraph
 
 __all__ = [
-    "PossibleWorld",
     "WorldBlock",
-    "propagate_defaults",
-    "world_probability",
-    "enumerate_worlds",
     "enumerate_world_blocks",
     "DEFAULT_MAX_CHOICES",
     "DEFAULT_BLOCK_WORLDS",
@@ -73,28 +61,6 @@ DEFAULT_MAX_CHOICES = 28
 
 #: Worlds materialised per block by :func:`enumerate_world_blocks`.
 DEFAULT_BLOCK_WORLDS = 4096
-
-
-@dataclass(frozen=True)
-class PossibleWorld:
-    """One realisation of all random choices of an uncertain graph.
-
-    Attributes
-    ----------
-    self_default:
-        Boolean array over internal node indices; ``True`` where the node
-        defaults because of its own factors.
-    edge_survives:
-        Boolean array over canonical edge ids; ``True`` where contagion can
-        cross the edge.
-    """
-
-    self_default: np.ndarray
-    edge_survives: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.self_default.dtype != np.bool_ or self.edge_survives.dtype != np.bool_:
-            raise GraphError("possible world arrays must be boolean")
 
 
 @dataclass(frozen=True)
@@ -111,158 +77,17 @@ class WorldBlock:
         vector.
     masses:
         ``float64`` ``(W,)`` vector of world probabilities, bit-identical
-        to :func:`world_probability` of each row.
-    indices:
-        ``int64`` ``(W,)`` vector mapping each row to its position in the
-        binary-counting order of :func:`enumerate_worlds` (the rows
-        themselves are in Gray-code order).  Over a full enumeration the
-        concatenated ``indices`` are a permutation of ``range(2^free)``.
+        to the sequential product of each row's choice terms.
     """
 
     self_default: np.ndarray
     edge_survives: np.ndarray
     masses: np.ndarray
-    indices: np.ndarray
 
     @property
     def num_worlds(self) -> int:
         """Number of worlds in this block."""
         return int(self.masses.size)
-
-    def world(self, row: int) -> PossibleWorld:
-        """The explicit :class:`PossibleWorld` of one block row."""
-        return PossibleWorld(
-            self_default=self.self_default[row].copy(),
-            edge_survives=self.edge_survives[row].copy(),
-        )
-
-
-def propagate_defaults(graph: UncertainGraph, world: PossibleWorld) -> np.ndarray:
-    """Compute which nodes default in *world* by forward contagion BFS.
-
-    Starting from all self-defaulting nodes, follow surviving out-edges;
-    every reached node defaults.  Mirrors lines 8–19 of Algorithm 1, with
-    the random draws replaced by the fixed world realisation.
-
-    This is the scalar reference; blocks of worlds go through
-    :func:`repro.core.propagation.propagate_defaults_block`, which the
-    tests hold to exact agreement with this function.
-
-    Returns
-    -------
-    numpy.ndarray
-        Boolean array over internal node indices (the paper's ``hv``).
-    """
-    n = graph.num_nodes
-    if world.self_default.shape != (n,):
-        raise GraphError(
-            f"self_default has shape {world.self_default.shape}, expected ({n},)"
-        )
-    if world.edge_survives.shape != (graph.num_edges,):
-        raise GraphError(
-            "edge_survives has shape "
-            f"{world.edge_survives.shape}, expected ({graph.num_edges},)"
-        )
-    defaulted = world.self_default.copy()
-    out = graph.out_csr()
-    queue: deque[int] = deque(np.flatnonzero(defaulted).tolist())
-    while queue:
-        u = queue.popleft()
-        start, stop = out.indptr[u], out.indptr[u + 1]
-        for pos in range(start, stop):
-            v = int(out.indices[pos])
-            if defaulted[v]:
-                continue
-            if world.edge_survives[out.edge_ids[pos]]:
-                defaulted[v] = True
-                queue.append(v)
-    return defaulted
-
-
-def world_probability(graph: UncertainGraph, world: PossibleWorld) -> float:
-    """Probability mass ``p(W)`` of an explicit world realisation.
-
-    The node and edge choices are mutually independent, so the mass is the
-    product of per-node self-default terms and per-edge survival terms.
-    Both products are sequential left-to-right reductions; the Gray-code
-    incremental masses of :func:`enumerate_world_blocks` reproduce them
-    bit for bit.
-    """
-    ps = graph.self_risk_array
-    _, _, pe = graph.edge_array
-    node_terms = np.where(world.self_default, ps, 1.0 - ps)
-    edge_terms = np.where(world.edge_survives, pe, 1.0 - pe)
-    return float(np.prod(node_terms) * np.prod(edge_terms))
-
-
-def _free_choices(
-    graph: UncertainGraph,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split the graph's choices into free and pinned parts.
-
-    Returns ``(ps, pe, free_nodes, free_edges, base_nodes, base_edges)``:
-    the probability vectors, the indices of the non-deterministic node and
-    edge choices, and the pinned realisation every world shares.
-    """
-    ps = graph.self_risk_array
-    _, _, pe = graph.edge_array
-    free_nodes = np.flatnonzero((ps > 0.0) & (ps < 1.0))
-    free_edges = np.flatnonzero((pe > 0.0) & (pe < 1.0))
-    return ps, pe, free_nodes, free_edges, ps >= 1.0, pe >= 1.0
-
-
-def _check_choice_cap(free: int, max_choices: int) -> None:
-    if free > max_choices:
-        raise GraphError(
-            f"graph has {free} free choices; enumeration capped at {max_choices}"
-        )
-
-
-def enumerate_worlds(
-    graph: UncertainGraph, max_choices: int = DEFAULT_MAX_CHOICES
-) -> Iterator[tuple[PossibleWorld, float]]:
-    """Yield every possible world with its probability (scalar reference).
-
-    Worlds are produced in binary-counting order over the free choices
-    (nodes first, then edges; the last choice varies fastest).  Only
-    worlds with non-zero probability are produced: choices whose
-    probability is exactly 0 or 1 are pinned instead of enumerated, which
-    keeps the loop feasible for graphs with deterministic components.
-
-    This generator is the executable specification; the production
-    engine is :func:`enumerate_world_blocks`, which the tests hold to
-    exact (bit-level) agreement with this one.
-
-    Parameters
-    ----------
-    graph:
-        The uncertain graph; ``n + m`` *free* (non-deterministic) choices
-        must not exceed *max_choices*.
-    max_choices:
-        Safety cap on the number of enumerated binary choices; the number
-        of yielded worlds is ``2 ** free_choices``.
-
-    Raises
-    ------
-    GraphError
-        When the graph has more free choices than *max_choices*.
-    """
-    ps, pe, free_node_array, free_edge_array, base_nodes, base_edges = (
-        _free_choices(graph)
-    )
-    free_nodes = free_node_array.tolist()
-    free_edges = free_edge_array.tolist()
-    free = len(free_nodes) + len(free_edges)
-    _check_choice_cap(free, max_choices)
-    for bits in itertools.product((False, True), repeat=free):
-        self_default = base_nodes.copy()
-        edge_survives = base_edges.copy()
-        for flag, i in zip(bits[: len(free_nodes)], free_nodes):
-            self_default[i] = flag
-        for flag, e in zip(bits[len(free_nodes) :], free_edges):
-            edge_survives[e] = flag
-        world = PossibleWorld(self_default=self_default, edge_survives=edge_survives)
-        yield world, world_probability(graph, world)
 
 
 class _ExactSuffixProduct:
@@ -337,10 +162,18 @@ def enumerate_world_blocks(
     """
     if block_worlds < 1:
         raise GraphError(f"block_worlds must be positive, got {block_worlds}")
-    ps, pe, free_nodes, free_edges, base_nodes, base_edges = _free_choices(graph)
+    ps = graph.self_risk_array
+    _, _, pe = graph.edge_array
+    free_nodes = np.flatnonzero((ps > 0.0) & (ps < 1.0))
+    free_edges = np.flatnonzero((pe > 0.0) & (pe < 1.0))
+    # The pinned realisation every world shares.
+    base_nodes, base_edges = ps >= 1.0, pe >= 1.0
     n_free = int(free_nodes.size)
     f = n_free + int(free_edges.size)
-    _check_choice_cap(f, max_choices)
+    if f > max_choices:
+        raise GraphError(
+            f"graph has {f} free choices; enumeration capped at {max_choices}"
+        )
 
     # Free choices are ordered nodes-then-edges; choice c maps to Gray bit
     # f - 1 - c, so the *last* choices are the fastest-flipping bits.  The
@@ -422,10 +255,8 @@ def enumerate_world_blocks(
         edge_part = np.full(width, edge_cascade.value, dtype=np.float64)
         for _, _, terms in edge_cols:
             edge_part *= terms
-        indices = (gray_high << b) | (gray_low if forward else gray_low_rev)
         yield WorldBlock(
             self_default=self_default,
             edge_survives=edge_survives,
             masses=node_part * edge_part,
-            indices=indices,
         )

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.errors import DatasetError
 from repro.core.graph import UncertainGraph
-from repro.core.worlds import PossibleWorld, propagate_defaults
+from repro.core.propagation import propagate_defaults_block
 from repro.datasets.guarantee import guarantee_graph
 from repro.datasets.probabilities import (
     FEATURE_NAMES,
@@ -177,12 +177,11 @@ def build_guarantee_panel(
         features = base.matrix + drift
         logits = features @ _TRUE_WEIGHTS + _TRUE_BIAS + macro_shocks[year]
         self_risks = np.clip(sigmoid(logits) * risk_scale, 0.002, 0.95)
-        world = PossibleWorld(
-            self_default=year_rng.random(num_nodes) <= self_risks,
-            edge_survives=year_rng.random(graph.num_edges) <= edge_probabilities,
-        )
+        # The year's observed defaults: one possible world, as a one-row block.
+        self_default = year_rng.random((1, num_nodes)) <= self_risks
+        edge_survives = year_rng.random((1, graph.num_edges)) <= edge_probabilities
         graph.set_all_self_risks(self_risks)
-        labels = propagate_defaults(graph, world)
+        labels = propagate_defaults_block(graph, self_default, edge_survives)[0]
         snapshots[year] = YearSnapshot(
             year=year,
             features=features,

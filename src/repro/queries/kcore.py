@@ -23,11 +23,7 @@ import numpy as np
 
 from repro.core.errors import QueryError
 from repro.core.graph import UncertainGraph
-from repro.core.worlds import (
-    DEFAULT_BLOCK_WORLDS,
-    DEFAULT_MAX_CHOICES,
-    enumerate_world_blocks,
-)
+from repro.core.worlds import DEFAULT_MAX_CHOICES, enumerate_world_blocks
 from repro.queries.base import (
     QueryResult,
     enumerated_world_count,
@@ -101,7 +97,6 @@ class KCoreQuery:
         k: int = 2,
         top: int | None = None,
         max_choices: int = DEFAULT_MAX_CHOICES,
-        block_worlds: int = DEFAULT_BLOCK_WORLDS,
     ) -> QueryResult:
         started = perf_counter()
         core_k = int(k)
@@ -109,9 +104,7 @@ class KCoreQuery:
             raise QueryError(f"core order k must be >= 1, got {core_k}")
         src, dst, _ = graph.edge_array
         probabilities = np.zeros(graph.num_nodes, dtype=np.float64)
-        for block in enumerate_world_blocks(
-            graph, max_choices=max_choices, block_worlds=block_worlds
-        ):
+        for block in enumerate_world_blocks(graph, max_choices=max_choices):
             alive = kcore_membership(
                 graph.num_nodes, src, dst, block.edge_survives, core_k
             )

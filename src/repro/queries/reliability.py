@@ -27,11 +27,7 @@ import numpy as np
 
 from repro.core.errors import QueryError
 from repro.core.graph import UncertainGraph
-from repro.core.worlds import (
-    DEFAULT_BLOCK_WORLDS,
-    DEFAULT_MAX_CHOICES,
-    enumerate_world_blocks,
-)
+from repro.core.worlds import DEFAULT_MAX_CHOICES, enumerate_world_blocks
 from repro.queries.base import (
     QueryResult,
     enumerated_world_count,
@@ -158,7 +154,6 @@ class ReliabilityQuery:
         pairs=None,
         cluster=None,
         max_choices: int = DEFAULT_MAX_CHOICES,
-        block_worlds: int = DEFAULT_BLOCK_WORLDS,
     ) -> QueryResult:
         started = perf_counter()
         pair_list, cluster_list = _normalise(graph.num_nodes, pairs, cluster)
@@ -166,9 +161,7 @@ class ReliabilityQuery:
         total = np.zeros(
             len(pair_list) + (1 if cluster_list else 0), dtype=np.float64
         )
-        for block in enumerate_world_blocks(
-            graph, max_choices=max_choices, block_worlds=block_worlds
-        ):
+        for block in enumerate_world_blocks(graph, max_choices=max_choices):
             labels = connected_component_labels(
                 graph.num_nodes, src, dst, block.edge_survives
             )

@@ -35,11 +35,7 @@ import numpy as np
 
 from repro.core.graph import UncertainGraph
 from repro.core.propagation import propagate_defaults_block
-from repro.core.worlds import (
-    DEFAULT_BLOCK_WORLDS,
-    DEFAULT_MAX_CHOICES,
-    enumerate_world_blocks,
-)
+from repro.core.worlds import DEFAULT_MAX_CHOICES, enumerate_world_blocks
 from repro.queries.base import (
     QueryResult,
     enumerated_world_count,
@@ -149,13 +145,10 @@ class SkylineQuery:
         graph: UncertainGraph,
         *,
         max_choices: int = DEFAULT_MAX_CHOICES,
-        block_worlds: int = DEFAULT_BLOCK_WORLDS,
     ) -> QueryResult:
         started = perf_counter()
         contagion_risk = np.zeros(graph.num_nodes, dtype=np.float64)
-        for block in enumerate_world_blocks(
-            graph, max_choices=max_choices, block_worlds=block_worlds
-        ):
+        for block in enumerate_world_blocks(graph, max_choices=max_choices):
             defaulted = propagate_defaults_block(
                 graph, block.self_default, block.edge_survives
             )

@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.errors import QueryError
 from repro.core.exact import exact_default_probabilities
 from repro.core.graph import UncertainGraph
-from repro.core.worlds import DEFAULT_BLOCK_WORLDS, DEFAULT_MAX_CHOICES
+from repro.core.worlds import DEFAULT_MAX_CHOICES
 from repro.queries.base import (
     QueryResult,
     enumerated_world_count,
@@ -76,12 +76,9 @@ class TopKQuery:
         *,
         k: int = 10,
         max_choices: int = DEFAULT_MAX_CHOICES,
-        block_worlds: int = DEFAULT_BLOCK_WORLDS,
     ) -> QueryResult:
         started = perf_counter()
-        probabilities = exact_default_probabilities(
-            graph, max_choices=max_choices, block_worlds=block_worlds
-        )
+        probabilities = exact_default_probabilities(graph, max_choices=max_choices)
         nodes = rank_top_k(probabilities, k)
         return QueryResult(
             family=self.name,

@@ -5,7 +5,7 @@ from repro.sampling.estimators import (
     hoeffding_interval,
     wilson_interval,
 )
-from repro.sampling.forward import ForwardEstimate, ForwardSampler, forward_sample_reference
+from repro.sampling.forward import ForwardEstimate, ForwardSampler
 from repro.sampling.indexed import (
     IndexedReverseSampler,
     WorldBlock,
@@ -27,7 +27,6 @@ __all__ = [
     "wilson_interval",
     "ForwardEstimate",
     "ForwardSampler",
-    "forward_sample_reference",
     "IndexedReverseSampler",
     "WorldBlock",
     "derive_stream_key",

@@ -1,23 +1,16 @@
 """Forward Monte-Carlo sampling — Algorithm 1 of the paper.
 
-Two interchangeable engines are provided:
-
-* :func:`forward_sample_reference` — a line-by-line transcription of the
-  paper's Algorithm 1 inner loop (one possible world, pure Python).  It is
-  the executable specification and is only used directly by tests and by
-  callers that need per-world introspection.
-* :class:`ForwardSampler` — a batched, numpy-vectorised engine that
-  materialises many worlds at once and propagates defaults with segment
-  reductions.  Statistically identical to the reference (the tests check
-  agreement), 1–2 orders of magnitude faster.
-
-Both estimate, for every node ``v``, the default probability ``p(v)`` as
-the fraction of sampled worlds in which ``v`` defaults.
+:class:`ForwardSampler` materialises many possible worlds at once and
+propagates defaults with numpy segment reductions, estimating every
+node's default probability ``p(v)`` as the fraction of sampled worlds in
+which ``v`` defaults.  Algorithm 1's inner loop transcribed line by line
+(one world per call, pure Python) is the test oracle
+``tests/reference_worlds.py``; the tests check that both estimate the
+same distribution.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,43 +19,7 @@ from repro.core.errors import SamplingError
 from repro.core.graph import UncertainGraph
 from repro.sampling.rng import SeedLike, make_rng
 
-__all__ = ["forward_sample_reference", "ForwardSampler", "ForwardEstimate"]
-
-
-def forward_sample_reference(
-    graph: UncertainGraph, rng: np.random.Generator
-) -> np.ndarray:
-    """One possible world, exactly as in Algorithm 1 lines 3–19.
-
-    Every node draws a uniform number against its self-risk; a BFS from
-    the self-defaulting nodes then draws one uniform number per first
-    encounter of an edge to decide whether contagion crosses it.
-
-    Returns
-    -------
-    numpy.ndarray
-        Boolean ``hv`` array over internal node indices: which nodes
-        default in this world.
-    """
-    n = graph.num_nodes
-    ps = graph.self_risk_array
-    out = graph.out_csr()
-    hv = rng.random(n) <= ps  # lines 4-7
-    visited = hv.copy()  # line 9: nodes outside Q start unvisited
-    queue: deque[int] = deque(int(i) for i in np.flatnonzero(hv))  # line 8
-    while queue:  # lines 10-19
-        vq = queue.popleft()
-        start, stop = out.indptr[vq], out.indptr[vq + 1]
-        for pos in range(start, stop):
-            va = int(out.indices[pos])
-            if visited[va]:
-                continue
-            if rng.random() > out.probs[pos]:  # lines 14-16
-                continue
-            hv[va] = True
-            visited[va] = True
-            queue.append(va)
-    return hv
+__all__ = ["ForwardSampler", "ForwardEstimate"]
 
 
 @dataclass(frozen=True)

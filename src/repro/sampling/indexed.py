@@ -430,10 +430,7 @@ class IndexedReverseSampler:
             defaulted[np.concatenate(seed_parts)] = True
             if src_parts:
                 propagate_edge_list(
-                    defaulted,
-                    np.concatenate(src_parts),
-                    np.concatenate(dst_parts),
-                    True,
+                    defaulted, np.concatenate(src_parts), np.concatenate(dst_parts)
                 )
         keys = offsets[:, None] + self._candidates[None, :]
         return WorldBlock(

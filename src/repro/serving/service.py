@@ -228,28 +228,40 @@ class RiskService:
         self._epoch = 0
         self._epoch_store = epoch_store
         self._node_id = str(node_id)
-        if adopt is not None and wal_dir is None:
-            raise PersistenceError("promotion adoption needs wal_dir=...")
-        if wal_dir is not None:
-            self._wal = WriteAheadLog(wal_dir, fsync=fsync)
-            self._snapshots = SnapshotStore(wal_dir)
-            self._recover(adopt)
-        if epoch_store is not None:
-            # Claim a fresh epoch and stamp it into the WAL before the
-            # first write: every batch this writer appends from here on
-            # provably belongs to this epoch, and any older primary's
-            # next fence check (at its next flush) will see it and
-            # refuse to append.
-            if self._wal is None:
-                raise PersistenceError(
-                    "epoch fencing needs a durable service (wal_dir=...)"
-                )
-            self._epoch = int(epoch_store.claim(self._node_id))
-            self._wal.append_epoch(self._epoch, self._node_id)
-            self._wal.sync()
-        self._queue = IngestionQueue(
-            max_pending=max_pending, overflow=overflow, wal=self._wal
-        )
+        try:
+            if adopt is not None and wal_dir is None:
+                raise PersistenceError("promotion adoption needs wal_dir=...")
+            if wal_dir is not None:
+                self._wal = WriteAheadLog(wal_dir, fsync=fsync)
+                self._snapshots = SnapshotStore(wal_dir)
+                self._recover(adopt)
+            if epoch_store is not None:
+                # Claim a fresh epoch and stamp it into the WAL before the
+                # first write: every batch this writer appends from here on
+                # provably belongs to this epoch, and any older primary's
+                # next fence check (at its next flush) will see it and
+                # refuse to append.
+                if self._wal is None:
+                    raise PersistenceError(
+                        "epoch fencing needs a durable service (wal_dir=...)"
+                    )
+                self._epoch = int(epoch_store.claim(self._node_id))
+                self._wal.append_epoch(self._epoch, self._node_id)
+                self._wal.sync()
+            self._queue = IngestionQueue(
+                max_pending=max_pending, overflow=overflow, wal=self._wal
+            )
+        except BaseException:
+            # A refused start (another graph's snapshot, an inconsistent
+            # log, a bad option) releases what it opened: the WAL
+            # segment, and the pool built here, whose worker state holds
+            # the base graph for as long as the pool is not shut down.
+            # An adopted replica's pool stays with the caller.
+            if self._wal is not None:
+                self._wal.close()
+            if adopt is None:
+                self._pool.shutdown()
+            raise
         # Makes [drain the queue -> enqueue to worker shards] atomic, so
         # concurrent flush paths (the serve() pump, explicit flush(),
         # per-tenant query_topk drains) cannot reorder a tenant's

@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.errors import DatasetError
 from repro.datasets.temporal import build_guarantee_panel
+
+
+#: sha256 of each year's labels (little-endian int64) in the panel below.
+LABEL_SHA256 = {
+    2012: "a198b2a750f022afc9be39c725d03469503e55f77f37abd6088a3cbd33bd9a4a",
+    2014: "05316f55130f0b673311f6a7cb4b69474f774f8a42446856e36077cf18309ac3",
+    2015: "96fdab5b85ae0cffe023963926f8134f6d62fb8ce4ae2fab33063c221caebffb",
+    2016: "bb344622b1527919cb78bb69dbe5e09ca5f6f77b8f76482b3fb510cd70933a47",
+}
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +121,13 @@ class TestSnapshots:
         assert np.array_equal(
             a.snapshots[2016].features, b.snapshots[2016].features
         )
+
+    def test_labels_pinned(self, panel):
+        """Each year's observed defaults are fixed by the seed: the
+        labelling kernel may change, the labels may not."""
+        for year, digest in LABEL_SHA256.items():
+            labels = np.ascontiguousarray(panel.snapshots[year].labels, dtype="<i8")
+            assert hashlib.sha256(labels.tobytes()).hexdigest() == digest
 
     def test_graph_keeps_training_risks(self, panel):
         assert np.allclose(

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference_worlds import scalar_default_probabilities
 
 from repro.core.errors import GraphError
 from repro.core.exact import exact_default_probabilities, exact_top_k
 from repro.core.graph import UncertainGraph
+from repro.core.worlds import DEFAULT_BLOCK_WORLDS, enumerate_world_blocks
 
 
 def seeded_random_graph(
@@ -96,13 +98,13 @@ class TestExactProbabilities:
 
 
 class TestEngineEquivalence:
-    """The bit-parallel engine against the scalar reference."""
+    """The bit-parallel engine against the scalar oracle."""
 
     def test_random_graphs_agree_to_ulps(self):
         for seed in range(12):
             graph = seeded_random_graph(seed)
-            block = exact_default_probabilities(graph, engine="block")
-            reference = exact_default_probabilities(graph, engine="reference")
+            block = exact_default_probabilities(graph)
+            reference = scalar_default_probabilities(graph)
             # Per-world masses and defaults are bit-identical; only the
             # reference's sequential accumulation order rounds differently.
             assert np.allclose(block, reference, rtol=0.0, atol=1e-12)
@@ -111,8 +113,8 @@ class TestEngineEquivalence:
         pool = np.array([0.0, 0.1, 0.5, 0.9, 1.0])
         for seed in range(12):
             graph = seeded_random_graph(seed + 100, probability_pool=pool)
-            block = exact_default_probabilities(graph, engine="block")
-            reference = exact_default_probabilities(graph, engine="reference")
+            block = exact_default_probabilities(graph)
+            reference = scalar_default_probabilities(graph)
             assert np.allclose(block, reference, rtol=0.0, atol=1e-12)
 
     def test_dyadic_probabilities_agree_exactly(self):
@@ -121,38 +123,49 @@ class TestEngineEquivalence:
         pool = np.array([0.0, 0.5, 1.0])
         for seed in range(12):
             graph = seeded_random_graph(seed + 200, probability_pool=pool)
-            block = exact_default_probabilities(graph, engine="block")
-            reference = exact_default_probabilities(graph, engine="reference")
+            block = exact_default_probabilities(graph)
+            reference = scalar_default_probabilities(graph)
             assert np.array_equal(block, reference)
 
     def test_self_risk_only_graph(self):
         graph = UncertainGraph()
         for i, risk in enumerate([0.0, 0.25, 0.5, 1.0]):
             graph.add_node(i, risk)
-        block = exact_default_probabilities(graph, engine="block")
-        reference = exact_default_probabilities(graph, engine="reference")
+        block = exact_default_probabilities(graph)
+        reference = scalar_default_probabilities(graph)
         assert np.array_equal(block, reference)
         assert np.array_equal(block, graph.self_risk_array)
 
     def test_symmetric_nodes_tie_exactly(self, paper_graph):
         """B and C are mathematically symmetric; the compensated block
         accumulation must preserve the exact tie the scalar engine sees."""
-        block = exact_default_probabilities(paper_graph, engine="block")
+        block = exact_default_probabilities(paper_graph)
         assert block[paper_graph.index("B")] == block[paper_graph.index("C")]
 
-    def test_block_worlds_setting_does_not_change_result(self, paper_graph):
-        baseline = exact_default_probabilities(paper_graph, block_worlds=4096)
-        for block_worlds in (1, 2, 64, 1024):
-            probabilities = exact_default_probabilities(
-                paper_graph, block_worlds=block_worlds
-            )
-            assert np.allclose(
-                probabilities, baseline, rtol=0.0, atol=1e-15
-            )
+    def test_multi_block_graph_agrees_with_scalar_oracle(self):
+        """Fourteen free choices span four default-sized blocks, so the
+        compensated sum carries across block boundaries."""
+        rng = np.random.default_rng(14)
+        src = np.array([0, 1, 2, 3, 4, 0, 2, 1, 3], dtype=np.int64)
+        dst = np.array([1, 2, 3, 4, 0, 2, 4, 3, 1], dtype=np.int64)
+        graph = UncertainGraph.from_arrays(
+            rng.uniform(0.05, 0.6, 5), src, dst, rng.uniform(0.05, 0.95, 9)
+        )
+        blocks = list(enumerate_world_blocks(graph))
+        assert len(blocks) >= 4
+        assert all(block.num_worlds == DEFAULT_BLOCK_WORLDS for block in blocks)
+        assert np.allclose(
+            exact_default_probabilities(graph),
+            scalar_default_probabilities(graph),
+            rtol=0.0,
+            atol=1e-12,
+        )
 
-    def test_unknown_engine_rejected(self, paper_graph):
-        with pytest.raises(GraphError, match="unknown exact engine"):
-            exact_default_probabilities(paper_graph, engine="warp")
+    def test_engine_keyword_rejected(self, paper_graph):
+        with pytest.raises(TypeError, match="engine"):
+            exact_default_probabilities(paper_graph, engine="block")
+        with pytest.raises(TypeError, match="engine"):
+            exact_top_k(paper_graph, 2, engine="block")
 
     def test_default_cap_is_raised_to_28(self):
         from repro.core.worlds import DEFAULT_MAX_CHOICES

@@ -1,17 +1,14 @@
-"""Tests for repro.sampling.forward — Algorithm 1 engines."""
+"""Tests for repro.sampling.forward — Algorithm 1 and its scalar oracle."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference_worlds import forward_sample_reference
 
 from repro.core.exact import exact_default_probabilities
 from repro.core.graph import UncertainGraph
-from repro.sampling.forward import (
-    ForwardEstimate,
-    ForwardSampler,
-    forward_sample_reference,
-)
+from repro.sampling.forward import ForwardEstimate, ForwardSampler
 from repro.core.errors import SamplingError
 from repro.sampling.rng import make_rng
 

@@ -24,6 +24,8 @@ from repro.core.errors import ProbabilityError, ReproError
 from repro.core.graph import UncertainGraph
 from repro.persistence.codec import PersistenceError
 from repro.persistence.snapshots import SnapshotStore
+from repro.persistence.wal import WriteAheadLog
+from repro.serving import pool as serving_pool
 from repro.serving.service import RiskService
 from repro.streaming.events import SelfRiskUpdate, apply_events
 from repro.streaming.monitor import TopKMonitor
@@ -185,6 +187,36 @@ class TestRecovery:
                 other, mode="serial", wal_dir=tmp_path,
                 monitor_defaults=DEFAULTS,
             )
+
+    def test_refused_start_releases_its_pool_and_wal(
+        self, graph, tmp_path, monkeypatch
+    ):
+        """A directory that refuses to open leaves nothing open behind:
+        the WAL segment is closed and the pool's worker state, which
+        holds the base graph, is gone."""
+        service = RiskService(
+            graph, mode="serial", wal_dir=tmp_path, monitor_defaults=DEFAULTS
+        )
+        service.register_tenant("t1", 3)
+        drive(service, ["t1"], patch_stream(graph, 10, seed=5))
+        service.snapshot_to_disk()
+        service.close()
+        pools_before = set(serving_pool._POOL_STATE)
+        closed = []
+        real_close = WriteAheadLog.close
+
+        def recording_close(wal):
+            closed.append(wal)
+            real_close(wal)
+
+        monkeypatch.setattr(WriteAheadLog, "close", recording_close)
+        with pytest.raises(PersistenceError, match="fingerprint"):
+            RiskService(
+                make_graph(seed=99), mode="serial", wal_dir=tmp_path,
+                monitor_defaults=DEFAULTS,
+            )
+        assert set(serving_pool._POOL_STATE) == pools_before
+        assert len(closed) == 1
 
     def test_events_for_an_unknown_tenant_refuse_to_open(
         self, graph, tmp_path

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference_worlds import PossibleWorld, propagate_defaults
 
 from repro.core.errors import GraphError
 from repro.core.graph import UncertainGraph
@@ -12,7 +13,6 @@ from repro.core.propagation import (
     propagate_edge_list,
     ragged_positions,
 )
-from repro.core.worlds import PossibleWorld, propagate_defaults
 
 
 def random_graph(n: int, m: int, seed: int, pinned: bool = False) -> UncertainGraph:
@@ -71,22 +71,6 @@ class TestPropagateEdgeList:
             defaulted, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         )
         assert defaulted.tolist() == [False, True]
-
-    def test_epoch_stamped_matches_boolean(self):
-        """The kernel runs identically on bool marks and int64 stamps."""
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            size = int(rng.integers(2, 30))
-            edges = int(rng.integers(0, 3 * size))
-            src = rng.integers(0, size, edges)
-            dst = rng.integers(0, size, edges)
-            seeds = rng.random(size) < 0.2
-            as_bool = seeds.copy()
-            propagate_edge_list(as_bool, src, dst)
-            epoch = 7
-            stamps = np.where(seeds, epoch, 0).astype(np.int64)
-            propagate_edge_list(stamps, src, dst, epoch)
-            assert np.array_equal(as_bool, stamps == epoch)
 
 
 class TestPropagateDefaultsBlock:

@@ -12,6 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_worlds import (
+    block_indices,
+    block_world,
+    enumerate_worlds,
+    scalar_default_probabilities,
+)
 
 from repro.bounds.candidates import reduce_candidates
 from repro.bounds.iterative import bound_pair, lower_bounds, upper_bounds
@@ -19,7 +25,7 @@ from repro.core.eq1 import apply_eq1, dag_default_probabilities
 from repro.core.exact import exact_default_probabilities, exact_top_k
 from repro.core.graph import UncertainGraph
 from repro.core.topk import top_k_indices
-from repro.core.worlds import enumerate_world_blocks, enumerate_worlds
+from repro.core.worlds import enumerate_world_blocks
 from repro.sampling.forward import ForwardSampler
 
 # Hypothesis example generation over exact world enumeration used to make
@@ -95,10 +101,11 @@ class TestWorldSemantics:
         scalar = list(enumerate_worlds(graph))
         seen = []
         for block in enumerate_world_blocks(graph, block_worlds=1 << shift):
+            indices = block_indices(graph, block)
             for j in range(block.num_worlds):
-                index = int(block.indices[j])
+                index = int(indices[j])
                 seen.append(index)
-                world = block.world(j)
+                world = block_world(block, j)
                 reference_world, reference_mass = scalar[index]
                 assert np.array_equal(
                     world.self_default, reference_world.self_default
@@ -111,8 +118,8 @@ class TestWorldSemantics:
 
     @given(small_uncertain_graphs())
     def test_exact_engines_agree(self, graph):
-        block = exact_default_probabilities(graph, engine="block")
-        reference = exact_default_probabilities(graph, engine="reference")
+        block = exact_default_probabilities(graph)
+        reference = scalar_default_probabilities(graph)
         assert np.allclose(block, reference, rtol=0.0, atol=1e-12)
 
 

@@ -1,20 +1,21 @@
-"""Tests for repro.core.worlds — possible-world semantics."""
+"""Tests for repro.core.worlds and its scalar oracle — possible-world semantics."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-
-from repro.core.errors import GraphError
-from repro.core.graph import UncertainGraph
-from repro.core.worlds import (
-    DEFAULT_MAX_CHOICES,
+from reference_worlds import (
     PossibleWorld,
-    enumerate_world_blocks,
+    block_indices,
+    block_world,
     enumerate_worlds,
     propagate_defaults,
     world_probability,
 )
+
+from repro.core.errors import GraphError
+from repro.core.graph import UncertainGraph
+from repro.core.worlds import DEFAULT_MAX_CHOICES, enumerate_world_blocks
 
 
 def make_world(graph, default_labels, surviving_edges):
@@ -162,9 +163,10 @@ class TestBlockEnumeration:
         rows = []
         for block in enumerate_world_blocks(graph, **kwargs):
             assert block.self_default.shape[0] == block.num_worlds
+            indices = block_indices(graph, block)
             for j in range(block.num_worlds):
                 rows.append(
-                    (int(block.indices[j]), block.world(j), float(block.masses[j]))
+                    (int(indices[j]), block_world(block, j), float(block.masses[j]))
                 )
         return rows
 
@@ -205,7 +207,7 @@ class TestBlockEnumeration:
         for block in enumerate_world_blocks(paper_graph, block_worlds=256):
             recomputed = np.array(
                 [
-                    world_probability(paper_graph, block.world(j))
+                    world_probability(paper_graph, block_world(block, j))
                     for j in range(block.num_worlds)
                 ]
             )
@@ -248,7 +250,7 @@ class TestBlockEnumeration:
         blocks = list(enumerate_world_blocks(graph))
         assert len(blocks) == 1 and blocks[0].num_worlds == 1
         assert blocks[0].masses[0] == 1.0
-        world = blocks[0].world(0)
+        world = block_world(blocks[0], 0)
         assert world.self_default.tolist() == [True, False]
         assert world.edge_survives.tolist() == [True]
 
