@@ -49,6 +49,7 @@ from repro.core.graph import UncertainGraph
 
 __all__ = [
     "WorldBlock",
+    "free_choices",
     "enumerate_world_blocks",
     "DEFAULT_MAX_CHOICES",
     "DEFAULT_BLOCK_WORLDS",
@@ -88,6 +89,21 @@ class WorldBlock:
     def num_worlds(self) -> int:
         """Number of worlds in this block."""
         return int(self.masses.size)
+
+
+def free_choices(graph: UncertainGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the free nodes and free edges of *graph*.
+
+    A choice is free when its probability lies strictly inside
+    ``(0, 1)``; the others are pinned to their certain outcome, so the
+    enumeration walks ``2^(free nodes + free edges)`` worlds.
+    """
+    ps = graph.self_risk_array
+    pe = graph.edge_array[2]
+    return (
+        np.flatnonzero((ps > 0.0) & (ps < 1.0)),
+        np.flatnonzero((pe > 0.0) & (pe < 1.0)),
+    )
 
 
 class _ExactSuffixProduct:
@@ -164,8 +180,7 @@ def enumerate_world_blocks(
         raise GraphError(f"block_worlds must be positive, got {block_worlds}")
     ps = graph.self_risk_array
     _, _, pe = graph.edge_array
-    free_nodes = np.flatnonzero((ps > 0.0) & (ps < 1.0))
-    free_edges = np.flatnonzero((pe > 0.0) & (pe < 1.0))
+    free_nodes, free_edges = free_choices(graph)
     # The pinned realisation every world shares.
     base_nodes, base_edges = ps >= 1.0, pe >= 1.0
     n_free = int(free_nodes.size)

@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.core.errors import QueryError
 from repro.core.graph import UncertainGraph
+from repro.core.worlds import free_choices
 from repro.sampling.worldstate import WorldView
 
 __all__ = [
@@ -47,17 +48,11 @@ __all__ = [
 
 
 def enumerated_world_count(graph: UncertainGraph) -> int:
-    """``2^free`` — worlds an exact oracle enumerates for *graph*.
-
-    Free choices are the node/edge probabilities strictly inside
-    ``(0, 1)``; deterministic choices are pinned, exactly as
-    :func:`repro.core.worlds.enumerate_world_blocks` pins them.
-    """
-    ps = graph.self_risk_array
-    pe = graph.edge_array[2]
-    free = int(np.count_nonzero((ps > 0.0) & (ps < 1.0)))
-    free += int(np.count_nonzero((pe > 0.0) & (pe < 1.0)))
-    return 1 << free
+    """``2^free`` — worlds an exact oracle enumerates for *graph*, with
+    the free choices :func:`repro.core.worlds.enumerate_world_blocks`
+    enumerates (:func:`repro.core.worlds.free_choices`)."""
+    free_nodes, free_edges = free_choices(graph)
+    return 1 << (free_nodes.size + free_edges.size)
 
 
 def _jsonable(value):

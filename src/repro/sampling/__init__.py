@@ -7,8 +7,8 @@ from repro.sampling.estimators import (
 )
 from repro.sampling.forward import ForwardEstimate, ForwardSampler
 from repro.sampling.indexed import (
+    ExploredBlock,
     IndexedReverseSampler,
-    WorldBlock,
     derive_stream_key,
     hashed_uniforms,
 )
@@ -28,7 +28,7 @@ __all__ = [
     "ForwardEstimate",
     "ForwardSampler",
     "IndexedReverseSampler",
-    "WorldBlock",
+    "ExploredBlock",
     "derive_stream_key",
     "hashed_uniforms",
     "SeedLike",

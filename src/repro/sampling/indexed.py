@@ -55,15 +55,18 @@ is shut down when the call ends (for ``iter_world_blocks``, when its
 iteration ends or is abandoned), so no thread outlives a call and
 forked workers inherit none.
 
-Two work-count identities the compressed world state
-(:mod:`repro.sampling.worldstate`) relies on, both direct consequences
-of the closure drawing every entity at most once per world:
+With ``collect_touched=True`` an explored block also carries two
+``(W, n)`` masks per world: the *touched* nodes (every node the world
+drew) and the *expanded* nodes (the touched nodes that did not
+self-default, whose in-edges the world then drew).  The compressed world
+state (:mod:`repro.sampling.worldstate`) relies on two work-count
+identities, both direct consequences of the closure drawing every entity
+at most once per world:
 
 * ``node_draws[w] == popcount(touched_nodes[w])``;
-* ``edge_draws[w] == sum(in_degree[v] for v in expanded_nodes[w])``
-  where the *expanded* nodes are the touched nodes that did not
-  self-default — an edge is drawn iff its head was expanded, so the
-  ``(W, m)`` edge mask never needs to be materialised.
+* ``edge_draws[w] == sum(in_degree[v] for v in expanded_nodes[w])`` —
+  an edge is drawn iff its head was expanded, so a world's edge mask is
+  ``expanded_nodes[w, heads]`` and is never materialised.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ __all__ = [
     "hashed_uniforms",
     "derive_stream_key",
     "counter_lanes",
-    "WorldBlock",
+    "ExploredBlock",
     "IndexedReverseSampler",
 ]
 
@@ -150,21 +153,23 @@ def counter_lanes(
 
 
 def _restore_slots(obj, state) -> None:
-    """Unpickle a slotted sampler or view.
+    """Unpickle a slotted object, dropping the slots its class retired.
 
-    Objects pickled before the counter layouts were merged carry a
-    ``_layout`` slot; it is dropped, and the monitor restoring them
-    recomputes its worlds (see ``TopKMonitor.__setstate__``).
+    Samplers and views pickled before the counter layouts were merged
+    carry a ``_layout`` slot, and the monitor restoring them recomputes
+    its worlds (see ``TopKMonitor.__setstate__``).  Packed world states
+    pickled while they kept an entity→worlds index carry its four slots.
     """
     _, slots = state
-    slots.pop("_layout", None)
+    current = type(obj).__slots__
     for name, value in slots.items():
-        setattr(obj, name, value)
+        if name in current:
+            setattr(obj, name, value)
 
 
 @dataclass(frozen=True)
-class WorldBlock:
-    """Outcomes of one explicitly-indexed block of possible worlds.
+class ExploredBlock:
+    """Outcomes of one explicitly-indexed block of explored worlds.
 
     Attributes
     ----------
@@ -174,37 +179,20 @@ class WorldBlock:
     node_draws, edge_draws:
         Per-world counts of distinct node / edge draws (the work unit the
         detectors report as ``nodes_touched`` / ``edges_touched``).
-    touched_nodes, touched_edges, expanded_nodes:
-        Present when requested: boolean ``(W, n)`` / ``(W, m)`` masks of
-        the entities each world actually drew.  An entity outside a
-        world's mask cannot influence that world's outcome — the
+    touched_nodes, expanded_nodes:
+        Present when requested (``collect_touched=True``): boolean
+        ``(W, n)`` masks of the nodes each world drew, and of those that
+        did not self-default.  Edge ``e`` was drawn iff its head is
+        expanded, so the two masks say every entity a world drew.  An
+        entity a world did not draw cannot influence its outcome — the
         invalidation test the streaming monitor relies on.
-        ``expanded_nodes`` (``collect="compact"``) marks the touched
-        nodes that did not self-default; edge ``e`` was drawn iff its
-        head is expanded, so the compact mode carries the full edge-mask
-        information in ``n`` bits instead of ``m``.
     """
 
     outcomes: np.ndarray
     node_draws: np.ndarray
     edge_draws: np.ndarray
     touched_nodes: np.ndarray | None = None
-    touched_edges: np.ndarray | None = None
     expanded_nodes: np.ndarray | None = None
-
-
-def _coerce_collect(collect_touched: bool | str | None) -> str | None:
-    """Normalise the ``collect_touched`` argument to a mode name."""
-    if collect_touched is None or collect_touched is False:
-        return None
-    if collect_touched is True or collect_touched == "dense":
-        return "dense"
-    if collect_touched == "compact":
-        return "compact"
-    raise SamplingError(
-        "collect_touched must be False, True/'dense' or 'compact', "
-        f"got {collect_touched!r}"
-    )
 
 
 class IndexedReverseSampler:
@@ -331,11 +319,10 @@ class IndexedReverseSampler:
         )
 
     def _explore(
-        self, world_indices: np.ndarray, collect: str | None
-    ) -> WorldBlock:
+        self, world_indices: np.ndarray, collect: bool
+    ) -> ExploredBlock:
         """Backward closure + forward labelling for the given worlds."""
         n = self._n
-        m = self._graph.num_edges
         key = self._key
         csr = self._in_csr
         indptr, indices, probs = csr.indptr, csr.indices, csr.probs
@@ -354,13 +341,10 @@ class IndexedReverseSampler:
         worlds = world_indices.size
         closure = np.zeros(worlds * n, dtype=bool)
         defaulted = np.zeros(worlds * n, dtype=bool)
-        touched_nodes = touched_edges = expanded_nodes = None
-        if collect is not None:
+        touched_nodes = expanded_nodes = None
+        if collect:
             touched_nodes = np.zeros(worlds * n, dtype=bool)
-            if collect == "dense":
-                touched_edges = np.zeros(worlds * m, dtype=bool)
-            else:
-                expanded_nodes = np.zeros(worlds * n, dtype=bool)
+            expanded_nodes = np.zeros(worlds * n, dtype=bool)
         node_draw_counts = np.zeros(worlds, dtype=np.int64)
         edge_draw_counts = np.zeros(worlds, dtype=np.float64)
         offsets = np.arange(worlds, dtype=np.int64) * n
@@ -378,7 +362,7 @@ class IndexedReverseSampler:
         while frontier.size:
             local_world = frontier // n
             nodes = frontier - local_world * n
-            if touched_nodes is not None:
+            if collect:
                 touched_nodes[frontier] = True
             counters = frontier.astype(_U64)
             counters += node_extra[local_world]
@@ -391,7 +375,7 @@ class IndexedReverseSampler:
             expand = frontier[keep]
             if not expand.size:
                 break
-            if expanded_nodes is not None:
+            if collect:
                 expanded_nodes[expand] = True
             expand_nodes = nodes[keep]
             expand_world = local_world[keep]
@@ -403,8 +387,6 @@ class IndexedReverseSampler:
             edge_counters = edge_ids.astype(_U64)
             edge_counters += edge_base[rep_world]
             edge_draws = _hashed_lattice(key, edge_counters)
-            if touched_edges is not None:
-                touched_edges[rep_world * m + edge_ids] = True
             survived = edge_draws <= edge_thresholds[pos]
             edge_draw_counts += np.bincount(
                 expand_world, weights=counts, minlength=worlds
@@ -433,33 +415,24 @@ class IndexedReverseSampler:
                     defaulted, np.concatenate(src_parts), np.concatenate(dst_parts)
                 )
         keys = offsets[:, None] + self._candidates[None, :]
-        return WorldBlock(
+        return ExploredBlock(
             outcomes=defaulted[keys],
             node_draws=node_draw_counts,
             edge_draws=edge_draw_counts.astype(np.int64),
             touched_nodes=(
-                touched_nodes.reshape(worlds, n)
-                if touched_nodes is not None
-                else None
-            ),
-            touched_edges=(
-                touched_edges.reshape(worlds, m)
-                if touched_edges is not None
-                else None
+                touched_nodes.reshape(worlds, n) if collect else None
             ),
             expanded_nodes=(
-                expanded_nodes.reshape(worlds, n)
-                if expanded_nodes is not None
-                else None
+                expanded_nodes.reshape(worlds, n) if collect else None
             ),
         )
 
     def _blocks(
-        self, world_indices: np.ndarray, collect: str | None
-    ) -> Iterator[tuple[np.ndarray, WorldBlock]]:
+        self, world_indices: np.ndarray, collect: bool
+    ) -> Iterator[tuple[np.ndarray, ExploredBlock]]:
         """Explore *world_indices* ``world_batch`` at a time, in order.
 
-        Yields ``(positions, WorldBlock)`` per block, ``positions``
+        Yields ``(positions, ExploredBlock)`` per block, ``positions``
         indexing into *world_indices*.  Several blocks run on this
         call's own pool (see the module docstring), at most one per
         thread alive, counting the one the consumer holds; the pool is
@@ -468,7 +441,7 @@ class IndexedReverseSampler:
         batch = self._world_batch
         starts = range(0, world_indices.size, batch)
 
-        def explore(start: int) -> tuple[np.ndarray, WorldBlock]:
+        def explore(start: int) -> tuple[np.ndarray, ExploredBlock]:
             stop = min(start + batch, world_indices.size)
             return (
                 np.arange(start, stop, dtype=np.int64),
@@ -494,29 +467,33 @@ class IndexedReverseSampler:
     def iter_world_blocks(
         self,
         world_indices: Sequence[int] | np.ndarray,
-        collect_touched: bool | str = False,
-    ) -> Iterator[tuple[np.ndarray, WorldBlock]]:
-        """Yield ``(positions, WorldBlock)`` per internal batch.
+        collect_touched: bool = False,
+    ) -> Iterator[tuple[np.ndarray, ExploredBlock]]:
+        """Yield ``(positions, ExploredBlock)`` per internal batch.
 
         ``positions`` indexes into *world_indices* for each yielded
         block, so consumers can stream arbitrarily many worlds without
         the dense concatenated masks ever existing at once (at most one
         block per CPU is alive) — the surface the compressed world state
-        is built through.  Blocks come in world order however many
-        threads explore them.  Does not advance the sequential cursor or
-        the work counters.
+        is built through.  With *collect_touched* each block carries its
+        worlds' touched and expanded node masks.  Blocks come in world
+        order however many threads explore them.  Does not advance the
+        sequential cursor or the work counters.
         """
-        collect = _coerce_collect(collect_touched)
+        if not isinstance(collect_touched, bool):
+            raise SamplingError(
+                f"collect_touched must be a bool, got {collect_touched!r}"
+            )
         world_indices = np.asarray(world_indices, dtype=np.int64)
         if world_indices.ndim != 1 or world_indices.size == 0:
             raise SamplingError("world_indices must be a non-empty 1-d array")
-        yield from self._blocks(world_indices, collect)
+        yield from self._blocks(world_indices, collect_touched)
 
     def outcomes_for_worlds(
         self,
         world_indices: Sequence[int] | np.ndarray,
-        collect_touched: bool | str = False,
-    ) -> WorldBlock:
+        collect_touched: bool = False,
+    ) -> ExploredBlock:
         """Evaluate exactly the given world indices (batched internally).
 
         Does not advance the sequential cursor or the work counters —
@@ -538,12 +515,11 @@ class IndexedReverseSampler:
                 return None
             return np.concatenate(parts)
 
-        return WorldBlock(
+        return ExploredBlock(
             outcomes=np.concatenate([b.outcomes for b in blocks]),
             node_draws=np.concatenate([b.node_draws for b in blocks]),
             edge_draws=np.concatenate([b.edge_draws for b in blocks]),
             touched_nodes=_cat("touched_nodes"),
-            touched_edges=_cat("touched_edges"),
             expanded_nodes=_cat("expanded_nodes"),
         )
 
@@ -555,7 +531,7 @@ class IndexedReverseSampler:
         self._cursor += int(samples)
         counts = np.zeros(self._candidates.size, dtype=np.int64)
         worlds = np.arange(start, start + int(samples), dtype=np.int64)
-        for _, block in self._blocks(worlds, None):
+        for _, block in self._blocks(worlds, False):
             counts += block.outcomes.sum(axis=0)
             self.nodes_touched += int(block.node_draws.sum())
             self.edges_touched += int(block.edge_draws.sum())

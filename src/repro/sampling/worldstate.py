@@ -8,9 +8,9 @@ masks are what turns the counter-PRF's crossing test from "expected
 looked at the entity".
 
 :class:`PackedWorldState` stores them as two bit-packed ``uint64``
-matrices of ``n`` bits per world (touched nodes, *expanded* nodes) plus
-an entity→worlds inverted CSR index.  Edge masks are never materialised:
-edge ``e`` was drawn in a world iff its head node was expanded there (see
+matrices of ``n`` bits per world (touched nodes, *expanded* nodes), and
+nothing else.  Edge masks are never materialised: edge ``e`` was drawn
+in a world iff its head node was expanded there (see
 :mod:`repro.sampling.indexed`), so the ``m``-bit mask collapses onto the
 ``n``-bit expanded mask.  With ``m ≈ 3n`` this stores world state in
 ``2n/8`` bytes instead of the ``4n`` of dense boolean masks — a ~16×
@@ -24,7 +24,8 @@ from:
 
 * ``node_pairs(entities)`` / ``edge_pairs(edge_ids, heads)`` — the
   ``(world row, entity position)`` pairs where the entity was drawn, the
-  input to one bulk counter-PRF crossing test per refresh;
+  input to one bulk counter-PRF crossing test per refresh.  Both are one
+  column bit-scan of the packed masks, which are all the state keeps;
 * ``merge_block(rows, block)`` — OR a freshly-explored closure (an
   added candidate's worlds) into existing rows, returning the exact
   per-row draw-count deltas, which is what makes incremental
@@ -116,26 +117,25 @@ def unpack_bool_rows(words: np.ndarray, cols: int) -> np.ndarray:
     ).astype(bool)
 
 
-def _column_bits(words: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Boolean ``(R, len(cols))`` matrix of the requested bit columns."""
+def _set_bit_pairs(
+    words: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, position)`` of every set bit among the columns *cols*."""
     cols = np.asarray(cols, dtype=np.uint64)
     gathered = words[:, (cols >> _SIX).astype(np.int64)]
-    return ((gathered >> (cols & _MASK_63)[None, :]) & _ONE).astype(bool)
+    bits = (gathered >> (cols & _MASK_63)[None, :]) & _ONE
+    return np.nonzero(bits)
 
 
 class PackedWorldState:
-    """Bit-packed world state with an entity→worlds inverted index.
+    """Bit-packed per-world touched state.
 
     Two ``(worlds, ceil(n/64))`` little-endian ``uint64`` matrices —
     touched nodes and expanded nodes — carry the full dense information
-    (edge ``e`` drawn iff ``heads[e]`` expanded).  An inverted CSR over
-    the touched-node bits accelerates ``entity → candidate worlds``
-    lookups; rows repaired since the last index build are tracked as
-    *stale* and always treated as candidates, and every candidate list
-    is filtered through the exact packed bits, so query answers never
-    depend on index freshness.  The index is skipped outright when the
-    touch density is so high that it would rival the packed matrices in
-    size (column bit-scans are the fallback, still exact).
+    (edge ``e`` drawn iff ``heads[e]`` expanded).  An ``entity → worlds``
+    lookup reads the entity's bit column from every row; the masks are
+    the only state, so a repair that overwrites rows leaves nothing else
+    to keep fresh.
 
     Parameters
     ----------
@@ -149,16 +149,6 @@ class PackedWorldState:
         is a world's exact edge-draw count.
     """
 
-    collect_mode = "compact"
-
-    #: Rebuild the inverted index once this fraction of rows went stale.
-    STALE_REBUILD_FRACTION = 0.25
-    #: Below this many world rows a column bit-scan answers an
-    #: entity→worlds query in microseconds, so building the index (a
-    #: full scan of every packed bit) can never amortise; it switches on
-    #: for the large sample counts where column gathers start to hurt.
-    INDEX_MIN_WORLDS = 4096
-
     __slots__ = (
         "touched_words",
         "expanded_words",
@@ -166,10 +156,6 @@ class PackedWorldState:
         "_m",
         "_heads",
         "_in_degrees",
-        "_index_indptr",
-        "_index_rows",
-        "_index_disabled",
-        "_stale_rows",
     )
 
     def __init__(
@@ -199,15 +185,14 @@ class PackedWorldState:
         words = _num_words(self._n)
         self.touched_words = np.zeros((worlds, words), dtype=_WORD)
         self.expanded_words = np.zeros((worlds, words), dtype=_WORD)
-        self._index_indptr: np.ndarray | None = None
-        self._index_rows: np.ndarray | None = None
-        self._index_disabled = False
-        self._stale_rows: set[int] = set(range(worlds))
+
+    def __setstate__(self, state) -> None:
+        _restore_slots(self, state)
 
     @staticmethod
     def bytes_needed(worlds: int, num_nodes: int, num_edges: int) -> int:
-        """Packed-mask storage needed for *worlds* worlds (index excluded —
-        it is a rebuildable accelerator, size-capped below mask storage)."""
+        """Storage needed for *worlds* worlds: the two packed masks, which
+        are all the state holds."""
         return int(worlds) * 2 * _num_words(num_nodes) * 8
 
     @property
@@ -217,25 +202,17 @@ class PackedWorldState:
 
     @property
     def nbytes(self) -> int:
-        """Actual bytes held: packed masks plus the live inverted index."""
-        total = self.touched_words.nbytes + self.expanded_words.nbytes
-        if self._index_rows is not None:
-            total += self._index_rows.nbytes + self._index_indptr.nbytes
-        return total
-
-    @property
-    def has_index(self) -> bool:
-        """Whether the inverted entity→worlds index is currently built."""
-        return self._index_rows is not None
+        """Actual bytes held by the packed masks."""
+        return self.touched_words.nbytes + self.expanded_words.nbytes
 
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
     def store_block(self, rows: np.ndarray, block) -> None:
-        """Overwrite *rows* with a freshly explored ``WorldBlock``."""
+        """Overwrite *rows* with a freshly explored
+        :class:`~repro.sampling.indexed.ExploredBlock`."""
         self.touched_words[rows] = pack_bool_rows(block.touched_nodes)
         self.expanded_words[rows] = pack_bool_rows(block.expanded_nodes)
-        self._mark_stale(rows)
 
     def merge_block(
         self, rows: np.ndarray, block
@@ -255,7 +232,6 @@ class PackedWorldState:
         newly_expanded = block.expanded_nodes & ~old_expanded
         edge_delta = newly_expanded @ self._in_degrees
         self.expanded_words[rows] |= pack_bool_rows(block.expanded_nodes)
-        self._mark_stale(rows)
         return node_delta, edge_delta.astype(np.int64)
 
     def resize(self, worlds: int) -> None:
@@ -266,8 +242,6 @@ class PackedWorldState:
         if worlds < current:
             self.touched_words = self.touched_words[:worlds].copy()
             self.expanded_words = self.expanded_words[:worlds].copy()
-            self._stale_rows = {r for r in self._stale_rows if r < worlds}
-            self._drop_index()  # may reference truncated rows
             return
         words = self.touched_words.shape[1]
         touched = np.zeros((worlds, words), dtype=_WORD)
@@ -275,7 +249,6 @@ class PackedWorldState:
         touched[:current] = self.touched_words
         expanded[:current] = self.expanded_words
         self.touched_words, self.expanded_words = touched, expanded
-        self._stale_rows.update(range(current, worlds))
 
     def extend(
         self,
@@ -323,9 +296,6 @@ class PackedWorldState:
         self._m = int(num_edges)
         self._heads = heads
         self._in_degrees = in_degrees
-        # The inverted index is sized to the old entity range; it is a
-        # rebuildable accelerator, so drop rather than patch it.
-        self._drop_index()
 
     # ------------------------------------------------------------------
     # Queries
@@ -334,7 +304,7 @@ class PackedWorldState:
         self, entities: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(world row, position)`` pairs where each node was drawn."""
-        return self._pairs(self.touched_words, entities)
+        return _set_bit_pairs(self.touched_words, entities)
 
     def edge_pairs(
         self, edge_ids: np.ndarray, heads: np.ndarray
@@ -344,7 +314,7 @@ class PackedWorldState:
         An edge is drawn iff its head node is expanded; the caller
         passes the heads so the query needs no per-call gather.
         """
-        return self._pairs(self.expanded_words, heads, index_usable=False)
+        return _set_bit_pairs(self.expanded_words, heads)
 
     def node_draws(self) -> np.ndarray:
         """Per-row distinct node-draw counts (touched popcounts)."""
@@ -354,137 +324,6 @@ class PackedWorldState:
         """Per-row distinct edge-draw counts (in-degree mass of expanded)."""
         dense = unpack_bool_rows(self.expanded_words, self._n)
         return (dense @ self._in_degrees).astype(np.int64)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _mark_stale(self, rows: np.ndarray) -> None:
-        if self._index_rows is None:
-            return
-        self._stale_rows.update(int(r) for r in np.asarray(rows).ravel())
-        if len(self._stale_rows) > max(
-            64, int(self.STALE_REBUILD_FRACTION * self.worlds)
-        ):
-            self._drop_index()
-
-    def _drop_index(self) -> None:
-        self._index_indptr = None
-        self._index_rows = None
-
-    def _build_index(self) -> None:
-        """(Re)build the touched-node entity→worlds CSR from the packed
-        bits, unless its size would rival the packed matrices."""
-        if self._index_disabled or self.worlds < self.INDEX_MIN_WORLDS:
-            return
-        pair_entities: list[np.ndarray] = []
-        pair_rows: list[np.ndarray] = []
-        total = 0
-        # The index may grow to the packed masks' own footprint before
-        # it stops paying for itself (total state stays ~8× below the
-        # dense layout even then, m ≈ 3n).
-        budget = max(
-            1, self.touched_words.nbytes + self.expanded_words.nbytes
-        )
-        chunk = max(1, (1 << 22) // max(self._n, 1))
-        for start in range(0, self.worlds, chunk):
-            stop = min(start + chunk, self.worlds)
-            dense = unpack_bool_rows(self.touched_words[start:stop], self._n)
-            rows, cols = np.nonzero(dense)
-            pair_rows.append((rows + start).astype(np.int32))
-            pair_entities.append(cols)
-            total += rows.size
-            if total * 4 > budget:
-                # Touch density too high for the index to pay for
-                # itself; column bit-scans stay the exact fallback.
-                self._index_disabled = True
-                return
-        entities = (
-            np.concatenate(pair_entities)
-            if pair_entities
-            else np.empty(0, dtype=np.int64)
-        )
-        rows = (
-            np.concatenate(pair_rows)
-            if pair_rows
-            else np.empty(0, dtype=np.int32)
-        )
-        order = np.argsort(entities, kind="stable")
-        self._index_rows = rows[order]
-        counts = np.bincount(entities, minlength=self._n)
-        self._index_indptr = np.zeros(self._n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._index_indptr[1:])
-        self._stale_rows.clear()
-
-    def _pairs(
-        self,
-        words: np.ndarray,
-        entities: np.ndarray,
-        index_usable: bool = True,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        entities = np.asarray(entities, dtype=np.int64)
-        if entities.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        if index_usable and self._index_rows is None:
-            self._build_index()
-        use_index = (
-            index_usable
-            and self._index_rows is not None
-            # The index narrows candidates; with many stale rows the
-            # column scan is both exact and cheaper.
-            and len(self._stale_rows) * entities.size
-            < self.worlds * max(1, entities.size // 4)
-        )
-        if not use_index:
-            rows, positions = np.nonzero(_column_bits(words, entities))
-            return rows, positions
-        starts = self._index_indptr[entities]
-        stops = self._index_indptr[entities + 1]
-        counts = stops - starts
-        candidate_rows_parts: list[np.ndarray] = []
-        position_parts: list[np.ndarray] = []
-        if counts.sum():
-            spans = np.concatenate(
-                [
-                    self._index_rows[s:t]
-                    for s, t in zip(starts, stops)
-                    if t > s
-                ]
-            ).astype(np.int64)
-            candidate_rows_parts.append(spans)
-            position_parts.append(
-                np.repeat(np.arange(entities.size), counts)
-            )
-        if self._stale_rows:
-            stale = np.fromiter(
-                self._stale_rows, dtype=np.int64, count=len(self._stale_rows)
-            )
-            stale.sort()
-            grid_rows = np.repeat(stale, entities.size)
-            grid_pos = np.tile(np.arange(entities.size), stale.size)
-            candidate_rows_parts.append(grid_rows)
-            position_parts.append(grid_pos)
-        if not candidate_rows_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        rows = np.concatenate(candidate_rows_parts)
-        positions = np.concatenate(position_parts)
-        # Exact filter through the live bits (stale candidates may have
-        # lost the entity; indexed non-stale candidates always have it,
-        # but the uniform filter keeps the path single and provably
-        # exact).
-        bit = (
-            words[rows, (entities[positions] >> 6).astype(np.int64)]
-            >> (entities[positions].astype(np.uint64) & _MASK_63)
-        ) & _ONE
-        keep = bit.astype(bool)
-        rows, positions = rows[keep], positions[keep]
-        # Stale rows can duplicate index entries; dedup per (row, pos).
-        if self._stale_rows:
-            combined = rows * entities.size + positions
-            _, first = np.unique(combined, return_index=True)
-            rows, positions = rows[first], positions[first]
-        return rows, positions
 
 
 #: Probabilities lifted to the 53-bit mantissa lattice of the counter PRF

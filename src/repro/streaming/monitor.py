@@ -124,6 +124,9 @@ FULL_REBUILD_FRACTION = 0.25
 #: still exact, marginally more re-exploration.  The packed state fits
 #: exact repair of ~100k-node graphs under this cap.
 WORLD_STATE_BUDGET = 32_000_000
+#: Worlds a query view realises when the sampling stage holds none
+#: (every top-k node verified by the bounds, so nothing was sampled).
+FALLBACK_VIEW_WORLDS = 256
 
 
 def _grow_rows(array: np.ndarray, rows: int) -> np.ndarray:
@@ -538,7 +541,7 @@ class TopKMonitor:
         self._bounds_only_cache = (key, result)
         return result
 
-    def world_view(self, min_worlds: int = 256) -> WorldView:
+    def world_view(self) -> WorldView:
         """A read-only :class:`WorldView` over the repaired worlds.
 
         Refreshes first when updates are pending (the dirty-propagation
@@ -549,17 +552,18 @@ class TopKMonitor:
         cached outcome matrix, and every registered query family
         integrates over the *same* worlds the top-k answer does.
 
-        When the sampling stage holds no worlds (``k' = 0``) the view
-        falls back to worlds ``0 .. min_worlds-1`` under a key derived
-        from the monitor's seed — still deterministic, still repairable
-        on the next call.
+        When the sampling stage holds no worlds — Algorithm 4 verified all
+        ``k`` nodes (``k' = k``), so nothing was sampled — the view falls
+        back to worlds ``0 .. FALLBACK_VIEW_WORLDS-1`` under a key
+        derived from the monitor's seed: still deterministic, still
+        repairable on the next call.
 
         Views are cached per mutation-state: repeated calls between
         accepted updates return the same object (and therefore share
         every derived per-world product); any accepted probability
         change or topology change retires the view wholesale.
         """
-        self._ensure_query_engine(min_worlds)
+        self._ensure_query_engine()
         return self._query_engine.view
 
     def query(self, family: str, **params):
@@ -579,7 +583,7 @@ class TopKMonitor:
         self._ensure_query_engine()
         return self._query_engine.run(family, **params)
 
-    def _ensure_query_engine(self, min_worlds: int = 256) -> None:
+    def _ensure_query_engine(self) -> None:
         """(Re)build the memoising engine when the worlds moved."""
         graph = self._graph
         stale = (
@@ -607,7 +611,7 @@ class TopKMonitor:
         else:
             view = WorldView(
                 graph,
-                np.arange(max(1, int(min_worlds)), dtype=np.int64),
+                np.arange(FALLBACK_VIEW_WORLDS, dtype=np.int64),
                 seed=self._seed,
             )
         self._query_engine = QueryEngine(view)
@@ -991,8 +995,8 @@ class TopKMonitor:
         flips) — expected fraction ``|Δp|`` of worlds — and, when touched
         state is kept, only if ``w`` actually drew ``x``.  All candidate
         ``(world, entity)`` pairs are hashed in bulk: one tile per chunk
-        without touched state, one ragged gather through the
-        entity→worlds index with it.
+        without touched state, the pairs a column bit-scan of the packed
+        masks finds with it.
         """
         assert self._sampler is not None and self._world_ids is not None
         graph = self._graph
@@ -1057,9 +1061,8 @@ class TopKMonitor:
         """Explore the cached worlds at *rows* and store their outcomes,
         draw counts and touched state in place."""
         state = self._world_state
-        collect = False if state is None else state.collect_mode
         for positions, block in self._sampler.iter_world_blocks(
-            self._world_ids[rows], collect_touched=collect
+            self._world_ids[rows], collect_touched=state is not None
         ):
             target = rows[positions]
             self._world_outcomes[target] = block.outcomes
@@ -1172,8 +1175,7 @@ class TopKMonitor:
             added_positions = np.searchsorted(new_candidates, added)
             added_sampler = self._make_sampler(added)
             for positions, block in added_sampler.iter_world_blocks(
-                np.arange(keep, dtype=np.int64),
-                collect_touched=state.collect_mode,
+                np.arange(keep, dtype=np.int64), collect_touched=True
             ):
                 outcomes[np.ix_(positions, added_positions)] = block.outcomes
                 node_delta, edge_delta = state.merge_block(positions, block)

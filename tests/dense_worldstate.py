@@ -2,7 +2,11 @@
 
 :class:`repro.sampling.worldstate.PackedWorldState` must answer every
 query exactly as these uncompressed masks do; ``test_worldstate.py``
-drives both side by side, down to a monitor running on either.
+drives both side by side, down to a monitor running on either.  The
+oracle keeps an explicit ``(worlds, m)`` edge mask, which it builds from
+the explored blocks' expanded-node masks as ``expanded_nodes[:, heads]``
+(an edge is drawn iff its head is expanded); the packed state never
+materialises it.
 """
 
 from __future__ import annotations
@@ -14,14 +18,12 @@ class DenseWorldState:
     """Dense boolean touched masks: the oracle for ``PackedWorldState``.
 
     ``(worlds, n)`` touched-node and ``(worlds, m)`` touched-edge
-    booleans, filled from the sampler's ``collect_touched="dense"``
-    masks.  It takes the packed state's constructor keywords (and ignores
-    them) so a monitor can run on it in place of the packed state.
+    booleans, filled from the sampler's ``collect_touched=True`` blocks.
+    It takes the packed state's constructor (it ignores *in_degrees*) so
+    a monitor can run on it in place of the packed state.
     """
 
-    collect_mode = "dense"
-
-    __slots__ = ("touched_nodes", "touched_edges", "_n", "_m")
+    __slots__ = ("touched_nodes", "touched_edges", "_n", "_m", "_heads")
 
     def __init__(
         self,
@@ -29,11 +31,12 @@ class DenseWorldState:
         num_nodes: int,
         num_edges: int,
         *,
-        heads: np.ndarray | None = None,
+        heads: np.ndarray,
         in_degrees: np.ndarray | None = None,
     ) -> None:
         self._n = int(num_nodes)
         self._m = int(num_edges)
+        self._heads = np.asarray(heads, dtype=np.int64)
         self.touched_nodes = np.zeros((worlds, self._n), dtype=bool)
         self.touched_edges = np.zeros((worlds, self._m), dtype=bool)
 
@@ -52,10 +55,14 @@ class DenseWorldState:
         """Actual bytes held by the state."""
         return self.touched_nodes.nbytes + self.touched_edges.nbytes
 
+    def _edge_mask(self, block) -> np.ndarray:
+        """The block's ``(W, m)`` drawn-edge mask."""
+        return block.expanded_nodes[:, self._heads]
+
     def store_block(self, rows: np.ndarray, block) -> None:
-        """Overwrite *rows* with a freshly explored ``WorldBlock``."""
+        """Overwrite *rows* with a freshly explored ``ExploredBlock``."""
         self.touched_nodes[rows] = block.touched_nodes
-        self.touched_edges[rows] = block.touched_edges
+        self.touched_edges[rows] = self._edge_mask(block)
 
     def merge_block(
         self, rows: np.ndarray, block
@@ -68,14 +75,13 @@ class DenseWorldState:
         exactly the masks a from-scratch union exploration would, and
         the draw-count deltas are the newly-set bits.
         """
+        edges = self._edge_mask(block)
         node_delta = (block.touched_nodes & ~self.touched_nodes[rows]).sum(
             axis=1
         )
-        edge_delta = (block.touched_edges & ~self.touched_edges[rows]).sum(
-            axis=1
-        )
+        edge_delta = (edges & ~self.touched_edges[rows]).sum(axis=1)
         self.touched_nodes[rows] |= block.touched_nodes
-        self.touched_edges[rows] |= block.touched_edges
+        self.touched_edges[rows] |= edges
         return node_delta.astype(np.int64), edge_delta.astype(np.int64)
 
     def node_pairs(

@@ -25,7 +25,6 @@ FIELDS = (
     "node_draws",
     "edge_draws",
     "touched_nodes",
-    "touched_edges",
     "expanded_nodes",
 )
 INLINE, POOLED = 1, 4
@@ -73,7 +72,8 @@ def assert_same_blocks(inline, pooled) -> None:
                 assert np.array_equal(expected, got), field
 
 
-@pytest.mark.parametrize("collect", [False, "dense", "compact"])
+# "compact": blocks carry the touched and expanded node masks.
+@pytest.mark.parametrize("collect", [False, True], ids=["False", "compact"])
 @pytest.mark.parametrize(
     "worlds,blocks",
     [(WORLDS, 5), (WORLDS[:20], 1)],

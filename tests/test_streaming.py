@@ -185,12 +185,16 @@ class TestIndexedReverseSampler:
         )
         # Candidates are always drawn, hence always touched.
         assert block.touched_nodes[:, :12].all()
-        # Draw counters must agree with the touched masks.
+        # Expanded nodes are the touched ones that did not self-default.
+        assert not (block.expanded_nodes & ~block.touched_nodes).any()
+        # Draw counters must agree with the touched masks: a world draws
+        # every in-edge of each node it expands.
         assert np.array_equal(
             block.touched_nodes.sum(axis=1), block.node_draws
         )
+        heads = graph.edge_array[1]
         assert np.array_equal(
-            block.touched_edges.sum(axis=1), block.edge_draws
+            block.expanded_nodes[:, heads].sum(axis=1), block.edge_draws
         )
 
     def test_validation(self):
@@ -202,6 +206,9 @@ class TestIndexedReverseSampler:
             sampler.outcomes_for_worlds(np.empty(0, dtype=np.int64))
         with pytest.raises(SamplingError):
             sampler.outcomes_for_worlds([-1])
+        for mode in ("dense", "compact", 1):
+            with pytest.raises(SamplingError, match="must be a bool"):
+                sampler.outcomes_for_worlds([0], collect_touched=mode)
         with pytest.raises(SamplingError):
             IndexedReverseSampler(graph, np.empty(0, dtype=np.int64))
 

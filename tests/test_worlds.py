@@ -15,7 +15,12 @@ from reference_worlds import (
 
 from repro.core.errors import GraphError
 from repro.core.graph import UncertainGraph
-from repro.core.worlds import DEFAULT_MAX_CHOICES, enumerate_world_blocks
+from repro.core.worlds import (
+    DEFAULT_MAX_CHOICES,
+    enumerate_world_blocks,
+    free_choices,
+)
+from repro.queries import enumerated_world_count
 
 
 def make_world(graph, default_labels, surviving_edges):
@@ -201,6 +206,23 @@ class TestBlockEnumeration:
                 world.edge_survives, reference_world.edge_survives
             )
             assert mass == reference_mass
+
+    def test_enumerated_world_count_is_the_rows_yielded(self):
+        """The exact queries report ``worlds_used`` through the same
+        free-choice rule the enumeration walks: pinned 0/1 choices
+        count in neither."""
+        graph = pinned_mix_graph()
+        free_nodes, free_edges = free_choices(graph)
+        assert free_nodes.tolist() == [0, 3]
+        assert free_edges.tolist() == [0, 3]
+        for block_worlds in (1, 4, 4096):
+            rows = sum(
+                block.num_worlds
+                for block in enumerate_world_blocks(
+                    graph, block_worlds=block_worlds
+                )
+            )
+            assert enumerated_world_count(graph) == rows == 16
 
     def test_masses_bit_equal_world_probability(self, paper_graph):
         """Gray-code incremental masses == from-scratch recomputation."""

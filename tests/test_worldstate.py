@@ -2,11 +2,14 @@
 packed-vs-dense bit-identity of the full streaming pipeline.
 
 The contract under test is strict: the packed representation (two
-``n``-bit masks per world plus an entity→worlds inverted index) must be
+``n``-bit masks per world, read by column bit-scans) must be
 *indistinguishable* from the dense oracle layout
 (``tests/dense_worldstate.py``) through every monitor behaviour — top-k
 answers, per-world repair sets, and draw counters — on the Figure-6
-workload datasets as well as synthetic streams.
+workload datasets as well as synthetic streams.  The identity the packed
+layout rests on — a world draws exactly its touched nodes and the
+in-edges of its expanded nodes — is checked against the counters the
+sampler actually hashes.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ import numpy as np
 import pytest
 from dense_worldstate import DenseWorldState
 
+import repro.sampling.indexed as indexed_module
 import repro.streaming.monitor as monitor_module
 from repro.algorithms.bsr import BoundedSampleReverseDetector
+from repro.algorithms.bsrbk import BottomKDetector
 from repro.core.errors import SamplingError
 from repro.core.graph import UncertainGraph
 from repro.datasets.powerlaw import directed_powerlaw_edges
@@ -29,6 +34,7 @@ from repro.sampling.worldstate import (
     popcount,
     unpack_bool_rows,
 )
+from repro.streaming.events import EdgeAdd, NodeAdd
 from repro.streaming.monitor import TopKMonitor
 from repro.streaming.replay import random_patch_stream
 
@@ -67,7 +73,7 @@ class TestPackingPrimitives:
 
 
 def _random_block(rng, worlds, n, m, density=0.3):
-    """A WorldBlock-shaped namespace with consistent masks."""
+    """An ExploredBlock-shaped namespace with consistent masks."""
 
     class Block:
         pass
@@ -85,79 +91,44 @@ class TestStateEquivalence:
     """Dense and packed states answer every query identically."""
 
     def _states(self, worlds, n, heads, in_degrees, rng):
-        dense = DenseWorldState(worlds, n, heads.size)
+        dense = DenseWorldState(worlds, n, heads.size, heads=heads)
         packed = PackedWorldState(
             worlds, n, heads.size, heads=heads, in_degrees=in_degrees
         )
         return dense, packed
 
-    def _store(self, dense, packed, rows, block, heads):
-        # The dense layout stores explicit edge masks; derive them from
-        # the expanded nodes exactly as the sampler would have drawn
-        # them (edge drawn iff its head is expanded).
-        block.touched_edges = block.expanded_nodes[:, heads]
+    def _store(self, dense, packed, rows, block):
         dense.store_block(rows, block)
         packed.store_block(rows, block)
 
-    def test_pairs_and_draws_agree(self):
-        rng = np.random.default_rng(7)
-        n, worlds = 90, 40
-        heads = rng.integers(0, n, size=220).astype(np.int64)
+    def _assert_agree(self, seed, n, worlds, m, density, all_entities):
+        rng = np.random.default_rng(seed)
+        heads = rng.integers(0, n, size=m).astype(np.int64)
         in_degrees = np.bincount(heads, minlength=n).astype(np.int64)
         dense, packed = self._states(worlds, n, heads, in_degrees, rng)
-        block = _random_block(rng, worlds, n, heads.size)
-        self._store(dense, packed, np.arange(worlds), block, heads)
-        nodes = np.array([0, 3, 55, 89])
-        edges = np.array([0, 17, 219])
-        for state_pair in [(dense, packed)]:
-            d_rows, d_pos = state_pair[0].node_pairs(nodes)
-            p_rows, p_pos = state_pair[1].node_pairs(nodes)
-            assert set(zip(d_rows, d_pos)) == set(zip(p_rows, p_pos))
-            d_rows, d_pos = state_pair[0].edge_pairs(edges, heads[edges])
-            p_rows, p_pos = state_pair[1].edge_pairs(edges, heads[edges])
-            assert set(zip(d_rows, d_pos)) == set(zip(p_rows, p_pos))
+        block = _random_block(rng, worlds, n, m, density=density)
+        self._store(dense, packed, np.arange(worlds), block)
+        if all_entities:
+            nodes, edges = np.arange(n), np.arange(m)
+        else:
+            nodes, edges = np.array([0, 3, 55, 89]), np.array([0, 17, 219])
+        d_rows, d_pos = dense.node_pairs(nodes)
+        p_rows, p_pos = packed.node_pairs(nodes)
+        assert set(zip(d_rows, d_pos)) == set(zip(p_rows, p_pos))
+        d_rows, d_pos = dense.edge_pairs(edges, heads[edges])
+        p_rows, p_pos = packed.edge_pairs(edges, heads[edges])
+        assert set(zip(d_rows, d_pos)) == set(zip(p_rows, p_pos))
         assert np.array_equal(dense.node_draws(), packed.node_draws())
         assert np.array_equal(dense.edge_draws(), packed.edge_draws())
 
-    def test_pairs_agree_after_repairs_with_stale_index(self, monkeypatch):
-        # The index only builds above INDEX_MIN_WORLDS rows in
-        # production (column scans win below); drop the floor so this
-        # test exercises the indexed path at unit-test scale.
-        monkeypatch.setattr(PackedWorldState, "INDEX_MIN_WORLDS", 1)
-        rng = np.random.default_rng(11)
-        n, worlds = 600, 30
-        heads = rng.integers(0, n, size=1800).astype(np.int64)
-        in_degrees = np.bincount(heads, minlength=n).astype(np.int64)
-        dense, packed = self._states(worlds, n, heads, in_degrees, rng)
-        block = _random_block(rng, worlds, n, heads.size, density=0.01)
-        self._store(dense, packed, np.arange(worlds), block, heads)
-        nodes = np.arange(n)
-        packed.node_pairs(nodes[:5])  # force the index build
-        assert packed.has_index
-        # Repair a few rows with different masks; index rows go stale.
-        repair = np.array([2, 9, 21])
-        patch = _random_block(rng, repair.size, n, heads.size, density=0.01)
-        self._store(dense, packed, repair, patch, heads)
-        d_rows, d_pos = dense.node_pairs(nodes)
-        p_rows, p_pos = packed.node_pairs(nodes)
-        assert set(zip(d_rows, d_pos)) == set(zip(p_rows, p_pos))
+    def test_pairs_and_draws_agree(self):
+        self._assert_agree(7, 90, 40, 220, density=0.3, all_entities=False)
 
-    def test_dense_index_disabled_pairs_still_exact(self, monkeypatch):
-        """High touch density disables the index; the column bit-scan
-        fallback must stay exact."""
-        monkeypatch.setattr(PackedWorldState, "INDEX_MIN_WORLDS", 1)
-        rng = np.random.default_rng(19)
-        n, worlds = 70, 30
-        heads = rng.integers(0, n, size=180).astype(np.int64)
-        in_degrees = np.bincount(heads, minlength=n).astype(np.int64)
-        dense, packed = self._states(worlds, n, heads, in_degrees, rng)
-        block = _random_block(rng, worlds, n, heads.size, density=0.5)
-        self._store(dense, packed, np.arange(worlds), block, heads)
-        nodes = np.arange(n)
-        d_rows, d_pos = dense.node_pairs(nodes)
-        p_rows, p_pos = packed.node_pairs(nodes)
-        assert not packed.has_index
-        assert set(zip(d_rows, d_pos)) == set(zip(p_rows, p_pos))
+    def test_dense_index_disabled_pairs_still_exact(self):
+        """High touch density, queried at every node and every edge: the
+        column bit-scan (the packed state's only lookup path, with no
+        inverted index to fall back from) must stay exact."""
+        self._assert_agree(19, 70, 30, 180, density=0.5, all_entities=True)
 
     def test_merge_block_deltas_are_exact(self):
         rng = np.random.default_rng(13)
@@ -166,11 +137,10 @@ class TestStateEquivalence:
         in_degrees = np.bincount(heads, minlength=n).astype(np.int64)
         dense, packed = self._states(worlds, n, heads, in_degrees, rng)
         base = _random_block(rng, worlds, n, heads.size)
-        self._store(dense, packed, np.arange(worlds), base, heads)
+        self._store(dense, packed, np.arange(worlds), base)
         before_nodes = packed.node_draws().copy()
         before_edges = packed.edge_draws().copy()
         extra = _random_block(rng, worlds, n, heads.size)
-        extra.touched_edges = extra.expanded_nodes[:, heads]
         d_node, d_edge = dense.merge_block(np.arange(worlds), extra)
         p_node, p_edge = packed.merge_block(np.arange(worlds), extra)
         assert np.array_equal(d_node, p_node)
@@ -215,11 +185,8 @@ class TestSamplerDrawCountIdentities:
         candidates = np.arange(0, 150, 3)
         sampler = IndexedReverseSampler(graph, candidates, seed=9)
         block = sampler.outcomes_for_worlds(
-            np.arange(25), collect_touched="compact"
+            np.arange(25), collect_touched=True
         )
-        dense_block = IndexedReverseSampler(
-            graph, candidates, seed=9
-        ).outcomes_for_worlds(np.arange(25), collect_touched=True)
         # node draws == touched popcount
         assert np.array_equal(
             block.node_draws, block.touched_nodes.sum(axis=1)
@@ -229,11 +196,46 @@ class TestSamplerDrawCountIdentities:
         assert np.array_equal(
             block.edge_draws, block.expanded_nodes @ in_degrees
         )
-        # edge mask == expanded head mask (the m-bit -> n-bit collapse)
-        heads = graph.edge_array[1]
-        assert np.array_equal(
-            dense_block.touched_edges, block.expanded_nodes[:, heads]
+
+    @pytest.mark.parametrize("cpus", [1, 4], ids=["inline", "pooled"])
+    def test_hashed_draws_are_touched_nodes_and_expanded_in_edges(
+        self, monkeypatch, cpus
+    ):
+        """Every counter the exploration hashes, decoded from its lane:
+        per world, the nodes are exactly the touched mask and the edges
+        exactly the in-edges of the expanded nodes, each hashed once."""
+        monkeypatch.setattr(indexed_module, "_cpu_count", lambda: cpus)
+        hashed: list[np.ndarray] = []
+        lattice = indexed_module._hashed_lattice
+
+        def recording(key, counters):
+            hashed.append(counters.copy())  # the function hashes in place
+            return lattice(key, counters)
+
+        monkeypatch.setattr(indexed_module, "_hashed_lattice", recording)
+        graph = powerlaw_graph(150, seed=4)
+        worlds = np.arange(7, 7 + 5 * 64, 5)  # four blocks of 16
+        sampler = IndexedReverseSampler(
+            graph, np.arange(0, 150, 3), seed=9, world_batch=16
         )
+        block = sampler.outcomes_for_worlds(worlds, collect_touched=True)
+        counters = np.concatenate(hashed)
+        world = (counters >> np.uint64(33)).astype(np.int64)
+        lane = (counters & np.uint64(2**33 - 1)).astype(np.int64)
+        is_edge = lane >= 2**32
+        entity = np.where(is_edge, lane - 2**32, lane)
+        edge_masks = block.expanded_nodes[:, graph.edge_array[1]]
+        assert counters.size == block.touched_nodes.sum() + edge_masks.sum()
+        for row, index in enumerate(worlds):
+            mine = world == index
+            assert np.array_equal(
+                np.sort(entity[mine & ~is_edge]),
+                np.flatnonzero(block.touched_nodes[row]),
+            )
+            assert np.array_equal(
+                np.sort(entity[mine & is_edge]),
+                np.flatnonzero(edge_masks[row]),
+            )
 
 
 #: One Figure-6 configuration per dataset family, small enough for CI.
@@ -305,6 +307,65 @@ class TestPackedVsDenseBitIdentity:
             dense.world_state_nbytes
             >= 4 * packed.world_state_nbytes
         )
+
+
+class TestLargeWorldBudgets:
+    """Monitor lookups over more than 4,096 world rows.
+
+    At ε = 0.05 Theorem 5 asks for over 5,000 worlds on a 60-node graph,
+    so every invalidation scan reads that many packed rows.  Both
+    pipelines must stay bit-identical to fresh detection, work counters
+    included, through drift patches, fresh-value patches and a growth
+    batch.
+    """
+
+    EPSILON = 0.05
+
+    def _batches(self, graph):
+        """Drift patches, fresh-value patches, a growth batch, drift."""
+        for event in random_patch_stream(graph, 4, seed=6, drift=0.15):
+            yield [event]
+        for event in random_patch_stream(graph, 3, seed=7):
+            yield [event]
+        labels = graph.labels()
+        yield [
+            NodeAdd("grown", 0.2),
+            EdgeAdd("grown", labels[0], 0.6),
+            EdgeAdd(labels[1], "grown", 0.4),
+        ]
+        for event in random_patch_stream(graph, 2, seed=8, drift=0.15):
+            yield [event]
+
+    @pytest.mark.parametrize(
+        "algorithm,detector",
+        [("bsr", BoundedSampleReverseDetector), ("bsrbk", BottomKDetector)],
+        ids=["bsr", "bsrbk"],
+    )
+    def test_monitor_matches_fresh_detection(self, algorithm, detector):
+        graph = powerlaw_graph(60, seed=3)
+        fresh = detector(seed=2, epsilon=self.EPSILON)
+        monitor = TopKMonitor(
+            graph, 5, seed=2, epsilon=self.EPSILON, algorithm=algorithm
+        )
+        self._assert_fresh(monitor, fresh, graph, algorithm)
+        repaired = 0
+        for batch in self._batches(graph):
+            monitor.apply(batch)
+            self._assert_fresh(monitor, fresh, graph, algorithm)
+            repaired += monitor.last_report.worlds_repaired
+        assert graph.num_nodes == 61
+        assert repaired > 0
+
+    @staticmethod
+    def _assert_fresh(monitor, fresh, graph, algorithm):
+        result = monitor.top_k()
+        expected = fresh.detect(graph, 5)
+        assert result.same_answer(expected)
+        for key in ("nodes_touched", "edges_touched"):
+            assert result.details[key] == expected.details[key]
+        if algorithm == "bsr":
+            assert result.samples_used > 4096
+            assert monitor._world_state.worlds == result.samples_used
 
 
 class TestCounterLanes:
