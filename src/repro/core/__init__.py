@@ -29,6 +29,7 @@ from repro.core.propagation import (
     propagate_defaults_block,
     propagate_edge_list,
     ragged_positions,
+    surviving_edge_keys,
 )
 from repro.core.topk import kth_largest, top_k_indices, top_k_labels, validate_k
 from repro.core.worlds import (
@@ -52,6 +53,7 @@ __all__ = [
     "propagate_defaults_block",
     "propagate_edge_list",
     "ragged_positions",
+    "surviving_edge_keys",
     "DEFAULT_BLOCK_WORLDS",
     "DEFAULT_MAX_CHOICES",
     "exact_default_probabilities",

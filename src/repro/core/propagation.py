@@ -21,8 +21,9 @@ no per-world Python BFS, no ``deque``, no scalar casts.
 Contract of the kernel (:func:`propagate_edge_list`)
 ----------------------------------------------------
 The kernel receives a flat boolean *defaulted* array plus the endpoints
-of every *surviving* edge (flat keys) and marks, in place, every key
-reachable from an already-marked key.  Each fixpoint iteration drops
+of every *surviving* edge (flat keys, as :func:`surviving_edge_keys`
+builds them) and marks, in place, every key reachable from an
+already-marked key.  Each fixpoint iteration drops
 edges whose destination is already marked and crosses edges whose source
 is marked, so the work per iteration shrinks monotonically and the loop
 terminates after at most ``longest contagion chain`` iterations.
@@ -39,6 +40,7 @@ __all__ = [
     "propagate_edge_list",
     "propagate_defaults_block",
     "ragged_positions",
+    "surviving_edge_keys",
 ]
 
 
@@ -68,6 +70,36 @@ def ragged_positions(
         starts - exclusive, counts
     )
     return positions, counts
+
+
+def surviving_edge_keys(
+    num_nodes: int,
+    edge_src: np.ndarray,
+    edge_dst: np.ndarray,
+    edge_survives: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat keys of both endpoints of every surviving (world, edge) pair.
+
+    For each ``True`` cell ``(w, e)`` of the boolean ``(W, m)``
+    *edge_survives* matrix, in row-major order, the two ``int64`` keys
+    ``w * n + edge_src[e]`` and ``w * n + edge_dst[e]``: the edge list
+    of the flat multi-world graph, which :func:`propagate_edge_list` and
+    the query kernels of :mod:`repro.queries.kernels` read.  The keys
+    take 16 bytes per surviving pair.
+    """
+    edge_src = np.asarray(edge_src, dtype=np.int64)
+    edge_dst = np.asarray(edge_dst, dtype=np.int64)
+    edge_survives = np.asarray(edge_survives)
+    if edge_dst.shape != edge_src.shape or edge_src.ndim != 1:
+        raise GraphError("edge_src and edge_dst must be aligned 1-d arrays")
+    if edge_survives.ndim != 2 or edge_survives.shape[1] != edge_src.size:
+        raise GraphError(
+            f"edge_survives has shape {edge_survives.shape}, "
+            f"expected (W, {edge_src.size})"
+        )
+    rows, eids = np.nonzero(edge_survives)
+    base = rows * np.int64(num_nodes)
+    return base + edge_src[eids], base + edge_dst[eids]
 
 
 def propagate_edge_list(
@@ -146,11 +178,10 @@ def propagate_defaults_block(
     if self_default.dtype != np.bool_ or edge_survives.dtype != np.bool_:
         raise GraphError("world block arrays must be boolean")
     defaulted = np.ascontiguousarray(self_default).copy()
-    if worlds and m and defaulted.any() and edge_survives.any():
+    if defaulted.any():
         src, dst, _ = graph.edge_array
-        world_index, edge_index = np.nonzero(edge_survives)
-        base = world_index * np.int64(n)
         propagate_edge_list(
-            defaulted.reshape(-1), base + src[edge_index], base + dst[edge_index]
+            defaulted.reshape(-1),
+            *surviving_edge_keys(n, src, dst, edge_survives),
         )
     return defaulted

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.core.errors import QueryError
 from repro.core.graph import UncertainGraph
+from repro.core.propagation import surviving_edge_keys
 from repro.core.worlds import DEFAULT_MAX_CHOICES, enumerate_world_blocks
 from repro.queries.base import (
     QueryResult,
@@ -61,7 +62,6 @@ class KCoreQuery:
     ) -> QueryResult:
         started = perf_counter()
         core_k = int(k)
-        src, dst, _ = view.graph.edge_array
 
         def _membership() -> np.ndarray:
             # Seed from the deepest cached lower-order core: the k-core
@@ -73,7 +73,7 @@ class KCoreQuery:
                 if seed is not None:
                     break
             return kcore_membership(
-                view.num_nodes, src, dst, view.edge_survives(), core_k,
+                view.num_worlds, view.num_nodes, view.edge_keys(), core_k,
                 alive_init=seed,
             )
 
@@ -105,8 +105,11 @@ class KCoreQuery:
         src, dst, _ = graph.edge_array
         probabilities = np.zeros(graph.num_nodes, dtype=np.float64)
         for block in enumerate_world_blocks(graph, max_choices=max_choices):
+            keys = surviving_edge_keys(
+                graph.num_nodes, src, dst, block.edge_survives
+            )
             alive = kcore_membership(
-                graph.num_nodes, src, dst, block.edge_survives, core_k
+                block.num_worlds, graph.num_nodes, keys, core_k
             )
             probabilities += block.masses @ alive
         np.clip(probabilities, 0.0, 1.0, out=probabilities)

@@ -9,10 +9,11 @@ clustering optimises — a cluster is good exactly when its members stay
 connected in most realisations.
 
 Per-world connectivity comes from canonical min-index component labels
-(:func:`repro.queries.kernels.connected_component_labels`) — computed
-once per world set and shared across every pair/cluster query through
-the view cache, which is where the amortisation of the query layer
-shows up most directly.
+(:func:`repro.queries.kernels.connected_component_labels`, hook and
+compress over the view's flat edge keys) — computed once per world set
+and shared across every pair/cluster query through the view cache,
+which is where the amortisation of the query layer shows up most
+directly.
 
 Result layout: ``values[i]`` is the probability of ``pairs[i]``; when a
 *cluster* is given its probability is appended as the final entry.
@@ -27,6 +28,7 @@ import numpy as np
 
 from repro.core.errors import QueryError
 from repro.core.graph import UncertainGraph
+from repro.core.propagation import surviving_edge_keys
 from repro.core.worlds import DEFAULT_MAX_CHOICES, enumerate_world_blocks
 from repro.queries.base import (
     QueryResult,
@@ -134,11 +136,10 @@ class ReliabilityQuery:
     ) -> QueryResult:
         started = perf_counter()
         pair_list, cluster_list = _normalise(view.num_nodes, pairs, cluster)
-        src, dst, _ = view.graph.edge_array
         labels = view.cached(
             ("reliability", "components"),
             lambda: connected_component_labels(
-                view.num_nodes, src, dst, view.edge_survives()
+                view.num_worlds, view.num_nodes, view.edge_keys()
             ),
         )
         values = _connectivity_means(labels, None, pair_list, cluster_list)
@@ -162,8 +163,11 @@ class ReliabilityQuery:
             len(pair_list) + (1 if cluster_list else 0), dtype=np.float64
         )
         for block in enumerate_world_blocks(graph, max_choices=max_choices):
-            labels = connected_component_labels(
+            keys = surviving_edge_keys(
                 graph.num_nodes, src, dst, block.edge_survives
+            )
+            labels = connected_component_labels(
+                block.num_worlds, graph.num_nodes, keys
             )
             total += _connectivity_means(
                 labels, block.masses, pair_list, cluster_list

@@ -158,7 +158,9 @@ def _restore_slots(obj, state) -> None:
     Samplers and views pickled before the counter layouts were merged
     carry a ``_layout`` slot, and the monitor restoring them recomputes
     its worlds (see ``TopKMonitor.__setstate__``).  Packed world states
-    pickled while they kept an entity→worlds index carry its four slots.
+    pickled while they kept an entity→worlds index carry its four slots,
+    and those pickled while they kept the edge-head table carry
+    ``_heads``.
     """
     _, slots = state
     current = type(obj).__slots__

@@ -14,10 +14,9 @@ in a world iff its head node was expanded there (see
 :mod:`repro.sampling.indexed`), so the ``m``-bit mask collapses onto the
 ``n``-bit expanded mask.  With ``m ≈ 3n`` this stores world state in
 ``2n/8`` bytes instead of the ``4n`` of dense boolean masks — a ~16×
-reduction — and per-world draw counters fall out of popcounts
-(``node_draws == popcount(touched)``,
-``edge_draws == Σ in_degree over expanded``).  The dense layout survives
-as the test oracle the packed state is pinned against.
+reduction — and per-world draw counts are popcounts (nodes) and
+in-degree sums over the expanded nodes (edges).  The dense layout
+survives as the test oracle the packed state is pinned against.
 
 The state answers the two queries the monitor's repair pipeline is built
 from:
@@ -43,7 +42,7 @@ import numpy as np
 
 from repro.core.errors import SamplingError
 from repro.core.graph import UncertainGraph
-from repro.core.propagation import propagate_defaults_block
+from repro.core.propagation import propagate_edge_list, surviving_edge_keys
 from repro.sampling.indexed import _restore_slots, counter_lanes
 from repro.sampling.rng import (
     SeedLike,
@@ -141,12 +140,10 @@ class PackedWorldState:
     ----------
     worlds, num_nodes, num_edges:
         State dimensions.
-    heads:
-        ``(m,)`` head (destination) node of every edge id — the map from
-        edge queries onto the expanded-node bits.
     in_degrees:
         ``(n,)`` in-degree of every node; ``Σ in_degree over expanded``
-        is a world's exact edge-draw count.
+        is a world's exact edge-draw count, which :meth:`merge_block`
+        reports as a delta.
     """
 
     __slots__ = (
@@ -154,7 +151,6 @@ class PackedWorldState:
         "expanded_words",
         "_n",
         "_m",
-        "_heads",
         "_in_degrees",
     )
 
@@ -164,23 +160,16 @@ class PackedWorldState:
         num_nodes: int,
         num_edges: int,
         *,
-        heads: np.ndarray,
         in_degrees: np.ndarray,
     ) -> None:
         self._n = int(num_nodes)
         self._m = int(num_edges)
-        heads = np.asarray(heads, dtype=np.int64)
         in_degrees = np.asarray(in_degrees, dtype=np.int64)
-        if heads.shape != (self._m,):
-            raise SamplingError(
-                f"heads must have shape ({self._m},), got {heads.shape}"
-            )
         if in_degrees.shape != (self._n,):
             raise SamplingError(
                 f"in_degrees must have shape ({self._n},), "
                 f"got {in_degrees.shape}"
             )
-        self._heads = heads
         self._in_degrees = in_degrees
         words = _num_words(self._n)
         self.touched_words = np.zeros((worlds, words), dtype=_WORD)
@@ -255,7 +244,6 @@ class PackedWorldState:
         num_nodes: int,
         num_edges: int,
         *,
-        heads: np.ndarray,
         in_degrees: np.ndarray,
     ) -> None:
         """Append entity columns (bits) for appended nodes/edges.
@@ -263,22 +251,16 @@ class PackedWorldState:
         New node bits start clear in every cached world — a closure can
         only reach a new entity through a new edge, so an unaffected
         world's masks are already exactly what a fresh exploration would
-        record.  *heads* / *in_degrees* are the **grown** graph's edge
-        heads and node in-degrees: existing edges keep their ids
-        (append-only growth), so the head table is a pure extension,
-        while in-degrees of existing nodes may grow — the edge-draw
-        identity ``Σ in_degree over expanded`` stays exact for worlds
-        whose expanded set contains no new edge's head, and every other
-        world must be repaired by the caller anyway.
+        record.  *in_degrees* are the **grown** graph's node in-degrees:
+        existing edges keep their ids (append-only growth), while
+        in-degrees of existing nodes may grow — the edge-draw identity
+        ``Σ in_degree over expanded`` stays exact for worlds whose
+        expanded set contains no new edge's head, and every other world
+        must be repaired by the caller anyway.
         """
         if num_nodes < self._n or num_edges < self._m:
             raise SamplingError("world state only extends, never shrinks")
-        heads = np.asarray(heads, dtype=np.int64)
         in_degrees = np.asarray(in_degrees, dtype=np.int64)
-        if heads.shape != (int(num_edges),):
-            raise SamplingError(
-                f"heads must have shape ({num_edges},), got {heads.shape}"
-            )
         if in_degrees.shape != (int(num_nodes),):
             raise SamplingError(
                 f"in_degrees must have shape ({num_nodes},), "
@@ -294,7 +276,6 @@ class PackedWorldState:
             self.touched_words, self.expanded_words = touched, expanded
         self._n = int(num_nodes)
         self._m = int(num_edges)
-        self._heads = heads
         self._in_degrees = in_degrees
 
     # ------------------------------------------------------------------
@@ -315,15 +296,6 @@ class PackedWorldState:
         passes the heads so the query needs no per-call gather.
         """
         return _set_bit_pairs(self.expanded_words, heads)
-
-    def node_draws(self) -> np.ndarray:
-        """Per-row distinct node-draw counts (touched popcounts)."""
-        return popcount(self.touched_words).sum(axis=1, dtype=np.int64)
-
-    def edge_draws(self) -> np.ndarray:
-        """Per-row distinct edge-draw counts (in-degree mass of expanded)."""
-        dense = unpack_bool_rows(self.expanded_words, self._n)
-        return (dense @ self._in_degrees).astype(np.int64)
 
 
 #: Probabilities lifted to the 53-bit mantissa lattice of the counter PRF
@@ -351,14 +323,18 @@ class WorldView:
     for fresh sampling.
 
     Everything is **lazy and cached**: the realisation matrices, the
-    propagated default matrix, and any family-specific derived product
-    registered through :meth:`cached`.  The view never mutates the graph
-    and never draws new randomness; it is safe to hand to any number of
-    estimators.
+    flat keys of the surviving edges, the propagated default matrix, and
+    any family-specific derived product registered through
+    :meth:`cached`.  The view never mutates the graph and never draws
+    new randomness; it is safe to hand to any number of estimators.
 
     Memory: realising all worlds costs ``O(W * (n + m))`` booleans, so
     views are meant for the sample counts the monitor keeps (thousands),
-    not for exhaustive enumeration.
+    not for exhaustive enumeration.  The edge keys (:meth:`edge_keys`)
+    add 16 bytes per surviving (world, edge) pair — on a 5,000-node,
+    10,000-edge power-law graph with 258 worlds, about 0.86 M pairs and
+    14 MB, more than the realisation matrices themselves.  A monitor's
+    view lives until its next accepted update.
 
     Parameters
     ----------
@@ -498,19 +474,39 @@ class WorldView:
         self._realise()
         return self._edge_survives
 
+    def edge_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat ``w * n + v`` keys of both endpoints of every surviving
+        (world, edge) pair, read-only.
+
+        Built once (:func:`~repro.core.propagation.surviving_edge_keys`)
+        and shared by the propagation fixpoint and every graph kernel of
+        :mod:`repro.queries.kernels`.
+        """
+
+        def build() -> tuple[np.ndarray, np.ndarray]:
+            src, dst, _ = self._graph.edge_array
+            keys = surviving_edge_keys(self._n, src, dst, self.edge_survives())
+            for array in keys:
+                array.setflags(write=False)
+            return keys
+
+        return self.cached(("edge_keys",), build)
+
     def defaulted(self) -> np.ndarray:
         """Boolean ``(W, n)``: which nodes default (self or contagion).
 
         Bit-identical to the reverse samplers' per-world outcomes for
         the same worlds and key (the contagion fixpoint is the shared
-        :func:`~repro.core.propagation.propagate_defaults_block`).
+        :func:`~repro.core.propagation.propagate_edge_list`, over
+        :meth:`edge_keys`).
         """
-        return self.cached(
-            ("defaulted",),
-            lambda: propagate_defaults_block(
-                self._graph, self.self_default(), self.edge_survives()
-            ),
-        )
+
+        def propagate() -> np.ndarray:
+            defaulted = self.self_default().copy()
+            propagate_edge_list(defaulted.reshape(-1), *self.edge_keys())
+            return defaulted
+
+        return self.cached(("defaulted",), propagate)
 
     def contagion(self) -> np.ndarray:
         """Boolean ``(W, n)``: defaulted through contagion, not self."""

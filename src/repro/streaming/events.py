@@ -97,7 +97,9 @@ class EdgeProbabilityUpdate:
 
     def describe(self) -> str:
         """Short human-readable form for logs and CLI tables."""
-        return f"p({self.dst!r}|{self.src!r}) <- {self.value:.4f}"
+        # An arrow, as EdgeAdd prints it: a "|" would split the CLI's
+        # "|"-separated step table.
+        return f"p({self.src!r} -> {self.dst!r}) <- {self.value:.4f}"
 
 
 @dataclass(frozen=True)

@@ -976,7 +976,6 @@ class TopKMonitor:
         self._world_state.extend(
             graph.num_nodes,
             graph.num_edges,
-            heads=graph.edge_array[1],
             in_degrees=np.diff(graph.in_csr().indptr),
         )
         self._sampler = self._make_sampler(self._sampling_candidates)
@@ -1214,7 +1213,6 @@ class TopKMonitor:
             samples if rows is None else rows,
             graph.num_nodes,
             graph.num_edges,
-            heads=graph.edge_array[1],
             in_degrees=np.diff(graph.in_csr().indptr),
         )
 

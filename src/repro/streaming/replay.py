@@ -88,6 +88,10 @@ def random_patch_stream(
     for _ in range(count):
         patch_edge = has_edges and rng.random() < edge_fraction
         if patch_edge:
+            if edge_src.size != graph.num_edges:
+                # The graph grew while the stream was paused; appended
+                # edges take the next ids, so re-reading extends the map.
+                edge_src, edge_dst, _ = graph.edge_array
             edge = int(rng.integers(graph.num_edges))
             src = graph.label(int(edge_src[edge]))
             dst = graph.label(int(edge_dst[edge]))

@@ -7,11 +7,17 @@ oracle keeps an explicit ``(worlds, m)`` edge mask, which it builds from
 the explored blocks' expanded-node masks as ``expanded_nodes[:, heads]``
 (an edge is drawn iff its head is expanded); the packed state never
 materialises it.
+
+:func:`node_draws` and :func:`edge_draws` read a packed state's
+per-world draw counts, for comparison with the dense masks' row sums;
+the library never needs them.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.sampling.worldstate import popcount, unpack_bool_rows
 
 
 class DenseWorldState:
@@ -19,8 +25,8 @@ class DenseWorldState:
 
     ``(worlds, n)`` touched-node and ``(worlds, m)`` touched-edge
     booleans, filled from the sampler's ``collect_touched=True`` blocks.
-    It takes the packed state's constructor (it ignores *in_degrees*) so
-    a monitor can run on it in place of the packed state.
+    It needs the edge *heads* the packed state does without, so a
+    monitor runs on it through :func:`dense_state_for`.
     """
 
     __slots__ = ("touched_nodes", "touched_edges", "_n", "_m", "_heads")
@@ -32,7 +38,6 @@ class DenseWorldState:
         num_edges: int,
         *,
         heads: np.ndarray,
-        in_degrees: np.ndarray | None = None,
     ) -> None:
         self._n = int(num_nodes)
         self._m = int(num_edges)
@@ -118,3 +123,32 @@ class DenseWorldState:
         nodes[:current] = self.touched_nodes
         edges[:current] = self.touched_edges
         self.touched_nodes, self.touched_edges = nodes, edges
+
+
+def node_draws(packed) -> np.ndarray:
+    """Per-row distinct node-draw counts of a ``PackedWorldState``
+    (touched popcounts)."""
+    return popcount(packed.touched_words).sum(axis=1, dtype=np.int64)
+
+
+def edge_draws(packed, in_degrees: np.ndarray) -> np.ndarray:
+    """Per-row distinct edge-draw counts of a ``PackedWorldState``: the
+    in-degree mass of each row's expanded nodes."""
+    expanded = unpack_bool_rows(packed.expanded_words, in_degrees.size)
+    return (expanded @ in_degrees).astype(np.int64)
+
+
+def dense_state_for(graph):
+    """A stand-in for the ``PackedWorldState`` class, for monitors over
+    *graph*: the dense oracle bound to *graph*'s edge heads, which the
+    packed state does without."""
+
+    class GraphDenseWorldState(DenseWorldState):
+        __slots__ = ()
+
+        def __init__(self, worlds, num_nodes, num_edges, *, in_degrees):
+            super().__init__(
+                worlds, num_nodes, num_edges, heads=graph.edge_array[1]
+            )
+
+    return GraphDenseWorldState

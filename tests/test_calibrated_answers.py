@@ -7,7 +7,9 @@ factor 2, self-risk U[0, 0.02], Beta(2, 4) edge strengths), where they
 often do, so frontier de-duplication and the skyline kernel both see
 real work.  ``data/calibrated_2000_answers.json`` holds the answers and
 work counters recorded before either kernel was rewritten; BSR, BSRBK
-and the skyline family must keep giving exactly those.
+and the skyline family must keep giving exactly those.  The component
+and k-core kernels are held to their dense-matrix oracles on a
+monitor's own view of this graph, where peels run for many rounds.
 """
 
 from __future__ import annotations
@@ -17,12 +19,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference_kernels
 from dense_skyline import dense_skyline_mask
 
 from repro.algorithms.bsr import BoundedSampleReverseDetector
 from repro.algorithms.bsrbk import BottomKDetector
 from repro.core.graph import UncertainGraph
 from repro.datasets.powerlaw import directed_powerlaw_edges
+from repro.queries.kernels import connected_component_labels, kcore_membership
 from repro.queries.skyline import skyline_mask
 from repro.sampling.worldstate import WorldView
 from repro.streaming.monitor import TopKMonitor
@@ -91,3 +95,32 @@ def test_skyline_mask_matches_the_oracle_on_calibrated_coordinates(
     mask = skyline_mask(coordinates)
     assert np.array_equal(mask, dense_skyline_mask(coordinates))
     assert 0 < mask.sum() < calibrated_graph.num_nodes
+
+
+@pytest.mark.parametrize("core_k", [2, 3])
+def test_graph_kernels_match_the_oracles_on_the_monitors_view(
+    calibrated_graph, core_k
+):
+    monitor = TopKMonitor(
+        calibrated_graph, PINNED["k"], seed=PINNED["detector_seed"]
+    )
+    view = monitor.world_view()
+    worlds, n = view.num_worlds, view.num_nodes
+    src, dst, _ = calibrated_graph.edge_array
+    survives = view.edge_survives()
+    keys = view.edge_keys()
+    labels = connected_component_labels(worlds, n, keys)
+    assert np.array_equal(
+        labels,
+        reference_kernels.connected_component_labels(n, src, dst, survives),
+    )
+    expected = reference_kernels.kcore_membership(
+        n, src, dst, survives, core_k
+    )
+    assert 0 < expected.sum() < expected.size
+    assert np.array_equal(kcore_membership(worlds, n, keys, core_k), expected)
+    # Seeded from the next lower order, as the family seeds its peel.
+    seed = kcore_membership(worlds, n, keys, core_k - 1)
+    assert np.array_equal(
+        kcore_membership(worlds, n, keys, core_k, alive_init=seed), expected
+    )

@@ -115,6 +115,24 @@ class TestStreamSubcommand:
         assert "streaming top-2" in out
         assert "4/4 steps bit-identical" in out
 
+    def test_table_rows_split_like_the_header(self, graph_json, capsys):
+        """Edge updates print with an arrow, so no event description
+        adds a field to the "|"-separated step table."""
+        code = main(
+            ["stream", "--graph", graph_json, "--k", "2",
+             "--events", "8", "--grow", "2", "--seed", "1", "--verify"]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        rule = next(i for i, line in enumerate(lines) if "-+-" in line)
+        header, rows = lines[rule - 1], lines[rule + 1:-1]
+        assert lines[-1].startswith("verify:")
+        assert any(" -> " in row and "p(" in row for row in rows)
+        fields = len(header.split("|"))
+        assert fields == 8
+        for row in rows:
+            assert len(row.split("|")) == fields, row
+
     def test_json_output_parses(self, graph_json, capsys):
         code = main(
             ["stream", "--graph", graph_json, "--k", "1",

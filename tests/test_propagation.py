@@ -12,6 +12,7 @@ from repro.core.propagation import (
     propagate_defaults_block,
     propagate_edge_list,
     ragged_positions,
+    surviving_edge_keys,
 )
 
 
@@ -50,6 +51,34 @@ class TestRaggedPositions:
         positions, counts = ragged_positions(indptr, np.array([0, 1]))
         assert positions.size == 0
         assert counts.tolist() == [0, 0]
+
+
+class TestSurvivingEdgeKeys:
+    def test_row_major_flat_keys(self):
+        survives = np.array([[True, False, True], [False, True, True]])
+        src_keys, dst_keys = surviving_edge_keys(
+            4, np.array([0, 1, 2]), np.array([1, 2, 3]), survives
+        )
+        assert src_keys.tolist() == [0, 2, 5, 6]
+        assert dst_keys.tolist() == [1, 3, 6, 7]
+        assert src_keys.dtype == dst_keys.dtype == np.int64
+
+    def test_no_worlds_or_no_edges(self):
+        for survives in (np.zeros((0, 2), bool), np.zeros((3, 2), bool)):
+            src_keys, dst_keys = surviving_edge_keys(
+                3, np.array([0, 1]), np.array([1, 2]), survives
+            )
+            assert src_keys.size == dst_keys.size == 0
+
+    def test_shape_validation(self):
+        with pytest.raises(GraphError):
+            surviving_edge_keys(
+                3, np.array([0, 1]), np.array([1, 2]), np.ones((2, 3), bool)
+            )
+        with pytest.raises(GraphError):
+            surviving_edge_keys(
+                3, np.array([0, 1]), np.array([1]), np.ones((2, 2), bool)
+            )
 
 
 class TestPropagateEdgeList:

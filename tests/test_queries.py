@@ -6,7 +6,9 @@ The load-bearing properties, in dependency order:
   **bit-identically** to the indexed sampler's own outcomes — the
   invariant that lets every family share the monitor's repaired worlds;
 * the per-world kernels (component labels, k-core peeling) agree with
-  independent brute-force implementations on every enumerated world;
+  independent brute-force implementations on every enumerated world,
+  and with the retired dense-matrix kernels (``reference_kernels.py``)
+  on generated graphs and masks;
 * every family's sampled estimate is pinned to its exact oracle: equal
   on deterministic graphs (a single possible world), statistically
   close on small random graphs enumerated exhaustively;
@@ -23,14 +25,20 @@ import json
 
 import numpy as np
 import pytest
+import reference_kernels
 from dense_skyline import dense_skyline_mask
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.bounds.iterative import bound_pair, certified_topk_mask
 from repro.core.errors import QueryError, SamplingError
 from repro.core.exact import exact_default_probabilities
 from repro.core.graph import UncertainGraph
+from repro.core.propagation import (
+    propagate_defaults_block,
+    surviving_edge_keys,
+)
 from repro.core.worlds import enumerate_world_blocks
 from repro.queries import (
     QueryEngine,
@@ -131,6 +139,25 @@ class TestWorldView:
         assert not np.any(contagion & view.self_default())
         assert np.all(view.defaulted() == (contagion | view.self_default()))
 
+    def test_edge_keys_are_built_once_and_read_only(self, small_random_graph):
+        view = sampled_view(small_random_graph, 64)
+        src_keys, dst_keys = view.edge_keys()
+        assert view.edge_keys()[0] is src_keys
+        with pytest.raises(ValueError):
+            src_keys[0] = 0
+        rows, eids = np.nonzero(view.edge_survives())
+        src, dst, _ = small_random_graph.edge_array
+        n = small_random_graph.num_nodes
+        assert np.array_equal(src_keys, rows * n + src[eids])
+        assert np.array_equal(dst_keys, rows * n + dst[eids])
+
+    def test_defaulted_equals_block_propagation(self, small_random_graph):
+        view = sampled_view(small_random_graph, 256)
+        expected = propagate_defaults_block(
+            small_random_graph, view.self_default(), view.edge_survives()
+        )
+        assert np.array_equal(view.defaulted(), expected)
+
     def test_cached_memoises(self, small_random_graph):
         view = sampled_view(small_random_graph, 64)
         calls = []
@@ -186,6 +213,18 @@ def brute_kcore(n, src, dst, survives, k):
     return alive
 
 
+def labels_of(n, src, dst, survives):
+    keys = surviving_edge_keys(n, src, dst, survives)
+    return connected_component_labels(survives.shape[0], n, keys)
+
+
+def kcore_of(n, src, dst, survives, core_k, alive_init=None):
+    keys = surviving_edge_keys(n, src, dst, survives)
+    return kcore_membership(
+        survives.shape[0], n, keys, core_k, alive_init=alive_init
+    )
+
+
 class TestKernels:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_component_labels_match_union_find(self, seed):
@@ -193,9 +232,7 @@ class TestKernels:
         src, dst = graph.edge_array[0], graph.edge_array[1]
         rng = np.random.default_rng(seed)
         survives = rng.random((32, graph.num_edges)) < 0.5
-        labels = connected_component_labels(
-            graph.num_nodes, src, dst, survives
-        )
+        labels = labels_of(graph.num_nodes, src, dst, survives)
         assert np.array_equal(
             labels, brute_components(graph.num_nodes, src, dst, survives)
         )
@@ -206,9 +243,7 @@ class TestKernels:
         src, dst = graph.edge_array[0], graph.edge_array[1]
         rng = np.random.default_rng(core_k + 7)
         survives = rng.random((32, graph.num_edges)) < 0.6
-        alive = kcore_membership(
-            graph.num_nodes, src, dst, survives, core_k
-        )
+        alive = kcore_of(graph.num_nodes, src, dst, survives, core_k)
         assert np.array_equal(
             alive, brute_kcore(graph.num_nodes, src, dst, survives, core_k)
         )
@@ -221,20 +256,149 @@ class TestKernels:
         src = rng.integers(0, 30, 60)
         dst = (src + rng.integers(1, 30, 60)) % 30
         survives = rng.random((8, 60)) < 0.6
-        unseeded = kcore_membership(30, src, dst, survives, 2)
+        unseeded = kcore_of(30, src, dst, survives, 2)
         assert not unseeded.all()
         if layout == "fortran":
             seed = np.asfortranarray(np.ones((8, 30), dtype=bool))
         else:
             seed = np.broadcast_to(np.ones(30, dtype=bool), (8, 30))
-        seeded = kcore_membership(30, src, dst, survives, 2, alive_init=seed)
+        seeded = kcore_of(30, src, dst, survives, 2, alive_init=seed)
         assert np.array_equal(seeded, unseeded)
 
     def test_kcore_rejects_bad_order(self):
+        keys = (np.array([1]), np.array([0]))
+        with pytest.raises(QueryError):
+            kcore_membership(1, 2, keys, 0)
+
+    def test_kernels_reject_misaligned_keys(self):
+        keys = (np.array([1, 2]), np.array([0]))
+        with pytest.raises(QueryError):
+            connected_component_labels(1, 3, keys)
+        with pytest.raises(QueryError):
+            kcore_membership(1, 3, keys, 1)
         with pytest.raises(QueryError):
             kcore_membership(
-                2, np.array([0]), np.array([1]), np.ones((1, 1), bool), 0
+                1, 3, (keys[0], keys[0]), 1,
+                alive_init=np.ones((2, 3), dtype=bool),
             )
+
+
+@st.composite
+def world_blocks(draw, max_nodes: int = 12, max_worlds: int = 6):
+    """``(n, src, dst, survives)``: 0-12 nodes, up to ``3n`` directed
+    edges (self-loops and repeats allowed, which the kernels must count
+    exactly as the oracles do), and 0-6 worlds of survival masks, some
+    rows empty."""
+    n = draw(st.integers(0, max_nodes))
+    node = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    src = np.array([u for u, _ in edges], dtype=np.int64)
+    dst = np.array([v for _, v in edges], dtype=np.int64)
+    worlds = draw(st.integers(0, max_worlds))
+    survives = draw(hnp.arrays(bool, (worlds, src.size)))
+    return n, src, dst, survives
+
+
+def descending_path(n: int, worlds: int) -> tuple:
+    """A path whose node numbers fall along it, every edge surviving in
+    every world but the last, which keeps none."""
+    src = np.arange(n - 1, 0, -1, dtype=np.int64)
+    dst = src - 1
+    survives = np.ones((worlds, src.size), dtype=bool)
+    survives[-1] = False
+    return n, src, dst, survives
+
+
+def star_with_largest_centre(n: int, worlds: int) -> tuple:
+    """Every leaf points at the highest-numbered node, in leaf order."""
+    src = np.arange(n - 1, dtype=np.int64)
+    dst = np.full(n - 1, n - 1, dtype=np.int64)
+    return n, src, dst, np.ones((worlds, n - 1), dtype=bool)
+
+
+class TestKernelsAgainstOracles:
+    """The flat-key kernels equal the retired dense-matrix kernels."""
+
+    @staticmethod
+    def _assert_labels_agree(n, src, dst, survives):
+        expected = reference_kernels.connected_component_labels(
+            n, src, dst, survives
+        )
+        assert np.array_equal(labels_of(n, src, dst, survives), expected)
+
+    @staticmethod
+    def _assert_kcore_agrees(n, src, dst, survives, core_k, seed=None):
+        expected = reference_kernels.kcore_membership(
+            n, src, dst, survives, core_k, alive_init=seed
+        )
+        got = kcore_of(n, src, dst, survives, core_k, alive_init=seed)
+        assert np.array_equal(got, expected)
+
+    @settings(max_examples=200)
+    @given(world_blocks())
+    def test_component_labels(self, block):
+        self._assert_labels_agree(*block)
+
+    @settings(max_examples=200)
+    @given(world_blocks(), st.integers(1, 4))
+    def test_kcore(self, block, core_k):
+        self._assert_kcore_agrees(*block, core_k)
+
+    @settings(max_examples=200)
+    @given(
+        world_blocks(),
+        st.integers(1, 4),
+        st.sampled_from(["C", "F", "broadcast"]),
+        st.data(),
+    )
+    def test_seeded_kcore_in_every_layout(self, block, core_k, layout, data):
+        n, src, dst, survives = block
+        worlds = survives.shape[0]
+        if layout == "broadcast":
+            row = data.draw(hnp.arrays(bool, (n,)))
+            seed = np.broadcast_to(row, (worlds, n))
+        else:
+            seed = data.draw(hnp.arrays(bool, (worlds, n)))
+            seed = np.asarray(seed, order=layout)
+        self._assert_kcore_agrees(n, src, dst, survives, core_k, seed)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [descending_path, star_with_largest_centre],
+        ids=["descending-path", "star"],
+    )
+    @pytest.mark.parametrize("n", [2, 3, 64, 1000])
+    def test_adversarial_numberings(self, shape, n):
+        n, src, dst, survives = shape(n, 3)
+        self._assert_labels_agree(n, src, dst, survives)
+        labels = labels_of(n, src, dst, survives)
+        assert (labels[0] == 0).all()
+        for core_k in (1, 2):
+            self._assert_kcore_agrees(n, src, dst, survives, core_k)
+
+    @pytest.mark.parametrize("worlds,n", [(0, 5), (3, 0), (0, 0)])
+    def test_empty_shapes(self, worlds, n):
+        src = dst = np.empty(0, dtype=np.int64)
+        survives = np.zeros((worlds, 0), dtype=bool)
+        labels = labels_of(n, src, dst, survives)
+        assert labels.shape == (worlds, n)
+        assert labels.dtype == np.int64
+        self._assert_labels_agree(n, src, dst, survives)
+        assert kcore_of(n, src, dst, survives, 1).shape == (worlds, n)
+        self._assert_kcore_agrees(n, src, dst, survives, 2)
+
+    def test_worlds_without_surviving_edges(self):
+        rng = np.random.default_rng(4)
+        src = rng.integers(0, 9, 20)
+        dst = (src + rng.integers(1, 9, 20)) % 9
+        survives = rng.random((5, 20)) < 0.5
+        survives[[1, 3]] = False
+        labels = labels_of(9, src, dst, survives)
+        assert np.array_equal(labels[[1, 3]], np.tile(np.arange(9), (2, 1)))
+        self._assert_labels_agree(9, src, dst, survives)
+        alive = kcore_of(9, src, dst, survives, 1)
+        assert not alive[[1, 3]].any()
+        self._assert_kcore_agrees(9, src, dst, survives, 1)
 
 
 @st.composite

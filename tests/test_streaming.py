@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dense_worldstate import DenseWorldState
+from dense_worldstate import dense_state_for
 from reference_sampler import ReverseSampler, WorldArena
 
 import repro.algorithms.bsrbk as bsrbk_module
@@ -579,6 +579,20 @@ class TestReplayStreams:
         for event in random_patch_stream(graph, 30, seed=4, drift=0.5):
             assert 0.0 <= event.value <= 1.0
 
+    def test_random_patch_stream_reaches_edges_added_mid_stream(self):
+        """The stream is lazy, so edges appended while it is paused are
+        drawn too, with their own endpoints."""
+        graph = UncertainGraph([(0, 0.2), (1, 0.2)], [(0, 1, 0.5)])
+        stream = random_patch_stream(graph, 60, seed=5, edge_fraction=1.0)
+        first = next(stream)
+        assert (first.src, first.dst) == (0, 1)
+        for i in range(2, 40):
+            graph.add_node(i, 0.1)
+            graph.add_edge(i - 1, i, 0.5)
+        seen = {(event.src, event.dst) for event in stream}
+        assert seen <= {(i, i + 1) for i in range(39)}
+        assert max(src for src, _ in seen) > 1
+
     def test_node_only_graph_never_yields_edge_events(self):
         graph = UncertainGraph([(i, 0.2) for i in range(5)], [])
         events = list(random_patch_stream(graph, 10, seed=0))
@@ -819,11 +833,11 @@ class TestCandidateColumnRepair:
     with draw-count bookkeeping exactly equal to fresh detection."""
 
     def _drive(self, world_state, monkeypatch):
+        graph = powerlaw_graph(300, seed=18)
         if world_state == "dense":
             monkeypatch.setattr(
-                monitor_module, "PackedWorldState", DenseWorldState
+                monitor_module, "PackedWorldState", dense_state_for(graph)
             )
-        graph = powerlaw_graph(300, seed=18)
         monitor = TopKMonitor(graph, 6, seed=21)
         monitor.top_k()
         rng = np.random.default_rng(5)

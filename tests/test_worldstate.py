@@ -16,7 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from dense_worldstate import DenseWorldState
+from dense_worldstate import (
+    DenseWorldState,
+    dense_state_for,
+    edge_draws,
+    node_draws,
+)
 
 import repro.sampling.indexed as indexed_module
 import repro.streaming.monitor as monitor_module
@@ -93,7 +98,7 @@ class TestStateEquivalence:
     def _states(self, worlds, n, heads, in_degrees, rng):
         dense = DenseWorldState(worlds, n, heads.size, heads=heads)
         packed = PackedWorldState(
-            worlds, n, heads.size, heads=heads, in_degrees=in_degrees
+            worlds, n, heads.size, in_degrees=in_degrees
         )
         return dense, packed
 
@@ -118,8 +123,10 @@ class TestStateEquivalence:
         d_rows, d_pos = dense.edge_pairs(edges, heads[edges])
         p_rows, p_pos = packed.edge_pairs(edges, heads[edges])
         assert set(zip(d_rows, d_pos)) == set(zip(p_rows, p_pos))
-        assert np.array_equal(dense.node_draws(), packed.node_draws())
-        assert np.array_equal(dense.edge_draws(), packed.edge_draws())
+        assert np.array_equal(dense.node_draws(), node_draws(packed))
+        assert np.array_equal(
+            dense.edge_draws(), edge_draws(packed, in_degrees)
+        )
 
     def test_pairs_and_draws_agree(self):
         self._assert_agree(7, 90, 40, 220, density=0.3, all_entities=False)
@@ -138,43 +145,48 @@ class TestStateEquivalence:
         dense, packed = self._states(worlds, n, heads, in_degrees, rng)
         base = _random_block(rng, worlds, n, heads.size)
         self._store(dense, packed, np.arange(worlds), base)
-        before_nodes = packed.node_draws().copy()
-        before_edges = packed.edge_draws().copy()
+        before_nodes = node_draws(packed)
+        before_edges = edge_draws(packed, in_degrees)
         extra = _random_block(rng, worlds, n, heads.size)
         d_node, d_edge = dense.merge_block(np.arange(worlds), extra)
         p_node, p_edge = packed.merge_block(np.arange(worlds), extra)
         assert np.array_equal(d_node, p_node)
         assert np.array_equal(d_edge, p_edge)
-        assert np.array_equal(packed.node_draws(), before_nodes + p_node)
-        assert np.array_equal(packed.edge_draws(), before_edges + p_edge)
-        assert np.array_equal(dense.node_draws(), packed.node_draws())
-        assert np.array_equal(dense.edge_draws(), packed.edge_draws())
+        assert np.array_equal(node_draws(packed), before_nodes + p_node)
+        assert np.array_equal(
+            edge_draws(packed, in_degrees), before_edges + p_edge
+        )
+        assert np.array_equal(dense.node_draws(), node_draws(packed))
+        assert np.array_equal(
+            dense.edge_draws(), edge_draws(packed, in_degrees)
+        )
 
     def test_resize_grow_and_truncate(self):
         rng = np.random.default_rng(17)
         n = 40
         heads = rng.integers(0, n, size=90).astype(np.int64)
         in_degrees = np.bincount(heads, minlength=n).astype(np.int64)
-        packed = PackedWorldState(
-            10, n, heads.size, heads=heads, in_degrees=in_degrees
-        )
+        packed = PackedWorldState(10, n, heads.size, in_degrees=in_degrees)
         block = _random_block(rng, 10, n, heads.size)
         packed.store_block(np.arange(10), block)
-        draws = packed.node_draws()
+        draws = node_draws(packed)
         packed.resize(16)
         assert packed.worlds == 16
-        assert np.array_equal(packed.node_draws()[:10], draws)
-        assert (packed.node_draws()[10:] == 0).all()
+        assert np.array_equal(node_draws(packed)[:10], draws)
+        assert (node_draws(packed)[10:] == 0).all()
         packed.resize(4)
-        assert np.array_equal(packed.node_draws(), draws[:4])
+        assert np.array_equal(node_draws(packed), draws[:4])
 
 
-def on_dense_state(monkeypatch, call):
-    """Run *call* with monitors building dense oracle state instead of
-    packed state (state is built inside refreshes, not at construction)."""
+def on_dense_state(monkeypatch, monitor):
+    """``monitor.top_k()`` with the monitor building dense oracle state
+    instead of packed state (state is built inside refreshes, not at
+    construction)."""
     with monkeypatch.context() as patch:
-        patch.setattr(monitor_module, "PackedWorldState", DenseWorldState)
-        return call()
+        patch.setattr(
+            monitor_module, "PackedWorldState", dense_state_for(monitor.graph)
+        )
+        return monitor.top_k()
 
 
 class TestSamplerDrawCountIdentities:
@@ -255,7 +267,7 @@ class TestPackedVsDenseBitIdentity:
         packed = TopKMonitor(loaded_a.graph, k, seed=5)
         dense = TopKMonitor(loaded_b.graph, k, seed=5)
         assert packed.top_k().same_answer(
-            on_dense_state(monkeypatch, dense.top_k)
+            on_dense_state(monkeypatch, dense)
         )
         assert isinstance(dense._world_state, DenseWorldState)
         events = list(
@@ -265,7 +277,7 @@ class TestPackedVsDenseBitIdentity:
             packed.apply([event])
             dense.apply([event])
             result_packed = packed.top_k()
-            result_dense = on_dense_state(monkeypatch, dense.top_k)
+            result_dense = on_dense_state(monkeypatch, dense)
             # Answers and work telemetry.
             assert result_packed.same_answer(result_dense)
             for key in ("nodes_touched", "edges_touched"):
@@ -301,7 +313,7 @@ class TestPackedVsDenseBitIdentity:
         packed = TopKMonitor(graph, 8, seed=3)
         dense = TopKMonitor(graph, 8, seed=3)
         packed.top_k()
-        on_dense_state(monkeypatch, dense.top_k)
+        on_dense_state(monkeypatch, dense)
         assert packed.world_state_nbytes > 0
         assert (
             dense.world_state_nbytes
