@@ -56,16 +56,32 @@ def graph_to_dict(graph: UncertainGraph) -> dict[str, Any]:
 
 
 def graph_from_dict(payload: dict[str, Any]) -> UncertainGraph:
-    """Decode a dict produced by :func:`graph_to_dict`."""
+    """Decode a dict produced by :func:`graph_to_dict`.
+
+    Anything else — another JSON value, a payload missing its nodes or
+    edges, a malformed entry — raises :class:`GraphError`.
+    """
+    if not isinstance(payload, dict):
+        raise GraphError(
+            "not an uncertain-graph payload: a JSON "
+            f"{type(payload).__name__}, not an object"
+        )
     if payload.get("format") != "repro-uncertain-graph":
         raise GraphError(
             f"not an uncertain-graph payload: format={payload.get('format')!r}"
         )
     graph = UncertainGraph()
-    for node in payload["nodes"]:
-        graph.add_node(node["label"], node["self_risk"])
-    for edge in payload["edges"]:
-        graph.add_edge(edge["src"], edge["dst"], edge["probability"])
+    try:
+        for node in payload["nodes"]:
+            graph.add_node(node["label"], node["self_risk"])
+        for edge in payload["edges"]:
+            graph.add_edge(edge["src"], edge["dst"], edge["probability"])
+    except KeyError as error:
+        raise GraphError(
+            f"malformed uncertain-graph payload: missing {error}"
+        ) from None
+    except TypeError as error:
+        raise GraphError(f"malformed uncertain-graph payload: {error}") from None
     return graph
 
 
@@ -76,9 +92,17 @@ def save_graph_json(graph: UncertainGraph, path: str | os.PathLike) -> None:
 
 
 def load_graph_json(path: str | os.PathLike) -> UncertainGraph:
-    """Read a JSON graph written by :func:`save_graph_json`."""
+    """Read a JSON graph written by :func:`save_graph_json`.
+
+    A file that is not JSON, or not a graph payload, raises
+    :class:`GraphError`.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        return graph_from_dict(json.load(handle))
+        try:
+            payload = json.load(handle)
+        except ValueError as error:  # JSONDecodeError, UnicodeDecodeError
+            raise GraphError(f"{path} is not a JSON graph: {error}") from None
+    return graph_from_dict(payload)
 
 
 def result_to_dict(result: DetectionResult) -> dict[str, Any]:

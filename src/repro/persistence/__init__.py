@@ -16,11 +16,13 @@ layer crash-recoverable:
 * :mod:`repro.persistence.faults` — fault injection: write errors,
   partial writes, and a SIGKILL harness for crash-recovery tests.
 
-Recovery = snapshot + replay: monitors are deterministic functions of
-(base graph, seed, ordered batch sequence), and the WAL records exactly
-the coalesced batch order the monitors consumed, so replaying the
-post-snapshot suffix reproduces the interrupted process's state — and
-therefore its answers and work counters — bit for bit.
+Recovery = snapshot + replay: the WAL records exactly the coalesced
+batch order the monitors consumed, and a monitor's answer is a
+deterministic function of (base graph, seed, graph state), so replaying
+the post-snapshot suffix reproduces the interrupted process's answers
+and their work counters bit for bit.  Replay folds each tenant's suffix
+into one refresh, so the monitors' history counters (``stats``) count
+it as one.
 """
 
 from repro.persistence.codec import (

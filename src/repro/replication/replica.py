@@ -31,9 +31,10 @@ applying.
 
 Crash recovery is inherited from the WAL itself: restarting a replica
 opens the mirror with :class:`~repro.persistence.wal.WriteAheadLog`
-(repairing any torn tail), replays it through a fresh pool, and resumes
-shipping from the verified byte cursor.  Every batch reaches the pool
-through :mod:`repro.serving.replay`, like the primary's own recovery.
+(repairing any torn tail), replays it through a fresh pool (one refresh
+per tenant), and resumes shipping from the verified byte cursor.  Every
+batch reaches the pool through :mod:`repro.serving.replay`, like the
+primary's own recovery; a shipped record replays on its own.
 """
 
 from __future__ import annotations
@@ -58,11 +59,7 @@ from repro.persistence.wal import (
 )
 from repro.replication.hub import BootstrapResult
 from repro.serving.pool import ServingPool
-from repro.serving.replay import (
-    finish_replay,
-    replay_batch,
-    restore_snapshot,
-)
+from repro.serving.replay import replay_log, restore_snapshot
 from repro.serving.service import PromotionState, RiskService
 
 __all__ = ["ReplicaService", "CorruptShippedError"]
@@ -163,10 +160,11 @@ class ReplicaService:
         # byte cursor.
         wal = WriteAheadLog(self._directory, fsync="never")
         try:
-            for batch in wal.read_batches():
+            batches = wal.read_batches()
+            for batch in batches:
                 if batch.kind == "epoch":
                     self._epoch = max(self._epoch, batch.epoch)
-                self._replay(batch)
+            self._replay_batches(batches)
             segment, _ = wal.tail_cursor()
         finally:
             wal.close()
@@ -188,13 +186,20 @@ class ReplicaService:
             self._epoch = max(self._epoch, snapshot.epoch)
 
     def _replay(self, batch: WalBatch) -> None:
-        """Apply one persisted batch to the pool; advance the cursor."""
-        future = replay_batch(
-            self._pool, batch, self._applied_seq, self._registered
+        """Apply one shipped batch to the pool; advance the cursor."""
+        self._replay_batches([batch])
+
+    def _replay_batches(self, batches: list[WalBatch]) -> None:
+        """Replay batches (one refresh per tenant); advance the cursor."""
+        futures = replay_log(
+            self._pool, batches, self._applied_seq, self._registered
         )
-        if finish_replay(future):
-            self.stats["batches_applied"] += 1
-        self._applied_seq = max(self._applied_seq, batch.seq)
+        self.stats["batches_applied"] += sum(
+            future.result() for future in futures.values()
+        )
+        self._applied_seq = max(
+            [self._applied_seq, *(batch.seq for batch in batches)]
+        )
 
     # ------------------------------------------------------------------
     # Shipping surface (driven by WalShipper)

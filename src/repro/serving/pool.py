@@ -44,7 +44,7 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Hashable, Sequence
 
-from repro.core.errors import ReproError
+from repro.core.errors import GraphError, ProbabilityError, ReproError
 from repro.core.graph import UncertainGraph
 from repro.serving.store import GraphStore
 from repro.streaming.events import UpdateEvent
@@ -132,6 +132,32 @@ def _worker_apply(
     monitor = _worker_monitor(pool_id, tenant_id)
     monitor.apply(events)
     return monitor.refresh()
+
+
+def _worker_replay(
+    pool_id: str,
+    tenant_id: TenantId,
+    batches: Sequence[Sequence[UpdateEvent]],
+) -> int:
+    """Apply a tenant's logged batches in order, refresh once; count them.
+
+    A log written before submits were validated can hold a batch its
+    monitor refuses.  The live apply rejected that batch whole, leaving
+    the monitor as it was, so replay skips it as the same no-op.  The
+    monitor keys its pending work by entity, so one refresh over the
+    applied batches equals one flush window carrying all of them.
+    """
+    monitor = _worker_monitor(pool_id, tenant_id)
+    applied = 0
+    for events in batches:
+        try:
+            monitor.apply(events)
+        except (GraphError, ProbabilityError):
+            continue
+        applied += 1
+    if applied:
+        monitor.refresh()
+    return applied
 
 
 def _worker_query(pool_id: str, tenant_id: TenantId):
@@ -387,6 +413,24 @@ class ServingPool:
         """Apply one event batch and refresh; resolves to the report."""
         return self._shard(tenant_id).submit(
             _worker_apply, self._pool_id, tenant_id, list(events)
+        )
+
+    def replay(
+        self,
+        tenant_id: TenantId,
+        batches: Sequence[Sequence[UpdateEvent]],
+    ) -> "Future[int]":
+        """Apply logged event batches in order, then refresh once.
+
+        A batch the monitor refuses is skipped (it was a no-op when it
+        was live); the refresh runs only if some batch applied.
+        Resolves to the number of batches applied.
+        """
+        return self._shard(tenant_id).submit(
+            _worker_replay,
+            self._pool_id,
+            tenant_id,
+            [list(events) for events in batches],
         )
 
     def query(self, tenant_id: TenantId) -> Future:

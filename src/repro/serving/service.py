@@ -31,18 +31,20 @@ Constructing a :class:`RiskService` with a ``wal_dir`` that already
 holds state *recovers* it: the latest snapshot's monitor blobs are
 restored into the pool, tenants registered after that snapshot are
 rebuilt from their durable registration records, and every WAL batch
-past the snapshot's ``wal_seq`` is replayed in durable order.  A
-promoted replica's warm pool takes the snapshot's place, with its
-applied seq as the floor.  Either way construction returns only once
-every replayed batch has applied, so the service never answers from
-a half-replayed monitor, and new batches take sequence numbers above
-the floor.  Monitors are deterministic functions of (base graph, seed,
-ordered batch sequence), so the recovered process reaches the
-*bit-identical* state — answers and work counters — the dead process
-would have had; ``tests/test_persistence_faults.py`` SIGKILLs a
-serving run mid-stream to pin exactly that.  A torn WAL tail (a record
-cut short by the crash) is truncated at the first bad checksum;
-everything before it recovers.
+past the snapshot's ``wal_seq`` is replayed in durable order, each
+tenant's suffix folded into one refresh.  A promoted replica's warm
+pool takes the snapshot's place, with its applied seq as the floor.
+Either way construction returns only once every replayed batch has
+applied, so the service never answers from a half-replayed monitor,
+and new batches take sequence numbers above the floor.  A monitor
+answers exactly what fresh detection on its current graph would, so
+the recovered process gives the *bit-identical* answers the dead
+process would have given; ``tests/test_persistence_faults.py``
+SIGKILLs a serving run mid-stream to pin exactly that.  Only the
+monitors' history counters (``stats``) differ: a replayed suffix
+counts as one refresh.  A torn WAL tail (a record cut short by the
+crash) is truncated at the first bad checksum; everything before it
+recovers.
 
 A shard worker that dies (e.g. OOM-killed) is respawned with bounded
 retry/backoff and its tenants are restored from snapshot + WAL replay
@@ -71,11 +73,7 @@ from repro.persistence.wal import WriteAheadLog
 from repro.queries.base import param_key
 from repro.serving.pool import ServingPool
 from repro.serving.queue import IngestionQueue
-from repro.serving.replay import (
-    finish_replay,
-    replay_batch,
-    restore_snapshot,
-)
+from repro.serving.replay import replay_log, restore_snapshot
 from repro.serving.store import graph_fingerprint
 from repro.streaming.events import (
     UpdateEvent,
@@ -343,8 +341,11 @@ class RiskService:
         is ``adopt.applied_upto``).  Each tenant it holds gets a bounds
         mirror unpickled from its monitor blob and a state token of its
         own: its history before the floor is not known here.  Every
-        batch past the floor is then replayed, and construction waits
-        for all of them, so no answer comes from a half-replayed monitor.
+        batch past the floor is checked against its tenant's mirror and
+        folded into the mirror and the token in log order; each tenant's
+        admitted batches then replay as one pool operation, and
+        construction waits for all of them, so no answer comes from a
+        half-replayed monitor.
         """
         assert self._wal is not None and self._snapshots is not None
 
@@ -379,37 +380,31 @@ class RiskService:
         # The snapshot may have truncated every record through the
         # floor; a batch numbered at or below it would never replay.
         self._wal.resume_after(floor)
-        last: dict[TenantId, Future] = {}
-        # Batches replay whichever epoch wrote them: every one was
-        # accepted by the then-legitimate primary.
-        for batch in self._wal.read_batches():
-            tenant_id = batch.tenant_id
-            # A tenant without a mirror has neither a snapshot nor a
-            # registration record: replay_batch refuses its batches.
-            mirror = self._mirrors.get(tenant_id)
-            if (
-                batch.kind == "events"
-                and batch.seq > floor
-                and mirror is not None
-            ):
-                try:
-                    validate_events(mirror.graph, batch.events)
-                except ReproError:
-                    # Logged before submits were validated: the live
-                    # monitor refused this batch whole, so replay skips
-                    # it as the no-op it was.
-                    continue
-            future = replay_batch(self._pool, batch, floor, self._registered)
-            if batch.kind == "register" and tenant_id not in established:
+
+        def begin(tenant_id: TenantId) -> None:
+            if tenant_id not in established:
                 # Registered past the floor: the log holds its history.
                 self._begin_tracking(tenant_id, *self._registered[tenant_id])
-            if future is not None:
-                last[tenant_id] = future
-                for event in batch.events:
-                    self._track_event(tenant_id, event)
-        # Each shard runs its tenants' work in order, so a tenant's last
-        # replay resolving means every earlier one has.
-        for tenant_id, future in last.items():
+
+        def admit(tenant_id: TenantId, events) -> bool:
+            try:
+                validate_events(self._mirrors[tenant_id].graph, events)
+            except ReproError:
+                # Logged before submits were validated: the live monitor
+                # refused this batch whole, so replay skips it as the
+                # no-op it was.
+                return False
+            for event in events:
+                self._track_event(tenant_id, event)
+            return True
+
+        # Batches replay whichever epoch wrote them: every one was
+        # accepted by the then-legitimate primary.
+        futures = replay_log(
+            self._pool, self._wal.read_batches(), floor, self._registered,
+            on_register=begin, admit=admit,
+        )
+        for tenant_id, future in futures.items():
             self._result_after_break(tenant_id, future)
 
     # ------------------------------------------------------------------
@@ -671,7 +666,8 @@ class RiskService:
         """Respawn a dead shard and restore its tenants from durable state.
 
         A tenant without a snapshot blob is rebuilt from its
-        registration; every tenant replays the log past ``wal_seq``.
+        registration; every tenant replays the log past ``wal_seq`` in
+        one refresh.
         """
         assert self._wal is not None and self._snapshots is not None
         self._pool.respawn_shard(index)
@@ -686,12 +682,14 @@ class RiskService:
             if tenant_id not in snapshotted:
                 k, kwargs = self._registered[tenant_id]
                 self._pool.rebuild_tenant(tenant_id, k, **kwargs)
-        for batch in batches:
-            if batch.tenant_id in tenants:
-                future = replay_batch(
-                    self._pool, batch, floor, self._registered
-                )
-                finish_replay(future)
+        futures = replay_log(
+            self._pool,
+            [batch for batch in batches if batch.tenant_id in tenants],
+            floor,
+            self._registered,
+        )
+        for future in futures.values():
+            future.result()
 
     def query_topk(self, tenant_id: TenantId, *, flush: bool = True):
         """The tenant's current top-k :class:`DetectionResult`.

@@ -93,6 +93,21 @@ class TestMain:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [[], ["stream"]])
+    @pytest.mark.parametrize(
+        "content",
+        ["", "[1, 2]", '{"format": "repro-uncertain-graph"}'],
+        ids=["empty", "list", "no-nodes"],
+    )
+    def test_a_file_that_is_not_a_graph_reports_error(
+        self, command, content, tmp_path, capsys
+    ):
+        path = tmp_path / "graph.json"
+        path.write_text(content, encoding="utf-8")
+        code = main([*command, "--graph", str(path), "--k", "2"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_bad_k_reports_error(self, graph_json, capsys):
         code = main(["--graph", graph_json, "--k", "50"])
         assert code == 1

@@ -95,9 +95,29 @@ def reference_answers(graph, events, tenants):
         service.register_tenant(tenant_id, k)
     drive(service, list(tenants), events)
     answers = {t: service.query_topk(t) for t in tenants}
+    service.close()
+    return answers
+
+
+def one_window_stats(graph, events, tenants, snapshot_at):
+    """Work counters of the run that recovery past a snapshot reproduces.
+
+    Replay folds each tenant's logged suffix into one refresh, so the
+    recovered monitors count what a run counts that takes the stream up
+    to the snapshot as :func:`drive` does (the snapshot follows a
+    flush), then the rest of it in one flush window.
+    """
+    service = RiskService(graph, mode="serial", monitor_defaults=DEFAULTS)
+    for tenant_id, k in tenants.items():
+        service.register_tenant(tenant_id, k)
+    drive(service, list(tenants), events[: snapshot_at + 1])
+    for event in events[snapshot_at + 1:]:
+        for tenant_id in tenants:
+            service.submit_update(tenant_id, event)
+    service.flush()
     stats = service.snapshot().shards[0]["monitor_stats"]
     service.close()
-    return answers, stats
+    return stats
 
 
 class TestRecovery:
@@ -119,15 +139,17 @@ class TestRecovery:
             graph, mode="serial", wal_dir=tmp_path, monitor_defaults=DEFAULTS
         )
         assert set(recovered.tenants()) == set(tenants)
-        baseline, baseline_stats = reference_answers(graph, events, tenants)
+        baseline = reference_answers(graph, events, tenants)
+        replayed = one_window_stats(graph, events, tenants, snapshot_at=14)
         stats = recovered.snapshot().shards[0]["monitor_stats"]
         for tenant_id in tenants:
             answer = recovered.query_topk(tenant_id)
             assert answer.same_answer(baseline[tenant_id])
             assert not answer.stale
             # Work counters match too: the recovered monitor is the
-            # same state, not merely the same ranking.
-            assert stats[tenant_id] == baseline_stats[tenant_id]
+            # state one flush window over the suffix leaves, not merely
+            # the same ranking.
+            assert stats[tenant_id] == replayed[tenant_id]
         recovered.close()
 
     def test_wal_only_recovery_without_any_snapshot(
@@ -146,7 +168,7 @@ class TestRecovery:
         )
         # The tenant came back from its durable registration record.
         assert recovered.tenants() == ["solo"]
-        baseline, _ = reference_answers(graph, events, tenants)
+        baseline = reference_answers(graph, events, tenants)
         assert recovered.query_topk("solo").same_answer(baseline["solo"])
         recovered.close()
 
@@ -231,6 +253,24 @@ class TestRecovery:
         service.wal.append_events("ghost", [SelfRiskUpdate(0, 0.9)])
         abandon(service)
         with pytest.raises(PersistenceError, match="inconsistent"):
+            RiskService(
+                graph, mode="serial", wal_dir=tmp_path,
+                monitor_defaults=DEFAULTS,
+            )
+
+    def test_a_later_registration_does_not_cover_an_earlier_batch(
+        self, graph, tmp_path
+    ):
+        """Replay reads the whole log before dispatching, but checks each
+        batch at its place in it: a registration logged after a batch
+        does not make that batch replayable."""
+        service = RiskService(
+            graph, mode="serial", wal_dir=tmp_path, monitor_defaults=DEFAULTS
+        )
+        service.wal.append_events("ghost", [SelfRiskUpdate(0, 0.9)])
+        service.wal.append_register("ghost", 3, {})
+        abandon(service)
+        with pytest.raises(PersistenceError, match="batch 1 .* inconsistent"):
             RiskService(
                 graph, mode="serial", wal_dir=tmp_path,
                 monitor_defaults=DEFAULTS,
@@ -354,7 +394,7 @@ class TestSnapshotRotation:
         assert len(list(snapshots_dir.glob("snap-*"))) == 2  # rotated
         # Sealed segments behind the watermark were deleted; what's left
         # on disk still recovers to the exact live state.
-        baseline, _ = reference_answers(graph, events, {"t1": 3})
+        baseline = reference_answers(graph, events, {"t1": 3})
         live = service.query_topk("t1")
         assert live.same_answer(baseline["t1"])
         abandon(service)
@@ -448,7 +488,7 @@ class TestGracefulShutdown:
         recovered = RiskService(
             graph, mode="serial", wal_dir=tmp_path, monitor_defaults=DEFAULTS
         )
-        baseline, _ = reference_answers(graph, events, tenants)
+        baseline = reference_answers(graph, events, tenants)
         assert recovered.query_topk("t1").same_answer(baseline["t1"])
         recovered.close()
 
@@ -482,7 +522,7 @@ class TestGracefulShutdown:
             for batch in recovered.wal.read_batches()
             if batch.kind == "events" and batch.seq > latest.wal_seq
         ]
-        baseline, _ = reference_answers(graph, events, {"t1": 3})
+        baseline = reference_answers(graph, events, {"t1": 3})
         assert recovered.query_topk("t1").same_answer(baseline["t1"])
         recovered.close()
 
@@ -546,7 +586,7 @@ class TestRefusedUpdatesStayOutOfTheLog:
         abandon(service)
         assert logged == [events[0]]
         recovered = self.open_service(graph, tmp_path)
-        baseline, _ = reference_answers(graph, events[:1], {"t1": 3})
+        baseline = reference_answers(graph, events[:1], {"t1": 3})
         assert recovered.query_topk("t1").same_answer(baseline["t1"])
         recovered.close()
 
@@ -568,7 +608,7 @@ class TestRefusedUpdatesStayOutOfTheLog:
         abandon(service)
 
         recovered = self.open_service(graph, tmp_path)
-        baseline, _ = reference_answers(graph, accepted, {"t1": 3})
+        baseline = reference_answers(graph, accepted, {"t1": 3})
         assert recovered.query_topk("t1").same_answer(baseline["t1"])
         shadow = graph.copy()
         apply_events(shadow, accepted)
@@ -684,12 +724,10 @@ class TestWatermarkManifest:
 
     DIRECTORY = Path(__file__).parent / "data" / "durable_dir_watermarks"
 
-    def test_recovers_to_the_never_crashed_answers(self, graph, tmp_path):
-        manifest = json.loads(
-            (self.DIRECTORY / "snapshots" / "snap-00000001" / "manifest.json")
-            .read_text("utf-8")
-        )
-        assert [row["watermark"] for row in manifest["tenants"]] == [3, 0]
+    @staticmethod
+    def reference(graph, windows):
+        """Answers and counters of a never-crashed run whose flush
+        windows past the snapshot are *windows* (event slices)."""
         events = patch_stream(graph, 20, seed=1)
         reference = RiskService(graph, mode="serial", monitor_defaults=DEFAULTS)
         reference.register_tenant("active", 3)
@@ -697,12 +735,23 @@ class TestWatermarkManifest:
             reference.submit_updates("active", events[start:start + 5])
             reference.flush()
         reference.register_tenant("idle", 4)
-        for start in (10, 15):
-            reference.submit_updates("active", events[start:start + 5])
+        for start, stop in windows:
+            reference.submit_updates("active", events[start:stop])
             reference.flush()
-        expected = {t: reference.query_topk(t) for t in ("active", "idle")}
+        answers = {t: reference.query_topk(t) for t in ("active", "idle")}
         stats = reference.snapshot().shards[0]["monitor_stats"]
         reference.close()
+        return answers, stats
+
+    def test_recovers_to_the_never_crashed_answers(self, graph, tmp_path):
+        manifest = json.loads(
+            (self.DIRECTORY / "snapshots" / "snap-00000001" / "manifest.json")
+            .read_text("utf-8")
+        )
+        assert [row["watermark"] for row in manifest["tenants"]] == [3, 0]
+        expected, _ = self.reference(graph, [(10, 15), (15, 20)])
+        # Replay folds the two logged batches into one refresh.
+        _, stats = self.reference(graph, [(10, 20)])
 
         directory = tmp_path / "durable"
         shutil.copytree(self.DIRECTORY, directory)
@@ -748,7 +797,8 @@ class TestExtrasManifest:
         manifest["extras"] = self.EXTRAS
         path.write_text(json.dumps(manifest, indent=1), encoding="utf-8")
 
-        baseline, baseline_stats = reference_answers(graph, events, tenants)
+        baseline = reference_answers(graph, events, tenants)
+        replayed = one_window_stats(graph, events, tenants, snapshot_at=14)
         recovered = RiskService(
             graph, mode="serial", wal_dir=tmp_path, monitor_defaults=DEFAULTS
         )
@@ -758,7 +808,7 @@ class TestExtrasManifest:
                     baseline[tenant_id]
                 )
             stats = recovered.snapshot().shards[0]["monitor_stats"]
-            assert stats == baseline_stats
+            assert stats == replayed
             published = recovered.snapshot_to_disk()
             rewritten = json.loads(
                 (published.path / "manifest.json").read_text("utf-8")

@@ -9,7 +9,9 @@ deterministically.
 
 from __future__ import annotations
 
+import json
 import random
+import shutil
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from types import SimpleNamespace
@@ -21,6 +23,7 @@ from repro.core.graph import UncertainGraph
 from repro.persistence.faults import count_durable_batches
 from repro.persistence.wal import WriteAheadLog
 from repro.replication import (
+    EpochRecord,
     EpochStore,
     FailoverCoordinator,
     LocalSource,
@@ -28,6 +31,7 @@ from repro.replication import (
     ReplicationHub,
     WalShipper,
 )
+from repro.replication.epoch import SLOT_BYTES
 from repro.serving.pool import ServingPool
 from repro.serving.service import PromotionState, RiskService
 from repro.streaming.events import SelfRiskUpdate
@@ -137,6 +141,42 @@ class TestEpochStore:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ReplicationError, match="unreadable"):
             EpochStore(path).current()
+
+    def test_a_torn_newer_slot_reads_as_the_older_epoch(self, tmp_path):
+        path = tmp_path / "epoch.json"
+        store = EpochStore(path)
+        store.claim("a")
+        store.claim("b")
+        before = path.read_bytes()
+        # What claiming epoch 3 writes into slot 1, over epoch 1.
+        shutil.copy(path, tmp_path / "ahead.json")
+        EpochStore(tmp_path / "ahead.json").claim("c")
+        ahead = (tmp_path / "ahead.json").read_bytes()
+        # Torn after the new epoch number: the slot still parses, as
+        # epoch 3 owned by "a", but epoch 1's checksum refutes it.
+        cut = ahead.index(b",", SLOT_BYTES)
+        path.write_bytes(ahead[:cut] + before[cut:])
+        assert json.loads(path.read_bytes()[SLOT_BYTES:])["epoch"] == 3
+        assert store.current() == EpochRecord(epoch=2, owner="b")
+        assert store.claim("d") == 3
+        assert store.current() == EpochRecord(epoch=3, owner="d")
+        after = path.read_bytes()
+        assert after[:SLOT_BYTES] == before[:SLOT_BYTES]
+        assert len(after) == 2 * SLOT_BYTES
+
+    def test_a_legacy_register_reads_and_converts(self, tmp_path):
+        path = tmp_path / "epoch.json"
+        path.write_text(
+            json.dumps({"epoch": 7, "owner": "old"}), encoding="utf-8"
+        )
+        store = EpochStore(path)
+        assert store.current() == EpochRecord(epoch=7, owner="old")
+        assert store.claim("new") == 8
+        # The first claim rewrote the file in the two-slot layout.
+        assert len(path.read_bytes()) == 2 * SLOT_BYTES
+        assert store.current() == EpochRecord(epoch=8, owner="new")
+        assert store.claim("next") == 9
+        assert store.current() == EpochRecord(epoch=9, owner="next")
 
 
 # ----------------------------------------------------------------------
