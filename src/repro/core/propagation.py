@@ -4,8 +4,8 @@ Three different subsystems need the same primitive — "given which nodes
 self-default and which edges survive, which nodes end up defaulting?" —
 evaluated over *many* possible worlds at once:
 
-* the indexed reverse sampler's forward-labelling pass
-  (:class:`repro.sampling.indexed.IndexedReverseSampler`),
+* the query families' realised worlds
+  (:meth:`repro.sampling.worldstate.WorldView.defaulted`),
 * the bit-parallel exact oracle
   (:func:`repro.core.exact.exact_default_probabilities`), and
 * the Monte-Carlo ground truth of the effectiveness experiments

@@ -72,7 +72,7 @@ def speedup_summary(rows: list[dict[str, object]]) -> list[dict[str, object]]:
 
     * ``*_speedup`` — wall-clock, which mixes the algorithmic savings
       with engine differences (N/SN run on a numpy-vectorised world
-      materialiser and SR/BSR/BSRBK on the flat multi-world indexed
+      materialiser and SR/BSR/BSRBK on the world-packed indexed
       engine, constant-factor optimisations the paper's implementation
       does not have);
     * ``*_work_x`` — the ratio of per-world node draws + edge

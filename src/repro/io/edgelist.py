@@ -7,6 +7,8 @@ Format (whitespace separated, ``#`` comments allowed):
 
 Node lines must precede the edges that reference them.  Labels are stored
 as strings on read; callers needing typed labels can remap afterwards.
+A file that is not UTF-8 text, or a probability field that is not a
+number, raises :class:`~repro.core.errors.GraphError` naming the line.
 This format exists so experiment graphs can be checked into text fixtures
 and diffed.
 """
@@ -14,7 +16,7 @@ and diffed.
 from __future__ import annotations
 
 import os
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from repro.core.errors import GraphError
 from repro.core.graph import UncertainGraph
@@ -33,6 +35,24 @@ def _write(graph: UncertainGraph, handle: TextIO) -> None:
         handle.write(f"E {src} {dst} {prob:.17g}\n")
 
 
+def _number(field: str, what: str, line_number: int) -> float:
+    try:
+        return float(field)
+    except ValueError:
+        raise GraphError(
+            f"line {line_number}: {what} {field!r} is not a number"
+        ) from None
+
+
+def _decoded(lines: Iterable[bytes]) -> Iterator[str]:
+    """Byte lines as UTF-8 text, naming a line that is not."""
+    for line_number, raw in enumerate(lines, start=1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise GraphError(f"line {line_number}: not UTF-8 text") from None
+
+
 def _parse(lines: Iterable[str]) -> UncertainGraph:
     graph = UncertainGraph()
     for line_number, raw in enumerate(lines, start=1):
@@ -46,13 +66,19 @@ def _parse(lines: Iterable[str]) -> UncertainGraph:
                 raise GraphError(
                     f"line {line_number}: node lines need 3 fields, got {len(parts)}"
                 )
-            graph.add_node(parts[1], float(parts[2]))
+            graph.add_node(
+                parts[1], _number(parts[2], "self-risk", line_number)
+            )
         elif kind == "E":
             if len(parts) != 4:
                 raise GraphError(
                     f"line {line_number}: edge lines need 4 fields, got {len(parts)}"
                 )
-            graph.add_edge(parts[1], parts[2], float(parts[3]))
+            graph.add_edge(
+                parts[1],
+                parts[2],
+                _number(parts[3], "edge probability", line_number),
+            )
         else:
             raise GraphError(
                 f"line {line_number}: unknown record type {kind!r}"
@@ -68,8 +94,9 @@ def write_edgelist(graph: UncertainGraph, path: str | os.PathLike) -> None:
 
 def read_edgelist(path: str | os.PathLike) -> UncertainGraph:
     """Read an uncertain graph from *path*; labels come back as strings."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return _parse(handle)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    return _parse(_decoded(data.splitlines()))
 
 
 def dumps_edgelist(graph: UncertainGraph) -> str:

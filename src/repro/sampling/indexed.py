@@ -33,27 +33,46 @@ Consequences:
   BSRBK's ascending-hash processing order is a pure function of the
   world index — the bottom-k early stop decouples from the stream.
 
-The exploration has two passes — a flat multi-world backward closure
-followed by forward labelling through
-:func:`repro.core.propagation.propagate_edge_list` — and it reports
-``nodes_touched`` / ``edges_touched`` as distinct per-world entity draws.
-Its union closure explores past Algorithm 5's per-candidate early exits,
-so it may draw more than the paper's per-candidate BFS on the same world,
-but the outcomes agree: under entity-indexed uniforms every world equals
-that BFS fed the same uniform arrays (the oracle in
-``tests/reference_sampler.py``; ``tests/test_streaming.py`` checks it).
+The exploration is a multi-source traversal over world-packed words
+(Then et al., "The More the Merrier", VLDB 2015): a block's worlds are
+explored 64 at a time, and every node carries one ``uint64`` word whose
+bit ``j`` stands for the slice's ``j``-th world.  It has two passes:
+
+* a backward closure from the candidates, level by level.  Each level
+  hashes every set (world, node) bit of its frontier once, gathers the
+  in-CSR segment of each node that did not self-default in some world
+  once, and hashes every set (world, edge) bit of those positions once.
+  The surviving positions OR their words into their sources' words, and
+  the worlds new to a source's closure word make the next frontier;
+* forward labelling: each node's self-default word is ORed along the
+  closure's surviving in-edges, level by level from the deepest, until
+  a sweep changes nothing.
+
+It reports ``nodes_touched`` / ``edges_touched`` as distinct per-world
+entity draws, counted as it hashes them.  Its union closure explores
+past Algorithm 5's per-candidate early exits, so it may draw more than
+the paper's per-candidate BFS on the same world, but the outcomes
+agree: under entity-indexed uniforms every world equals that BFS fed
+the same uniform arrays (the oracle in ``tests/reference_sampler.py``;
+``tests/test_streaming.py`` checks it).  The flat exploration this one
+replaced, one key per (world, node) pair, is the oracle
+``reference_sampler.flat_explore``; every explored block equals it
+field for field (``tests/test_packed_exploration.py``).
 
 A call explores its worlds in blocks of ``world_batch``.  Since the
 blocks are independent, a call with more than one explores them on a
 thread pool created for that call, one thread per CPU the process may
-run on; numpy releases the GIL in the hashing, gathering and sorting
-the exploration spends its time in.  Blocks still come back in world
-order and each is explored exactly as it would be alone, so outcomes,
-draw counts and touched masks do not depend on the CPU count.  A call
-with one block, or a process with one CPU, explores inline.  The pool
-is shut down when the call ends (for ``iter_world_blocks``, when its
-iteration ends or is abandoned), so no thread outlives a call and
-forked workers inherit none.
+run on.  numpy releases the GIL inside a call on a large array, such as
+the hashing of a level's set bits (up to 2^15 at once), but not between
+calls: a level makes about a hundred numpy calls, so blocks whose
+closures are small spend most of their time holding the GIL and gain
+little from the pool.  Blocks still come back in world order and each
+is explored exactly as it would be alone, so outcomes, draw counts and
+touched masks do not depend on the CPU count.  A call with one block,
+or a process with one CPU, explores inline.  The pool is shut down when
+the call ends (for ``iter_world_blocks``, when its iteration ends or is
+abandoned), so no thread outlives a call and forked workers inherit
+none.
 
 With ``collect_touched=True`` an explored block also carries two
 ``(W, n)`` masks per world: the *touched* nodes (every node the world
@@ -81,7 +100,8 @@ import numpy as np
 
 from repro.core.errors import SamplingError
 from repro.core.graph import UncertainGraph
-from repro.core.propagation import propagate_edge_list, ragged_positions
+from repro.core.propagation import ragged_positions
+from repro.sampling.bits import WORD, pack_bool_rows, unpack_bool_rows
 from repro.sampling.forward import ForwardEstimate
 from repro.sampling.rng import (
     SeedLike,
@@ -112,6 +132,14 @@ _HASH_SALT = _U64(0xD1B54A32D192ED03)
 _LANE = _U64(2**33)
 _EDGE_OFFSET = _U64(2**32)
 _MAX_WORLD = 2**31
+
+#: Worlds one explored slice packs into a word per node.
+_SLICE = 64
+#: Set bits hashed per pass: 2^15 keeps the pass's few 256 KiB arrays in
+#: cache.  Single-thread BSR on the 20k-node perfbench graph (2-vCPU VM,
+#: median of 5) took 270 ms at 2^15, 281 ms at 2^14, 280 ms at 2^16,
+#: 305 ms at 2^17 and 432 ms hashing each level's bits in one pass.
+_CHUNK = 1 << 15
 
 
 def _cpu_count() -> int:
@@ -187,7 +215,9 @@ class ExploredBlock:
         did not self-default.  Edge ``e`` was drawn iff its head is
         expanded, so the two masks say every entity a world drew.  An
         entity a world did not draw cannot influence its outcome — the
-        invalidation test the streaming monitor relies on.
+        invalidation test the streaming monitor relies on.  The sampler
+        keeps these sets as one world word per node and unpacks them
+        into the masks only for a block that asks for them.
     """
 
     outcomes: np.ndarray
@@ -195,6 +225,63 @@ class ExploredBlock:
     edge_draws: np.ndarray
     touched_nodes: np.ndarray | None = None
     expanded_nodes: np.ndarray | None = None
+
+
+def _lattice(probabilities: np.ndarray) -> np.ndarray:
+    """Probabilities lifted to the 53-bit integer lattice the PRF emits
+    mantissas on: ``(z >> 11) * 2^-53 <= p`` iff ``z >> 11 <= floor(p *
+    2^53)`` (the product is exact — a pure exponent shift of a 53-bit
+    mantissa), so realisations compare in ``uint64`` without ever
+    materialising the float uniforms."""
+    return np.floor(probabilities * _TWO_53).astype(_U64)
+
+
+def _world_masks(words: np.ndarray, worlds: int) -> np.ndarray:
+    """Boolean ``(worlds, n)`` mask of per-node world words."""
+    masks = np.zeros((worlds, words.size), dtype=bool)
+    nodes = np.flatnonzero(words != 0)
+    masks[:, nodes] = unpack_bool_rows(words[nodes, None], worlds).T
+    return masks
+
+
+def _label_forward(
+    defaulted: np.ndarray,
+    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> None:
+    """Spread defaults forward over the closure's surviving in-edges.
+
+    *defaulted* holds each node's self-default world word and is ORed in
+    place, through the ``(heads, sources, alive)`` in-edges of every
+    level, until a sweep over all levels changes nothing.  Sweeps run
+    from the deepest level up, the direction defaults travel from the
+    sources a level discovered to the heads it expanded.
+    """
+    changed = bool(levels)
+    while changed:
+        changed = False
+        for heads, sources, alive in reversed(levels):
+            fire = defaulted[sources] & alive
+            fire &= ~defaulted[heads]
+            hot = np.flatnonzero(fire != 0)
+            if hot.size:
+                np.bitwise_or.at(defaulted, heads[hot], fire[hot])
+                changed = True
+
+
+def _concat_blocks(blocks: list[ExploredBlock]) -> ExploredBlock:
+    """The blocks of consecutive world runs as one block."""
+
+    def cat(field: str) -> np.ndarray | None:
+        parts = [getattr(block, field) for block in blocks]
+        return None if parts[0] is None else np.concatenate(parts)
+
+    return ExploredBlock(
+        outcomes=cat("outcomes"),
+        node_draws=cat("node_draws"),
+        edge_draws=cat("edge_draws"),
+        touched_nodes=cat("touched_nodes"),
+        expanded_nodes=cat("expanded_nodes"),
+    )
 
 
 class IndexedReverseSampler:
@@ -219,10 +306,12 @@ class IndexedReverseSampler:
         Seed, generator, or ``None``, folded into a 64-bit stream key
         (:func:`derive_stream_key`).
     world_batch:
-        Worlds explored per flat batch (memory/speed trade-off only —
-        outcomes are independent of it).  A call explores up to one
-        batch per CPU at once, so its peak memory is up to that many
-        batches' exploration state.
+        Worlds per block, the unit a call hands to its thread pool
+        (memory/speed trade-off only — outcomes are independent of it).
+        A block explores its worlds in slices of 64, one ``uint64`` word
+        per node each, so its exploration state is a few words per node
+        plus its levels' surviving in-edges.  A call explores up to one
+        block per CPU at once.
     """
 
     __slots__ = (
@@ -282,7 +371,7 @@ class IndexedReverseSampler:
 
     @property
     def world_batch(self) -> int:
-        """Worlds explored per flat batch."""
+        """Worlds per explored block."""
         return self._world_batch
 
     @property
@@ -323,111 +412,141 @@ class IndexedReverseSampler:
     def _explore(
         self, world_indices: np.ndarray, collect: bool
     ) -> ExploredBlock:
-        """Backward closure + forward labelling for the given worlds."""
+        """Explore the given worlds, one slice of up to 64 at a time."""
+        slices = [
+            self._explore_slice(world_indices[start : start + _SLICE], collect)
+            for start in range(0, world_indices.size, _SLICE)
+        ]
+        return slices[0] if len(slices) == 1 else _concat_blocks(slices)
+
+    def _explore_slice(
+        self, world_indices: np.ndarray, collect: bool
+    ) -> ExploredBlock:
+        """Backward closure + forward labelling of up to 64 worlds.
+
+        Every node carries one word whose bit ``j`` stands for world
+        ``world_indices[j]``: the worlds whose closure holds the node,
+        whose frontier it is on, where it self-defaults.  Each level
+        hashes the frontier's set (world, node) bits, gathers the in-CSR
+        segment of every node that did not self-default in some world
+        once, and hashes the set (world, edge) bits of its positions.
+        Surviving positions OR their words into their sources' next
+        frontier words, less the worlds already in the closure.
+        """
         n = self._n
-        key = self._key
         csr = self._in_csr
-        indptr, indices, probs = csr.indptr, csr.indices, csr.probs
-        edge_id_table = csr.edge_ids
+        indptr, indices = csr.indptr, csr.indices
         # Self-risks are re-read per block so probability mutations between
         # calls are observed (edge probs are read live through the CSR).
         ps = self._graph.self_risk_array
-        # Probabilities lifted to the 53-bit integer lattice the PRF
-        # emits mantissas on: ``(z >> 11) * 2^-53 <= p`` iff
-        # ``z >> 11 <= floor(p * 2^53)`` (the product is exact — a pure
-        # exponent shift of a 53-bit mantissa), so realisations compare
-        # in uint64 without ever materialising the float uniforms.
-        node_thresholds = np.floor(ps * _TWO_53).astype(_U64)
-        edge_thresholds = np.floor(probs * _TWO_53).astype(_U64)
-        world_base, edge_base = counter_lanes(world_indices)
         worlds = world_indices.size
-        closure = np.zeros(worlds * n, dtype=bool)
-        defaulted = np.zeros(worlds * n, dtype=bool)
+        # Bits per word the slice unpacks: a power of two, so that a bit's
+        # row and column are a shift and a mask of its flat index.
+        width = 8 << max(0, (worlds - 1).bit_length() - 3)
+        node_base = np.zeros(width, dtype=_U64)
+        edge_base = np.zeros(width, dtype=_U64)
+        node_base[:worlds], edge_base[:worlds] = counter_lanes(world_indices)
+        node_draws = np.zeros(width, dtype=np.int64)
+        edge_draws = np.zeros(width, dtype=np.int64)
+        closure = np.zeros(n, dtype=WORD)
+        defaulted = np.zeros(n, dtype=WORD)
+        reach = np.zeros(n, dtype=WORD)
+        owner = np.empty(n, dtype=np.int64)
+        # (heads, sources, surviving worlds) of each level's live in-edges.
+        levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        frontier = self._unique_candidates
+        words = np.full(frontier.size, (1 << worlds) - 1, dtype=WORD)
+        closure[frontier] = words
+        while frontier.size:
+            self_default = self._draw(
+                words,
+                width,
+                frontier.astype(_U64),
+                node_base,
+                _lattice(ps[frontier]),
+                node_draws,
+            )
+            defaulted[frontier] |= self_default
+            words &= ~self_default
+            live = np.flatnonzero(words != 0)
+            heads = frontier[live]
+            words = words[live]
+            pos, counts = ragged_positions(indptr, heads)
+            if not pos.size:
+                break
+            alive = self._draw(
+                np.repeat(words, counts),
+                width,
+                csr.edge_ids[pos].astype(_U64),
+                edge_base,
+                _lattice(csr.probs[pos]),
+                edge_draws,
+            )
+            live = np.flatnonzero(alive != 0)
+            alive = alive[live]
+            sources = indices[pos[live]]
+            levels.append((np.repeat(heads, counts)[live], sources, alive))
+            # Each source's worlds new to the closure.  A source reached
+            # through several positions stays once, at the entry its owner
+            # slot names.
+            np.bitwise_or.at(reach, sources, alive)
+            fresh = reach[sources] & ~closure[sources]
+            reach[sources] = 0
+            live = np.flatnonzero(fresh != 0)
+            frontier = sources[live]
+            words = fresh[live]
+            rank = np.arange(frontier.size)
+            owner[frontier] = rank
+            first = owner[frontier] == rank
+            frontier = frontier[first]
+            words = words[first]
+            closure[frontier] |= words
         touched_nodes = expanded_nodes = None
         if collect:
-            touched_nodes = np.zeros(worlds * n, dtype=bool)
-            expanded_nodes = np.zeros(worlds * n, dtype=bool)
-        node_draw_counts = np.zeros(worlds, dtype=np.int64)
-        edge_draw_counts = np.zeros(worlds, dtype=np.float64)
-        offsets = np.arange(worlds, dtype=np.int64) * n
-        frontier = (offsets[:, None] + self._unique_candidates[None, :]).ravel()
-        closure[frontier] = True
-        # Counter of flat key ``w_local*n + v`` is ``world_base[w_local]
-        # + v`` = ``flat + (world_base[w_local] - w_local*n)``;
-        # precomputing the per-world surplus folds the whole counter
-        # computation into one gather + one add per frontier.
-        # ``edge_base`` plays the same role for edge counters.
-        node_extra = world_base - offsets.astype(_U64)
-        seed_parts: list[np.ndarray] = []
-        src_parts: list[np.ndarray] = []
-        dst_parts: list[np.ndarray] = []
-        while frontier.size:
-            local_world = frontier // n
-            nodes = frontier - local_world * n
-            if collect:
-                touched_nodes[frontier] = True
-            counters = frontier.astype(_U64)
-            counters += node_extra[local_world]
-            draws = _hashed_lattice(key, counters)
-            self_default = draws <= node_thresholds[nodes]
-            node_draw_counts += np.bincount(local_world, minlength=worlds)
-            if self_default.any():
-                seed_parts.append(frontier[self_default])
-            keep = ~self_default
-            expand = frontier[keep]
-            if not expand.size:
-                break
-            if collect:
-                expanded_nodes[expand] = True
-            expand_nodes = nodes[keep]
-            expand_world = local_world[keep]
-            pos, counts = ragged_positions(indptr, expand_nodes)
-            if pos.size == 0:
-                break
-            edge_ids = edge_id_table[pos]
-            rep_world = np.repeat(expand_world, counts)
-            edge_counters = edge_ids.astype(_U64)
-            edge_counters += edge_base[rep_world]
-            edge_draws = _hashed_lattice(key, edge_counters)
-            survived = edge_draws <= edge_thresholds[pos]
-            edge_draw_counts += np.bincount(
-                expand_world, weights=counts, minlength=worlds
-            )
-            if not survived.any():
-                break
-            src_keys = (rep_world * n + indices[pos])[survived]
-            dst_keys = np.repeat(expand, counts)[survived]
-            src_parts.append(src_keys)
-            dst_parts.append(dst_keys)
-            fresh = src_keys[~closure[src_keys]]
-            if fresh.size:
-                # Sorted and de-duplicated, as np.unique would return it.
-                # numpy >= 2.3's np.unique hashes instead of sorting: on
-                # one BSR detection's frontiers (20k nodes, 2-vCPU VM) it
-                # took 13x as long for the same arrays.
-                fresh.sort()
-                first = np.concatenate(([True], fresh[1:] != fresh[:-1]))
-                fresh = fresh[first]
-                closure[fresh] = True
-            frontier = fresh
-        if seed_parts:
-            defaulted[np.concatenate(seed_parts)] = True
-            if src_parts:
-                propagate_edge_list(
-                    defaulted, np.concatenate(src_parts), np.concatenate(dst_parts)
-                )
-        keys = offsets[:, None] + self._candidates[None, :]
+            touched_nodes = _world_masks(closure, worlds)
+            expanded_nodes = _world_masks(closure & ~defaulted, worlds)
+        _label_forward(defaulted, levels)
+        outcomes = unpack_bool_rows(defaulted[self._candidates, None], worlds)
         return ExploredBlock(
-            outcomes=defaulted[keys],
-            node_draws=node_draw_counts,
-            edge_draws=edge_draw_counts.astype(np.int64),
-            touched_nodes=(
-                touched_nodes.reshape(worlds, n) if collect else None
-            ),
-            expanded_nodes=(
-                expanded_nodes.reshape(worlds, n) if collect else None
-            ),
+            outcomes=outcomes.T.copy(),
+            node_draws=node_draws[:worlds],
+            edge_draws=edge_draws[:worlds],
+            touched_nodes=touched_nodes,
+            expanded_nodes=expanded_nodes,
         )
+
+    def _draw(
+        self,
+        words: np.ndarray,
+        width: int,
+        counters: np.ndarray,
+        bases: np.ndarray,
+        thresholds: np.ndarray,
+        draws: np.ndarray,
+    ) -> np.ndarray:
+        """Hash every set bit of *words* once; the bits that drew low.
+
+        Bit ``j`` of row ``r`` hashes counter ``counters[r] + bases[j]``
+        and stays set iff its draw is at most ``thresholds[r]``.
+        ``draws[j]`` counts the bits world ``j`` hashed.  The set bits are
+        hashed ``_CHUNK`` at a time, so that every pass over them stays
+        in cache.
+        """
+        bits = unpack_bool_rows(words[:, None], width)
+        flat = np.flatnonzero(bits)
+        cells = bits.reshape(-1)
+        shift = width.bit_length() - 1
+        for start in range(0, flat.size, _CHUNK):
+            part = flat[start : start + _CHUNK]
+            rows = part >> shift
+            cols = part & (width - 1)
+            draws += np.bincount(cols, minlength=width)
+            lattice = counters[rows]
+            lattice += bases[cols]
+            cells[part] = (
+                _hashed_lattice(self._key, lattice) <= thresholds[rows]
+            )
+        return pack_bool_rows(bits)[:, 0]
 
     def _blocks(
         self, world_indices: np.ndarray, collect: bool
@@ -508,22 +627,7 @@ class IndexedReverseSampler:
                 world_indices, collect_touched
             )
         ]
-        if len(blocks) == 1:
-            return blocks[0]
-
-        def _cat(field: str) -> np.ndarray | None:
-            parts = [getattr(b, field) for b in blocks]
-            if parts[0] is None:
-                return None
-            return np.concatenate(parts)
-
-        return ExploredBlock(
-            outcomes=np.concatenate([b.outcomes for b in blocks]),
-            node_draws=np.concatenate([b.node_draws for b in blocks]),
-            edge_draws=np.concatenate([b.edge_draws for b in blocks]),
-            touched_nodes=_cat("touched_nodes"),
-            expanded_nodes=_cat("expanded_nodes"),
-        )
+        return blocks[0] if len(blocks) == 1 else _concat_blocks(blocks)
 
     def run(self, samples: int) -> ForwardEstimate:
         """Run *samples* sequential worlds; counts align with ``candidates``."""

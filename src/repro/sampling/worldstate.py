@@ -43,7 +43,14 @@ import numpy as np
 from repro.core.errors import SamplingError
 from repro.core.graph import UncertainGraph
 from repro.core.propagation import propagate_edge_list, surviving_edge_keys
-from repro.sampling.indexed import _restore_slots, counter_lanes
+from repro.sampling.bits import (
+    WORD,
+    num_words,
+    pack_bool_rows,
+    popcount,
+    unpack_bool_rows,
+)
+from repro.sampling.indexed import _lattice, _restore_slots, counter_lanes
 from repro.sampling.rng import (
     SeedLike,
     derive_stream_key,
@@ -51,69 +58,15 @@ from repro.sampling.rng import (
 )
 
 __all__ = [
-    "pack_bool_rows",
-    "unpack_bool_rows",
-    "popcount",
     "PackedWorldState",
     "WorldView",
 ]
 
 _T = TypeVar("_T")
 
-#: Explicit little-endian word dtype so byte views agree on every platform.
-_WORD = np.dtype("<u8")
 _ONE = np.uint64(1)
 _SIX = np.uint64(6)
 _MASK_63 = np.uint64(63)
-
-if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-
-    def popcount(words: np.ndarray) -> np.ndarray:
-        """Per-element popcount of a ``uint64`` array."""
-        return np.bitwise_count(words)
-
-else:  # pragma: no cover - exercised only on numpy < 2.0
-    _POP8 = np.array(
-        [bin(value).count("1") for value in range(256)], dtype=np.uint8
-    )
-
-    def popcount(words: np.ndarray) -> np.ndarray:
-        """Per-element popcount of a ``uint64`` array (byte-LUT fallback)."""
-        as_bytes = np.ascontiguousarray(words).view(np.uint8)
-        return (
-            _POP8[as_bytes]
-            .reshape(*words.shape, 8)
-            .sum(axis=-1, dtype=np.uint8)
-        )
-
-
-def _num_words(cols: int) -> int:
-    return (int(cols) + 63) // 64
-
-
-def pack_bool_rows(dense: np.ndarray) -> np.ndarray:
-    """Bit-pack a boolean ``(R, C)`` matrix along its columns.
-
-    Returns a ``(R, ceil(C/64))`` little-endian ``uint64`` matrix where
-    column ``c`` lives at word ``c >> 6``, bit ``c & 63``.
-    """
-    dense = np.asarray(dense, dtype=bool)
-    rows, cols = dense.shape
-    words = _num_words(cols)
-    packed8 = np.packbits(dense, axis=1, bitorder="little")
-    if packed8.shape[1] != words * 8:
-        padded = np.zeros((rows, words * 8), dtype=np.uint8)
-        padded[:, : packed8.shape[1]] = packed8
-        packed8 = padded
-    return np.ascontiguousarray(packed8).view(_WORD)
-
-
-def unpack_bool_rows(words: np.ndarray, cols: int) -> np.ndarray:
-    """Invert :func:`pack_bool_rows` back to a boolean ``(R, cols)`` matrix."""
-    as_bytes = np.ascontiguousarray(words).view(np.uint8)
-    return np.unpackbits(
-        as_bytes, axis=1, bitorder="little", count=int(cols)
-    ).astype(bool)
 
 
 def _set_bit_pairs(
@@ -171,9 +124,9 @@ class PackedWorldState:
                 f"got {in_degrees.shape}"
             )
         self._in_degrees = in_degrees
-        words = _num_words(self._n)
-        self.touched_words = np.zeros((worlds, words), dtype=_WORD)
-        self.expanded_words = np.zeros((worlds, words), dtype=_WORD)
+        words = num_words(self._n)
+        self.touched_words = np.zeros((worlds, words), dtype=WORD)
+        self.expanded_words = np.zeros((worlds, words), dtype=WORD)
 
     def __setstate__(self, state) -> None:
         _restore_slots(self, state)
@@ -182,7 +135,7 @@ class PackedWorldState:
     def bytes_needed(worlds: int, num_nodes: int, num_edges: int) -> int:
         """Storage needed for *worlds* worlds: the two packed masks, which
         are all the state holds."""
-        return int(worlds) * 2 * _num_words(num_nodes) * 8
+        return int(worlds) * 2 * num_words(num_nodes) * 8
 
     @property
     def worlds(self) -> int:
@@ -233,8 +186,8 @@ class PackedWorldState:
             self.expanded_words = self.expanded_words[:worlds].copy()
             return
         words = self.touched_words.shape[1]
-        touched = np.zeros((worlds, words), dtype=_WORD)
-        expanded = np.zeros((worlds, words), dtype=_WORD)
+        touched = np.zeros((worlds, words), dtype=WORD)
+        expanded = np.zeros((worlds, words), dtype=WORD)
         touched[:current] = self.touched_words
         expanded[:current] = self.expanded_words
         self.touched_words, self.expanded_words = touched, expanded
@@ -267,10 +220,10 @@ class PackedWorldState:
                 f"got {in_degrees.shape}"
             )
         old_words = self.touched_words.shape[1]
-        new_words = _num_words(int(num_nodes))
+        new_words = num_words(int(num_nodes))
         if new_words > old_words:
-            touched = np.zeros((self.worlds, new_words), dtype=_WORD)
-            expanded = np.zeros((self.worlds, new_words), dtype=_WORD)
+            touched = np.zeros((self.worlds, new_words), dtype=WORD)
+            expanded = np.zeros((self.worlds, new_words), dtype=WORD)
             touched[:, :old_words] = self.touched_words
             expanded[:, :old_words] = self.expanded_words
             self.touched_words, self.expanded_words = touched, expanded
@@ -298,10 +251,6 @@ class PackedWorldState:
         return _set_bit_pairs(self.expanded_words, heads)
 
 
-#: Probabilities lifted to the 53-bit mantissa lattice of the counter PRF
-#: (see :mod:`repro.sampling.indexed`): ``u <= p`` iff the raw mantissa is
-#: ``<= floor(p * 2^53)`` — an exact integer comparison.
-_TWO_53 = 2.0**53
 #: Counter values materialised at once while realising a view (bounds the
 #: transient ``uint64`` buffers, not the boolean result matrices).
 _REALISE_BUDGET = 1 << 22
@@ -425,9 +374,9 @@ class WorldView:
         """Materialise the ``(W, n)`` / ``(W, m)`` realisation matrices.
 
         The integer-lattice comparison is the one the indexed sampler's
-        exploration uses (``draw <= floor(p * 2^53)`` on ``uint64``), so
-        per-entity realisations agree bit for bit with any engine keyed
-        the same way.
+        exploration uses (``draw <= floor(p * 2^53)`` on ``uint64``,
+        through the same ``_lattice``), so per-entity realisations agree
+        bit for bit with any engine keyed the same way.
         """
         if self._self_default is not None:
             return
@@ -435,8 +384,8 @@ class WorldView:
         n, m = self._n, self._m
         ps = graph.self_risk_array
         _, _, pe = graph.edge_array
-        node_thresholds = np.floor(ps * _TWO_53).astype(np.uint64)
-        edge_thresholds = np.floor(pe * _TWO_53).astype(np.uint64)
+        node_thresholds = _lattice(ps)
+        edge_thresholds = _lattice(pe)
         worlds = self.num_worlds
         self_default = np.empty((worlds, n), dtype=bool)
         edge_survives = np.empty((worlds, m), dtype=bool)
@@ -496,9 +445,10 @@ class WorldView:
         """Boolean ``(W, n)``: which nodes default (self or contagion).
 
         Bit-identical to the reverse samplers' per-world outcomes for
-        the same worlds and key (the contagion fixpoint is the shared
-        :func:`~repro.core.propagation.propagate_edge_list`, over
-        :meth:`edge_keys`).
+        the same worlds and key: the contagion fixpoint here is
+        :func:`~repro.core.propagation.propagate_edge_list` over
+        :meth:`edge_keys`, and the sampler reaches the same fixpoint over
+        its closure's world words.
         """
 
         def propagate() -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sampling.worldstate import popcount, unpack_bool_rows
+from repro.sampling.bits import popcount, unpack_bool_rows
 
 
 class DenseWorldState:

@@ -1,4 +1,4 @@
-"""Algorithm 5 of the paper, kept as the test oracle.
+"""Algorithm 5 of the paper and the flat exploration, kept as test oracles.
 
 Instead of materialising a whole possible world and propagating forward,
 reverse sampling answers, for each *candidate* node ``v``, the question
@@ -27,12 +27,18 @@ The module is organised around three pieces:
   policy the tests share with the production engine.
 * :class:`ReverseSampler` — one :class:`ReverseWorld` per sample.
 
-Detection runs :class:`~repro.sampling.indexed.IndexedReverseSampler`:
-one flat multi-world closure per batch with counter-PRF randomness.
-``test_streaming.py`` checks it world by world against
-:class:`ReverseWorld` fed the same entity-indexed uniforms, and
-``test_reverse_sampling.py`` checks this oracle against the exact
-enumeration and the forward sampler.
+Detection runs :class:`~repro.sampling.indexed.IndexedReverseSampler`,
+which explores each block's worlds 64 at a time as one word of world
+bits per node, with counter-PRF randomness.  ``test_streaming.py``
+checks it world by world against :class:`ReverseWorld` fed the same
+entity-indexed uniforms, and ``test_reverse_sampling.py`` checks this
+oracle against the exact enumeration and the forward sampler.
+
+:func:`flat_explore` is the exploration the sampler ran before the
+world-packed one: a flat multi-world closure, one key per (world, node)
+pair, labelled forward over every surviving (world, edge) pair.  It
+hashes the same counters, so ``test_packed_exploration.py`` holds every
+explored block to it field for field.
 
 The searches run directly on the in-CSR of the original graph, which is
 the out-adjacency of the reversed graph ``Gt`` the paper feeds to
@@ -48,9 +54,15 @@ import numpy as np
 
 from repro.core.errors import SamplingError
 from repro.core.graph import UncertainGraph
+from repro.core.propagation import propagate_edge_list, ragged_positions
 from repro.sampling.forward import ForwardEstimate
-from repro.sampling.indexed import _validate_candidates
-from repro.sampling.rng import SeedLike, make_rng
+from repro.sampling.indexed import (
+    ExploredBlock,
+    IndexedReverseSampler,
+    _validate_candidates,
+    counter_lanes,
+)
+from repro.sampling.rng import SeedLike, hashed_mantissas_inplace, make_rng
 
 
 class RandomBlock:
@@ -380,3 +392,99 @@ class ReverseSampler:
         """Estimated ``p(v)`` for each candidate, aligned with input order."""
         return self.run(samples).probabilities
 
+
+
+def flat_explore(
+    sampler: IndexedReverseSampler, world_indices: np.ndarray, collect: bool
+) -> ExploredBlock:
+    """The flat multi-world exploration the packed engine replaced.
+
+    World ``w``, node ``v`` is the flat key ``w * n + v`` of one big
+    graph whose regions never cross worlds.  A backward closure expands
+    the keys level by level — hashing each frontier key, gathering the
+    in-edges of every key that did not self-default once per world, and
+    keeping the sources of the surviving edges that are new to the
+    closure — and forward labelling then runs
+    :func:`~repro.core.propagation.propagate_edge_list` over every
+    surviving (world, edge) pair.  Returns what
+    ``sampler._explore(world_indices, collect)`` returns, field for
+    field.
+    """
+    n = sampler._n
+    key = sampler.stream_key
+    csr = sampler._in_csr
+    indptr, indices, probs = csr.indptr, csr.indices, csr.probs
+    edge_id_table = csr.edge_ids
+    ps = sampler._graph.self_risk_array
+    node_thresholds = np.floor(ps * 2.0**53).astype(np.uint64)
+    edge_thresholds = np.floor(probs * 2.0**53).astype(np.uint64)
+    world_indices = np.asarray(world_indices, dtype=np.int64)
+    world_base, edge_base = counter_lanes(world_indices)
+    worlds = world_indices.size
+    closure = np.zeros(worlds * n, dtype=bool)
+    defaulted = np.zeros(worlds * n, dtype=bool)
+    touched_nodes = np.zeros(worlds * n, dtype=bool)
+    expanded_nodes = np.zeros(worlds * n, dtype=bool)
+    node_draw_counts = np.zeros(worlds, dtype=np.int64)
+    edge_draw_counts = np.zeros(worlds, dtype=np.float64)
+    offsets = np.arange(worlds, dtype=np.int64) * n
+    frontier = (offsets[:, None] + np.unique(sampler.candidates)[None, :]).ravel()
+    closure[frontier] = True
+    # Counter of flat key ``w_local*n + v`` is ``world_base[w_local] + v``.
+    node_extra = world_base - offsets.astype(np.uint64)
+    seed_parts: list[np.ndarray] = []
+    src_parts: list[np.ndarray] = []
+    dst_parts: list[np.ndarray] = []
+    while frontier.size:
+        local_world = frontier // n
+        nodes = frontier - local_world * n
+        touched_nodes[frontier] = True
+        counters = frontier.astype(np.uint64)
+        counters += node_extra[local_world]
+        draws = hashed_mantissas_inplace(key, counters)
+        self_default = draws <= node_thresholds[nodes]
+        node_draw_counts += np.bincount(local_world, minlength=worlds)
+        if self_default.any():
+            seed_parts.append(frontier[self_default])
+        keep = ~self_default
+        expand = frontier[keep]
+        if not expand.size:
+            break
+        expanded_nodes[expand] = True
+        expand_nodes = nodes[keep]
+        expand_world = local_world[keep]
+        pos, counts = ragged_positions(indptr, expand_nodes)
+        if pos.size == 0:
+            break
+        edge_ids = edge_id_table[pos]
+        rep_world = np.repeat(expand_world, counts)
+        edge_counters = edge_ids.astype(np.uint64)
+        edge_counters += edge_base[rep_world]
+        edge_draws = hashed_mantissas_inplace(key, edge_counters)
+        survived = edge_draws <= edge_thresholds[pos]
+        edge_draw_counts += np.bincount(
+            expand_world, weights=counts, minlength=worlds
+        )
+        if not survived.any():
+            break
+        src_keys = (rep_world * n + indices[pos])[survived]
+        dst_keys = np.repeat(expand, counts)[survived]
+        src_parts.append(src_keys)
+        dst_parts.append(dst_keys)
+        fresh = np.unique(src_keys[~closure[src_keys]])
+        closure[fresh] = True
+        frontier = fresh
+    if seed_parts:
+        defaulted[np.concatenate(seed_parts)] = True
+        if src_parts:
+            propagate_edge_list(
+                defaulted, np.concatenate(src_parts), np.concatenate(dst_parts)
+            )
+    keys = offsets[:, None] + sampler.candidates[None, :]
+    return ExploredBlock(
+        outcomes=defaulted[keys],
+        node_draws=node_draw_counts,
+        edge_draws=edge_draw_counts.astype(np.int64),
+        touched_nodes=touched_nodes.reshape(worlds, n) if collect else None,
+        expanded_nodes=expanded_nodes.reshape(worlds, n) if collect else None,
+    )

@@ -1,8 +1,8 @@
-"""Production answers pinned on a calibrated 2,000-node graph.
+"""Production answers pinned on calibrated 2,000- and 20,000-node graphs.
 
 The sampler identity tests elsewhere run on graphs of at most a hundred
 or so nodes, whose reverse-exploration frontiers rarely reach one node
-twice.  This graph has perfbench's calibration (power-law topology, edge
+twice.  The 2,000-node graph has perfbench's calibration (power-law topology, edge
 factor 2, self-risk U[0, 0.02], Beta(2, 4) edge strengths), where they
 often do, so frontier de-duplication and the skyline kernel both see
 real work.  ``data/calibrated_2000_answers.json`` holds the answers and
@@ -10,6 +10,14 @@ work counters recorded before either kernel was rewritten; BSR, BSRBK
 and the skyline family must keep giving exactly those.  The component
 and k-core kernels are held to their dense-matrix oracles on a
 monitor's own view of this graph, where peels run for many rounds.
+
+``data/calibrated_20000_answers.json`` pins BSR and BSRBK on perfbench's
+``batch`` detection graph (``calibrated_powerlaw(20000, 7)``, detector
+seed 1, k = 10), recorded with the flat exploration before the world-
+packed one replaced it.  perfbench's own check compares BSR with a
+monitor that runs the same engine, so only a pin catches an engine
+defect at that scale.  The bound orders are passed explicitly, so a
+change of their defaults does not move it.
 """
 
 from __future__ import annotations
@@ -31,15 +39,12 @@ from repro.queries.skyline import skyline_mask
 from repro.sampling.worldstate import WorldView
 from repro.streaming.monitor import TopKMonitor
 
-PINNED = json.loads(
-    (Path(__file__).parent / "data" / "calibrated_2000_answers.json")
-    .read_text()
-)
+DATA = Path(__file__).parent / "data"
+PINNED = json.loads((DATA / "calibrated_2000_answers.json").read_text())
+PINNED_20K = json.loads((DATA / "calibrated_20000_answers.json").read_text())
 
 
-@pytest.fixture(scope="module")
-def calibrated_graph() -> UncertainGraph:
-    shape = PINNED["graph"]
+def _calibrated(shape: dict) -> UncertainGraph:
     n = shape["nodes"]
     rng = np.random.default_rng(shape["seed"])
     src, dst = directed_powerlaw_edges(
@@ -53,15 +58,17 @@ def calibrated_graph() -> UncertainGraph:
     )
 
 
-@pytest.mark.parametrize(
-    "name,detector",
-    [("BSR", BoundedSampleReverseDetector), ("BSRBK", BottomKDetector)],
-)
-def test_detection_matches_the_pinned_answer(calibrated_graph, name, detector):
-    expected = PINNED[name]
-    result = detector(seed=PINNED["detector_seed"]).detect(
-        calibrated_graph, PINNED["k"]
-    )
+@pytest.fixture(scope="module")
+def calibrated_graph() -> UncertainGraph:
+    return _calibrated(PINNED["graph"])
+
+
+@pytest.fixture(scope="module")
+def batch_graph() -> UncertainGraph:
+    return _calibrated(PINNED_20K["graph"])
+
+
+def _assert_pinned(result, expected) -> None:
     assert result.nodes == expected["nodes"]
     assert [result.scores[v] for v in result.nodes] == expected["scores"]
     assert result.samples_used == expected["samples_used"]
@@ -69,6 +76,30 @@ def test_detection_matches_the_pinned_answer(calibrated_graph, name, detector):
     assert result.k_verified == expected["k_verified"]
     assert result.details["nodes_touched"] == expected["nodes_touched"]
     assert result.details["edges_touched"] == expected["edges_touched"]
+
+
+@pytest.mark.parametrize(
+    "name,detector",
+    [("BSR", BoundedSampleReverseDetector), ("BSRBK", BottomKDetector)],
+)
+def test_detection_matches_the_pinned_answer(calibrated_graph, name, detector):
+    result = detector(seed=PINNED["detector_seed"]).detect(
+        calibrated_graph, PINNED["k"]
+    )
+    _assert_pinned(result, PINNED[name])
+
+
+@pytest.mark.parametrize(
+    "name,detector",
+    [("BSR", BoundedSampleReverseDetector), ("BSRBK", BottomKDetector)],
+)
+def test_batch_detection_matches_the_pinned_answer(batch_graph, name, detector):
+    result = detector(
+        lower_order=PINNED_20K["lower_order"],
+        upper_order=PINNED_20K["upper_order"],
+        seed=PINNED_20K["detector_seed"],
+    ).detect(batch_graph, PINNED_20K["k"])
+    _assert_pinned(result, PINNED_20K[name])
 
 
 def test_skyline_family_matches_the_pinned_set(calibrated_graph):

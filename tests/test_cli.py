@@ -108,6 +108,30 @@ class TestMain:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", [[], ["stream"]])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"\x89PNG\r\n\x1a\n\x00\xff\xfe",
+            b"N a notanumber\n",
+            b"N a 0.1\nN b 0.2\nE a b high\n",
+        ],
+        ids=["binary", "risk", "probability"],
+    )
+    def test_an_edgelist_that_is_not_a_graph_reports_error(
+        self, command, content, tmp_path, capsys
+    ):
+        path = tmp_path / "graph.txt"
+        path.write_bytes(content)
+        code = main(
+            [*command, "--graph", str(path), "--format", "edgelist",
+             "--k", "1"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "line " in err
+
     def test_bad_k_reports_error(self, graph_json, capsys):
         code = main(["--graph", graph_json, "--k", "50"])
         assert code == 1

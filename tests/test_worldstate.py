@@ -31,14 +31,9 @@ from repro.core.errors import SamplingError
 from repro.core.graph import UncertainGraph
 from repro.datasets.powerlaw import directed_powerlaw_edges
 from repro.datasets.registry import load_dataset
+from repro.sampling.bits import pack_bool_rows, popcount, unpack_bool_rows
 from repro.sampling.indexed import IndexedReverseSampler
-from repro.sampling.worldstate import (
-    PackedWorldState,
-    WorldView,
-    pack_bool_rows,
-    popcount,
-    unpack_bool_rows,
-)
+from repro.sampling.worldstate import PackedWorldState, WorldView
 from repro.streaming.events import EdgeAdd, NodeAdd
 from repro.streaming.monitor import TopKMonitor
 from repro.streaming.replay import random_patch_stream
